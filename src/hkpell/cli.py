@@ -50,7 +50,7 @@ def _emit(args, command: str, params: dict, result, provenance=()) -> int:
     elif args.format == "text":
         print(json.dumps(result, sort_keys=True, indent=2))
     else:
-        raise SystemExit("csv output is only available for table commands")
+        raise UsageError("csv output is only available for table commands")
     return 0
 
 
@@ -64,9 +64,9 @@ def _emit_csv(rows: list[list[str]]) -> int:
 # reference tables
 
 
-def _table_s2_cones() -> list[list[str]]:
+def _s2_cone_rows(e_from: int, e_to: int) -> list[list[str]]:
     rows = [["e", "pell_1", "pell_5", "mov", "nef"]]
-    for e in range(1, 14):
+    for e in range(e_from, e_to + 1):
         p1 = pell.min_positive_solution(pell.PellEquation.classical(e, 1))
         p5 = pell.min_positive_solution(pell.PellEquation.classical(4 * e, 5))
         mov = cones.mov_slope_s2(e)
@@ -86,10 +86,10 @@ def _table_s2_walls() -> list[list[str]]:
     return rows
 
 
-def _table_aut_n3() -> list[list[str]]:
+def _aut_rows(n: int, emax: int) -> list[list[str]]:
     rows = [["e_prime", "aut", "bir"]]
-    for ep in range(2, 12):
-        a, b = autgroups.fourfold_groups(3, ep)
+    for ep in range(2, emax + 1):
+        a, b = autgroups.fourfold_groups(n, ep)
         rows.append([str(ep), str(a), str(b)])
     return rows
 
@@ -104,9 +104,9 @@ def _period_image_payload(m: int, n: int, gamma: int) -> dict:
 
 
 _TABLES = {
-    "s2-cones": lambda: ("csv", _table_s2_cones()),
+    "s2-cones": lambda: ("csv", _s2_cone_rows(1, 13)),
     "s2-walls": lambda: ("csv", _table_s2_walls()),
-    "aut-n3": lambda: ("csv", _table_aut_n3()),
+    "aut-n3": lambda: ("csv", _aut_rows(3, 11)),
     "period-image-m4": lambda: ("json", _period_image_payload(4, 1, 2)),
     "period-image-m8": lambda: ("json", _period_image_payload(8, 1, 2)),
     "period-image-m12": lambda: ("json", _period_image_payload(12, 1, 2)),
@@ -115,6 +115,10 @@ _TABLES = {
 
 class UnknownTable(Exception):
     pass
+
+
+class UsageError(Exception):
+    """An argument combination the parser cannot reject by itself; exits 2."""
 
 
 def reproduce_table(table_id: str) -> str:
@@ -170,17 +174,10 @@ def _cmd_cone(args) -> int:
     if args.cone_cmd == "s2":
         e_from = args.e_from if args.e_from is not None else args.e
         e_to = args.e_to if args.e_to is not None else args.e
-        if e_from is None:
-            raise SystemExit("cone s2 needs --e or --e-from/--e-to")
+        if e_from is None or e_to is None:
+            raise UsageError("cone s2 needs --e or both --e-from and --e-to")
         if args.format == "csv":
-            rows = [["e", "pell_1", "pell_5", "mov", "nef"]]
-            for e in range(e_from, e_to + 1):
-                p1 = pell.min_positive_solution(pell.PellEquation.classical(e, 1))
-                p5 = pell.min_positive_solution(pell.PellEquation.classical(4 * e, 5))
-                mov, nef = cones.mov_slope_s2(e), cones.nef_slope_s2(e)
-                rows.append([str(e), _sol(p1), _sol(p5), _slope(mov),
-                             "=" if nef == mov else _slope(nef)])
-            return _emit_csv(rows)
+            return _emit_csv(_s2_cone_rows(e_from, e_to))
         res = [_cone_s2_row(e) for e in range(e_from, e_to + 1)]
         prov = ["table:s2-cones"] if (e_from, e_to) == (1, 13) else []
         return _emit(args, "cone s2", {"e_from": e_from, "e_to": e_to}, res, prov)
@@ -235,8 +232,7 @@ def _cmd_lattice(args) -> int:
                      {"m": args.m, "n": args.n, "gamma": args.gamma}, res)
     if args.lattice_cmd == "orbit":
         spec = lattice.polarized_orthogonal(args.m, args.n, args.gamma)
-        key = lattice.OrbitKey(args.square, args.div,
-                               Fraction(args.square, args.div ** 2) % 2)
+        key = lattice.OrbitKey(args.square, args.div)
         res = {"exists": lattice.exists_primitive_vector(spec, key)}
         return _emit(args, "lattice orbit",
                      {"m": args.m, "n": args.n, "gamma": args.gamma,
@@ -261,27 +257,15 @@ def _cmd_aut(args) -> int:
         return _emit(args, "aut fourfold", {"n": args.n, "e_prime": args.e_prime},
                      {"aut": str(a), "bir": str(b)})
     if args.aut_cmd == "table":
+        rows = _aut_rows(args.n, args.emax)
         if args.format == "csv":
-            rows = [["e_prime", "aut", "bir"]]
-            for ep in range(2, args.emax + 1):
-                a, b = autgroups.fourfold_groups(args.n, ep)
-                rows.append([str(ep), str(a), str(b)])
             return _emit_csv(rows)
-        res = []
-        for ep in range(2, args.emax + 1):
-            a, b = autgroups.fourfold_groups(args.n, ep)
-            res.append({"e_prime": ep, "aut": str(a), "bir": str(b)})
+        res = [{"e_prime": int(ep), "aut": a, "bir": b} for ep, a, b in rows[1:]]
         prov = ["table:aut-n3"] if (args.n, args.emax) == (3, 11) else []
         return _emit(args, "aut table", {"n": args.n, "emax": args.emax}, res, prov)
     if args.aut_cmd == "search":
-        hits = []
-        for e in range(2, args.emax + 1):
-            if e % 5 == 0:
-                continue
-            neg = pell.min_positive_solution(pell.PellEquation.classical(e, -1))
-            five = pell.min_positive_solution(pell.PellEquation.classical(4 * e, 5))
-            if neg is not None and five is not None:
-                hits.append(e)
+        hits = [e for e in range(2, args.emax + 1)
+                if e % 5 and autgroups.bir_s2(e) == (autgroups.TRIVIAL, autgroups.Z2)]
         return _emit(args, "aut search", {"emax": args.emax}, {"e": hits})
     raise AssertionError
 
@@ -509,6 +493,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except _DOMAIN_ERRORS as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from math import gcd, isqrt
 from typing import Optional
 
@@ -220,15 +221,14 @@ def _wall_solutions(e: int, m: int, kappa_sq: int, s: int, mov: ExtremalSlope):
         return
     t = kappa_sq // 2
     # kappa = s*x*L - y*delta with e*s^2*x^2 - p*y^2 = t
-    if is_square(e * p):
-        sols = pell.generalized_solutions_up_to(e * s * s, p, t, 10 ** 6)
-    else:
+    sols = pell.positive_solutions(e * s * s, p, t)  # finite when e*p is a square
+    if not is_square(e * p):
         # slope(e*s*x, p*y) < mu bounds x outright
         denom = 2 * e * s * s * (e - mu2 * p)
         assert denom > 0
         bound = mu2 * p * abs(kappa_sq) / denom
         x_max = isqrt(bound.numerator // bound.denominator) + 2
-        sols = pell.generalized_solutions_up_to(e * s * s, p, t, x_max)
+        sols = takewhile(lambda sol: sol.a <= x_max, sols)
     for x, y in sols:
         big_x = s * x
         if gcd(big_x, y) != 1:

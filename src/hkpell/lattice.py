@@ -393,13 +393,15 @@ class OrbitKey:
 
     square: int
     star_order: int
-    star_q: Fraction
+    star_q: Fraction | None = None  # derived from the other two when omitted
 
     def __post_init__(self):
         if self.star_order < 1:
             raise ValueError("star_order must be positive")
         expected = mod2(Fraction(self.square, self.star_order ** 2))
-        if mod2(self.star_q) != expected:
+        if self.star_q is None:
+            object.__setattr__(self, "star_q", expected)
+        elif mod2(self.star_q) != expected:
             raise ValueError("star_q must be square/star_order^2 modulo 2")
 
 
@@ -408,8 +410,7 @@ def orbit_key(v: LatticeVector) -> OrbitKey:
         raise NotPrimitive("orbit keys are defined for primitive vectors")
     if v.lattice.u_block_count() < 2:
         raise NoDoubleU("orbit classification requires two hyperbolic planes")
-    div = divisibility(v)
-    return OrbitKey(v.square, div, mod2(Fraction(v.square, div * div)))
+    return OrbitKey(v.square, divisibility(v))
 
 
 def exists_primitive_vector(spec: LatticeSpec, key: OrbitKey) -> bool:

@@ -6,6 +6,8 @@ under multiplication by powers of the fundamental unit of a^2 - d*b^2 = 1;
 each class is represented by its minimal positive member (a > 0, b > 0,
 minimal a).  Class representatives are found with the PQa continued-fraction
 algorithm, which stays fast even when the fundamental unit is astronomical.
+The minimum, the first n solutions and all solutions below a bound are read
+from one lazy stream, positive_solutions.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from itertools import islice
 from typing import Iterator, Optional
 
 from .arith import is_square, square_divisors
@@ -176,20 +179,23 @@ def _pqa_hits(d: int, q0: int, z: int) -> list[tuple[int, int]]:
 
     Runs through the preperiod plus two full periods of the continued-fraction
     expansion, which is enough to see the fundamental solution of every class
-    attached to the residue z (z^2 must be congruent to d mod q0).
+    attached to the residue z (z^2 must be congruent to d mod q0).  The
+    expansion of a quadratic irrational is eventually periodic, so some state
+    is seen a third time and the loop ends.
     """
-    assert q0 > 0 and (z * z - d) % q0 == 0
+    if q0 <= 0 or (z * z - d) % q0:
+        raise PellError(f"PQa needs q0 > 0 dividing z^2 - d, got q0={q0}, z={z}, d={d}")
     s = isqrt(d)
     p_cur, q_cur = z, q0
     g_prev2, g_prev = -z, q0
     b_prev2, b_prev = 1, 0
     hits: list[tuple[int, int]] = []
     seen: dict[tuple[int, int], int] = {}
-    for _ in range(100000):
+    while True:
         state = (p_cur, q_cur)
         seen[state] = seen.get(state, 0) + 1
         if seen[state] >= 3:
-            break
+            return hits
         a_i = (p_cur + s) // q_cur if q_cur > 0 else (p_cur + s + 1) // q_cur
         g_i = a_i * g_prev + g_prev2
         b_i = a_i * b_prev + b_prev2
@@ -197,14 +203,12 @@ def _pqa_hits(d: int, q0: int, z: int) -> list[tuple[int, int]]:
         q_next = (d - p_next * p_next) // q_cur
         if abs(q_next) == 1:
             norm = g_i * g_i - d * b_i * b_i
-            assert abs(norm) == q0
+            if abs(norm) != q0:
+                raise PellError(f"PQa convergent ({g_i},{b_i}) has norm {norm}, not +-{q0}")
             hits.append((g_i, b_i))
         g_prev2, g_prev = g_prev, g_i
         b_prev2, b_prev = b_prev, b_i
         p_cur, q_cur = p_next, q_next
-    else:  # pragma: no cover
-        raise AssertionError("continued-fraction expansion failed to cycle")
-    return hits
 
 
 @lru_cache(maxsize=None)
@@ -281,38 +285,112 @@ def _signed_divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# classical-equation operations
+# the solution stream of e1*a^2 - e2*b^2 = t
+#
+# (a, b) <-> (e1*a, b) is a bijection onto the solutions of
+# A^2 - (e1*e2)*B^2 = e1*t whose first argument is divisible by e1.
+
+
+def _orbit_mod_cycle(d: int, rep: PellSolution, e1: int) -> Iterator[PellSolution]:
+    """Members (A, B) of rep's positive orbit with e1 | A, yielded as (A/e1, B).
+
+    Stops silently once the orbit's residues mod e1 start repeating without a
+    hit, which bounds the search exactly.  The unit is fetched only when the
+    orbit moves past rep, so reading a qualifying rep never computes it.
+    """
+    u = None
+    x, y = rep.a, rep.b
+    seen = set()
+    found = False
+    while True:
+        if x % e1 == 0:
+            # residues mod e1 are purely periodic (the unit acts invertibly),
+            # so after one hit the stream keeps hitting forever
+            found = True
+            yield PellSolution(x // e1, y)
+        elif not found:
+            key = (x % e1, y % e1)
+            if key in seen:
+                return
+            seen.add(key)
+        if u is None:
+            u = fundamental_solution(d)
+        x, y = _mul_unit(x, y, d, u)
+
+
+def positive_solutions(e1: int, e2: int, t: int) -> Iterator[PellSolution]:
+    """Every positive solution of e1*a^2 - e2*b^2 = t, by increasing a.
+
+    The stream is finite exactly when e1*e2 is a perfect square; otherwise it
+    lazily merges the orbits of the classes of A^2 - e1*e2*B^2 = e1*t.
+    """
+    d, big_t = e1 * e2, e1 * t
+    if is_square(d):
+        yield from (PellSolution(s.a // e1, s.b) for s in _square_d_solutions(d, big_t)
+                    if s.a > 0 and s.b > 0 and s.a % e1 == 0)
+        return
+    reps = _class_reps(d, big_t)
+    # heap of (A, class, member); a class's orbit is opened only when its rep's
+    # A, a lower bound for all its members, comes to the top.  reps is sorted,
+    # so the list starts out as a heap.
+    heap = [(rep.a, i, None) for i, rep in enumerate(reps)]
+    orbits = {}
+    while heap:
+        _, i, sol = heap[0]
+        if sol is None:
+            orbits[i] = _orbit_mod_cycle(d, reps[i], e1)
+        else:
+            yield sol
+        nxt = next(orbits[i], None)
+        if nxt is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (e1 * nxt.a, i, nxt))
 
 
 def min_positive_solution(eq: PellEquation) -> Optional[PellSolution]:
     """Minimal positive solution (a > 0, b > 0, minimal a), or None."""
-    if eq.e1 != 1:
-        return generalized_min(eq.e1, eq.e2, eq.t)
-    d, t = eq.e2, eq.t
-    if is_square(d):
-        pos = [s for s in _square_d_solutions(d, t) if s.a > 0 and s.b > 0]
-        return min(pos, key=lambda s: s.a) if pos else None
-    reps = _class_reps(d, t)
-    if not reps:
-        return None
-    return min(reps, key=lambda s: s.a)
+    return next(positive_solutions(eq.e1, eq.e2, eq.t), None)
+
+
+def generalized_min(e1: int, e2: int, t: int) -> Optional[PellSolution]:
+    """Minimal positive solution of e1*a^2 - e2*b^2 = t, or None."""
+    return next(positive_solutions(e1, e2, t), None)
+
+
+def generalized_solutions(e1: int, e2: int, t: int, count: int) -> list[PellSolution]:
+    """The first `count` positive solutions of e1*a^2 - e2*b^2 = t by increasing a."""
+    if count < 1:
+        raise ValueError("count must be positive")
+    out = list(islice(positive_solutions(e1, e2, t), count))
+    if not out:
+        raise Unsolvable(f"{e1}a^2-{e2}b^2={t} has no positive solutions")
+    return out
+
+
+def solutions_in_order(d: int, t: int, count: int) -> list[PellSolution]:
+    """The first `count` positive solutions of a^2 - d*b^2 = t, by increasing a."""
+    return generalized_solutions(1, d, t, count)
 
 
 def solvability(eq: PellEquation) -> Solvability:
-    """Both flags: any solution at all (b = 0 admitted), and some b > 0 one."""
-    if eq.e1 == 1 and is_square(eq.e2):
-        sols = _square_d_solutions(eq.e2, eq.t)
-        return Solvability(bool(sols), any(s.b > 0 and s.a > 0 for s in sols))
+    """Both flags: any solution at all (a = 0 or b = 0 admitted), and a positive one."""
     pos = min_positive_solution(eq) is not None
-    # a pure b = 0 solution needs t = e1 * (perfect square)
+    # (a, 0) solves when t = e1 * square, (0, b) when t = -e2 * square; for
+    # nonsquare d the unit action turns either into a positive solution, but
+    # for square d they can be the only ones
     b_zero = eq.t > 0 and eq.t % eq.e1 == 0 and is_square(eq.t // eq.e1)
-    # a = 0 solutions (-e2*b^2 = t) generate positive ones under the unit action
-    return Solvability(pos or b_zero, pos)
+    a_zero = eq.t < 0 and eq.t % eq.e2 == 0 and is_square(-eq.t // eq.e2)
+    return Solvability(pos or b_zero or a_zero, pos)
 
 
 def is_solvable(eq: PellEquation) -> bool:
-    """True when the equation has any integer solution (b = 0 admitted)."""
+    """True when the equation has any integer solution (a = 0 or b = 0 admitted)."""
     return solvability(eq).any_solution
+
+
+# ---------------------------------------------------------------------------
+# solution classes of the classical equation
 
 
 def solution_classes(d: int, t: int) -> list[SolutionClass]:
@@ -340,36 +418,6 @@ def same_class(d: int, t: int, s1: PellSolution, s2: PellSolution) -> bool:
     return x % abs(t) == 0 and y % abs(t) == 0
 
 
-def _class_stream(d: int, rep: PellSolution) -> Iterator[PellSolution]:
-    u = fundamental_solution(d)
-    x, y = rep.a, rep.b
-    while True:
-        yield PellSolution(x, y)
-        x, y = _mul_unit(x, y, d, u)
-
-
-def solutions_in_order(d: int, t: int, count: int) -> list[PellSolution]:
-    """The first `count` positive solutions of a^2 - d*b^2 = t, by increasing a."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    if is_square(d):
-        pos = [s for s in _square_d_solutions(d, t) if s.a > 0 and s.b > 0]
-        if not pos:
-            raise Unsolvable(f"a^2-{d}b^2={t} has no positive solutions")
-        return pos[:count]
-    reps = _class_reps(d, t)
-    if not reps:
-        raise Unsolvable(f"a^2-{d}b^2={t} has no positive solutions")
-    streams = [_class_stream(d, r) for r in reps]
-    merged = heapq.merge(*streams, key=lambda s: s.a)
-    out = []
-    for s in merged:
-        out.append(s)
-        if len(out) == count:
-            return out
-    raise AssertionError("streams are infinite")  # pragma: no cover
-
-
 def compose_to_unit(e1: int, e2: int, eps: int, s: PellSolution) -> PellSolution:
     """Fundamental solution of a^2 - e1*e2*b^2 = 1 from a minimal solution of
     e1*a^2 - e2*b^2 = eps, namely (e1*a^2 + e2*b^2, 2ab).
@@ -389,110 +437,3 @@ def compose_to_unit(e1: int, e2: int, eps: int, s: PellSolution) -> PellSolution
     if expected != s:
         raise ValueError(f"({s.a},{s.b}) is not the minimal solution; expected {expected}")
     return PellSolution(e1 * s.a * s.a + e2 * s.b * s.b, 2 * s.a * s.b)
-
-
-# ---------------------------------------------------------------------------
-# generalized equation e1*a^2 - e2*b^2 = t
-#
-# (a, b) <-> (e1*a, b) is a bijection onto the solutions of
-# A^2 - (e1*e2)*B^2 = e1*t whose first argument is divisible by e1.
-
-
-def _orbit_mod_cycle(d: int, rep: PellSolution, e1: int) -> Iterator[PellSolution]:
-    """Members of rep's positive orbit whose first argument is divisible by e1.
-
-    Stops silently once the orbit's residues mod e1 start repeating without a
-    hit, which bounds the search exactly.
-    """
-    u = fundamental_solution(d)
-    x, y = rep.a, rep.b
-    seen = set()
-    found = False
-    while True:
-        if x % e1 == 0:
-            # residues mod e1 are purely periodic (the unit acts invertibly),
-            # so after one hit the stream keeps hitting forever
-            found = True
-            yield PellSolution(x, y)
-        elif not found:
-            key = (x % e1, y % e1)
-            if key in seen:
-                return
-            seen.add(key)
-        x, y = _mul_unit(x, y, d, u)
-
-
-def _generalized_streams(e1: int, e2: int, t: int) -> list[Iterator[PellSolution]]:
-    d, big_t = e1 * e2, e1 * t
-    streams = []
-    for rep in _class_reps(d, big_t):
-        def qualify(rep=rep):
-            for sol in _orbit_mod_cycle(d, rep, e1):
-                yield PellSolution(sol.a // e1, sol.b)
-
-        streams.append(qualify())
-    return streams
-
-
-def generalized_min(e1: int, e2: int, t: int) -> Optional[PellSolution]:
-    """Minimal positive solution of e1*a^2 - e2*b^2 = t, or None."""
-    if e1 == 1:
-        return min_positive_solution(PellEquation.classical(e2, t))
-    d, big_t = e1 * e2, e1 * t
-    if is_square(d):
-        cands = [
-            PellSolution(s.a // e1, s.b)
-            for s in _square_d_solutions(d, big_t)
-            if s.a > 0 and s.b > 0 and s.a % e1 == 0
-        ]
-        return min(cands, key=lambda s: s.a) if cands else None
-    best: Optional[PellSolution] = None
-    for stream in _generalized_streams(e1, e2, t):
-        first = next(stream, None)
-        if first is not None and (best is None or first.a < best.a):
-            best = first
-    return best
-
-
-def generalized_solutions(e1: int, e2: int, t: int, count: int) -> list[PellSolution]:
-    """The first `count` positive solutions of e1*a^2 - e2*b^2 = t by increasing a."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    d, big_t = e1 * e2, e1 * t
-    if is_square(d):
-        out = [
-            PellSolution(s.a // e1, s.b)
-            for s in _square_d_solutions(d, big_t)
-            if s.a > 0 and s.b > 0 and s.a % e1 == 0
-        ]
-        if not out:
-            raise Unsolvable(f"{e1}a^2-{e2}b^2={t} has no positive solutions")
-        return sorted(out, key=lambda s: s.a)[:count]
-    streams = _generalized_streams(e1, e2, t)
-    merged = heapq.merge(*streams, key=lambda s: s.a)
-    out = []
-    for s in merged:
-        out.append(s)
-        if len(out) == count:
-            break
-    if not out:
-        raise Unsolvable(f"{e1}a^2-{e2}b^2={t} has no positive solutions")
-    return out
-
-
-def generalized_solutions_up_to(e1: int, e2: int, t: int, a_max: int) -> list[PellSolution]:
-    """All positive solutions with a <= a_max, by increasing a."""
-    d, big_t = e1 * e2, e1 * t
-    if is_square(d):
-        return [
-            PellSolution(s.a // e1, s.b)
-            for s in _square_d_solutions(d, big_t)
-            if s.a > 0 and s.b > 0 and s.a % e1 == 0 and s.a // e1 <= a_max
-        ]
-    out = []
-    for stream in _generalized_streams(e1, e2, t):
-        for s in stream:
-            if s.a > a_max:
-                break
-            out.append(s)
-    return sorted(set(out), key=lambda s: (s.a, s.b))

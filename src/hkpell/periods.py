@@ -23,14 +23,11 @@ from typing import Optional
 from . import cones, pell
 from .arith import (gcd_all, is_prime, is_square, is_square_mod, is_squarefree,
                     mod2, v_p)
+from .cones import BadCongruence
 from .lattice import DiscGroup, disc_group_of_gram
 
 
 class PeriodsError(Exception):
-    pass
-
-
-class BadCongruence(PeriodsError):
     pass
 
 
@@ -362,6 +359,8 @@ def coordinate_oracle(m: int, n: int, gamma: int, bound: int,
     square 2xy).  Restricting to `squares` only filters the report; the box
     is unchanged.
     """
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     model = _model(m, n, gamma)
     products = _coprime_products(bound)
     out = set()
@@ -409,8 +408,8 @@ def hilbert_square_points(n: int, e: int) -> tuple[tuple[int, int, int], ...]:
     out = []
     if nu_sq == e:
         # the nef boundary is the isotropic ray; every solution is admissible
-        sols = pell.generalized_solutions_up_to(1, e, -n, 10 ** 9)
-        cands = [(s.a, s.b) for s in sols]
+        # e is then a square, so the stream is finite
+        cands = [(s.a, s.b) for s in pell.positive_solutions(1, e, -n)]
     else:
         bound = Fraction(n, e - nu_sq)
         b_max = 1

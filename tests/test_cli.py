@@ -1,9 +1,13 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import hkpell
 from hkpell.cli import main, reproduce_table
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -83,6 +87,21 @@ def test_usage_error_exit():
     with pytest.raises(SystemExit) as exc:
         main(["pell", "min", "--d", "13"])  # missing --t
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args,code", [
+    (["cone", "s2", "--e-from", "1"], 2),
+    (["lattice", "orbit", "--m", "2", "--n", "1", "--gamma", "1",
+      "--square", "-2", "--div", "0"], 1),
+    (["oracle", "--m", "2", "--n", "1", "--gamma", "1", "--bound", "-1"], 1),
+    (["--format", "csv", "pell", "min", "--d", "13", "--t", "1"], 2),
+])
+def test_out_of_domain_exit_code(args, code):
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(hkpell.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "hkpell.cli", *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_more_commands(capsys):

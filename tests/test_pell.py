@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import takewhile
 from math import gcd, isqrt
 
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 
 from hkpell.arith import is_square
 from hkpell.pell import (ExcludedDegenerateCase, PellEquation, PellSolution,
-                         PerfectSquareInput, Unsolvable, WrongEquation,
-                         compose_to_unit, fundamental_solution,
+                         PerfectSquareInput, Solvability, Unsolvable,
+                         WrongEquation, compose_to_unit, fundamental_solution,
                          generalized_min, generalized_solutions, is_solvable,
-                         min_positive_solution, same_class, solution_classes,
-                         solutions_in_order, solvability)
+                         min_positive_solution, positive_solutions, same_class,
+                         solution_classes, solutions_in_order, solvability)
 
 C = PellEquation.classical
 
@@ -65,6 +66,11 @@ def test_min_positive_golden():
     assert min_positive_solution(C(1, 1)) is None
 
 
+def test_min_positive_long_period():
+    # sqrt(d) has period 51714; d = 3 mod 4, so -1 is not a norm
+    assert min_positive_solution(C(1000000411, -1)) is None
+
+
 def test_min_positive_brute_sweep():
     for d in range(2, 80):
         if is_square(d):
@@ -89,6 +95,31 @@ def test_solvability_flags():
     assert rep.any_solution and not rep.with_positive_b
     rep = solvability(C(20, 5))
     assert rep.any_solution and rep.with_positive_b
+
+
+def test_solvability_and_stream_match_brute_force():
+    for e1 in range(1, 9):
+        for e2 in range(1, 9):
+            for t in [*range(-15, 0), *range(1, 16)]:
+                eq = PellEquation(e1, e2, t)
+                sols = []  # every solution with a, b >= 0 and a <= 400
+                for a in range(401):
+                    b2, r = divmod(e1 * a * a - t, e2)
+                    if r == 0 and b2 >= 0 and is_square(b2):
+                        sols.append((a, isqrt(b2)))
+                box = [(a, b) for a, b in sols if a <= 60 and b <= 60]
+                rep = solvability(eq)
+                if is_square(e1 * e2):
+                    # |t| <= 15 and e1 <= 8 keep every solution inside the box
+                    assert rep == Solvability(bool(box), any(a and b for a, b in box)), eq
+                else:
+                    # the unit turns any solution into a positive one
+                    assert rep.any_solution == rep.with_positive_b, eq
+                    assert rep.with_positive_b or not box, eq
+                if rep.with_positive_b:
+                    assert eq.holds(*min_positive_solution(eq))
+                got = takewhile(lambda s: s.a <= 400, positive_solutions(e1, e2, t))
+                assert [tuple(s) for s in got] == [(a, b) for a, b in sols if a and b], eq
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,11 @@ def test_oracle_realizes_star_classes():
     assert coordinate_oracle(2, 3, 2, 0) == frozenset()
 
 
+def test_bad_congruence_is_shared():
+    from hkpell import cones, periods
+    assert periods.BadCongruence is cones.BadCongruence
+
+
 def test_hilbert_square_points():
     assert hilbert_square_point(3, 7) == (5, 2, 2)
     assert hilbert_square_points(3, 13) == ((7, 2, 2), (137, 38, 2))
