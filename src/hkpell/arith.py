@@ -125,7 +125,8 @@ def binomial_poly(x: int, k: int) -> int:
     for i in range(2, k + 1):
         den *= i
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"falling factorial of {x} of length {k} is not divisible by {k}!")
     return q
 
 

@@ -489,6 +489,10 @@ _DOMAIN_ERRORS = (
 
 
 def main(argv=None) -> int:
+    # units run to thousands of digits (d = 10**9 + 7 has one of about 6400),
+    # past the default limit on int-to-str conversion
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

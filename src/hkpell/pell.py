@@ -62,7 +62,8 @@ class PellEquation:
 
     def __post_init__(self):
         if self.e1 < 1 or self.e2 < 1:
-            raise ValueError("coefficients e1, e2 must be positive")
+            raise ValueError(f"coefficients e1, e2 (d when e1 = 1) must be positive, "
+                             f"got e1={self.e1}, e2={self.e2}")
         if self.t == 0:
             raise ValueError("right-hand side t must be nonzero")
 
@@ -105,7 +106,12 @@ class Solvability:
 
 @lru_cache(maxsize=None)
 def fundamental_solution(d: int) -> PellSolution:
-    """Minimal positive solution of a^2 - d*b^2 = 1, via continued fractions."""
+    """Minimal positive solution of a^2 - d*b^2 = 1, via continued fractions.
+
+    One period of the expansion of sqrt(d) ends where the denominator returns
+    to 1; the convergent before that point has norm (-1)^period.  For an odd
+    period it is the unit of norm -1 and is squared once.
+    """
     if d <= 0:
         raise ValueError("d must be positive")
     r = isqrt(d)
@@ -114,13 +120,33 @@ def fundamental_solution(d: int) -> PellSolution:
     m, den, a = 0, 1, r
     p_prev, p = 1, r
     q_prev, q = 0, 1
-    while p * p - d * q * q != 1:
+    odd = False
+    while True:
         m = den * a - m
         den = (d - m * m) // den
+        odd = not odd
+        if den == 1:
+            break
         a = (r + m) // den
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
+    if odd:
+        p, q = p * p + d * q * q, 2 * p * q
+    if p * p - d * q * q != 1:
+        raise PellError(f"one period of sqrt({d}) did not yield a unit of norm 1")
     return PellSolution(p, q)
+
+
+def _negative_unit(d: int) -> Optional[PellSolution]:
+    """Minimal positive solution of a^2 - d*b^2 = -1, or None.
+
+    Such a solution eta exists exactly when the period of sqrt(d) is odd, and
+    then eta^2 is the fundamental unit (u, v): u = 2x^2 + 1 = 2d*y^2 - 1 for
+    eta = (x, y), so x and y are read off u with two square roots.
+    """
+    u = fundamental_solution(d).a
+    x, y = isqrt((u - 1) // 2), isqrt((u + 1) // (2 * d))
+    return PellSolution(x, y) if x * x - d * y * y == -1 else None
 
 
 def _sign_quad(x: int, y: int, d: int) -> int:
@@ -166,7 +192,8 @@ def _canonical_rep(d: int, t: int, x: int, y: int) -> tuple[int, int]:
             x, y = xd, yd
         else:
             break
-    assert x > 0 and y > 0
+    if x <= 0 or y <= 0:
+        raise PellError(f"class window of a^2-{d}b^2={t} left the positive quadrant")
     return x, y
 
 
@@ -212,16 +239,6 @@ def _pqa_hits(d: int, q0: int, z: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _negative_unit(d: int) -> Optional[PellSolution]:
-    """Minimal positive solution of a^2 - d*b^2 = -1, or None."""
-    sols = [(abs(g), abs(b)) for g, b in _pqa_hits(d, 1, 0) if g * g - d * b * b == -1]
-    if not sols:
-        return None
-    a, b = min(sols)
-    return PellSolution(a, b)
-
-
-@lru_cache(maxsize=None)
 def _class_reps(d: int, t: int) -> tuple[PellSolution, ...]:
     """Minimal positive representatives of all solution classes of a^2 - d*b^2 = t.
 
@@ -233,6 +250,12 @@ def _class_reps(d: int, t: int) -> tuple[PellSolution, ...]:
     for f in square_divisors(t):
         m = t // (f * f)
         m_abs = abs(m)
+        if m_abs == 1:
+            # the units of norm m form one class, led by the fundamental one
+            unit = fundamental_solution(d) if m == 1 else _negative_unit(d)
+            if unit is not None:
+                reps.add(_canonical_rep(d, t, f * unit.a, f * unit.b))
+            continue
         for z in range(m_abs):
             if (z * z - d) % m_abs:
                 continue
@@ -258,7 +281,8 @@ def _square_d_solutions(d: int, t: int) -> tuple[PellSolution, ...]:
     pairs; there are finitely many solutions.
     """
     r = isqrt(d)
-    assert r * r == d
+    if r * r != d:
+        raise PellError(f"divisor-pair solver needs a square d, got {d}")
     out = set()
     for u in _signed_divisors(t):
         v = t // u
@@ -324,6 +348,7 @@ def positive_solutions(e1: int, e2: int, t: int) -> Iterator[PellSolution]:
     The stream is finite exactly when e1*e2 is a perfect square; otherwise it
     lazily merges the orbits of the classes of A^2 - e1*e2*B^2 = e1*t.
     """
+    PellEquation(e1, e2, t)  # domain check
     d, big_t = e1 * e2, e1 * t
     if is_square(d):
         yield from (PellSolution(s.a // e1, s.b) for s in _square_d_solutions(d, big_t)
@@ -395,6 +420,7 @@ def is_solvable(eq: PellEquation) -> bool:
 
 def solution_classes(d: int, t: int) -> list[SolutionClass]:
     """One minimal-positive representative per solution class, with conjugacy links."""
+    PellEquation.classical(d, t)  # domain check
     reps = _class_reps(d, t)
     index = {(s.a, s.b): i for i, s in enumerate(reps)}
     out = []

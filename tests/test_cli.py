@@ -95,6 +95,8 @@ def test_usage_error_exit():
       "--square", "-2", "--div", "0"], 1),
     (["oracle", "--m", "2", "--n", "1", "--gamma", "1", "--bound", "-1"], 1),
     (["--format", "csv", "pell", "min", "--d", "13", "--t", "1"], 2),
+    (["pell", "stream", "--d", "-5", "--t", "1", "--count", "3"], 1),
+    (["pell", "classes", "--d", "13", "--t", "0"], 1),
 ])
 def test_out_of_domain_exit_code(args, code):
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(hkpell.__file__).parents[1])}
@@ -102,6 +104,26 @@ def test_out_of_domain_exit_code(args, code):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_fundamental_prints_unit_past_str_digit_limit():
+    # the unit of d = 10**9 + 7 has about 6400 digits, past the default 4300
+    d = 1000000007
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(hkpell.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "hkpell.cli", "pell", "fundamental", "--d", str(d)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        res = json.loads(proc.stdout)["result"]
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(limit)
+    a, b = res["a"], res["b"]
+    assert a.bit_length() > 21000 and a * a - d * b * b == 1
 
 
 def test_more_commands(capsys):

@@ -14,6 +14,7 @@ from hkpell.pell import (ExcludedDegenerateCase, PellEquation, PellSolution,
                          generalized_min, generalized_solutions, is_solvable,
                          min_positive_solution, positive_solutions, same_class,
                          solution_classes, solutions_in_order, solvability)
+from hkpell.pell import _negative_unit
 
 C = PellEquation.classical
 
@@ -42,6 +43,28 @@ def test_fundamental_golden():
 def test_fundamental_square_input():
     with pytest.raises(PerfectSquareInput):
         fundamental_solution(4)
+
+
+def test_units_match_sympy():
+    diop_DN = pytest.importorskip("sympy.solvers.diophantine.diophantine").diop_DN
+    for d in [d for d in range(2, 2000) if not is_square(d)] + [10**8 + 7]:
+        unit, neg = fundamental_solution(d), _negative_unit(d)
+        negs = [] if neg is None else [neg]
+        assert [tuple(unit)] == diop_DN(d, 1), d
+        assert [tuple(s) for s in negs] == diop_DN(d, -1), d
+        assert [c.representative for c in solution_classes(d, 1)] == [unit], d
+        assert [c.representative for c in solution_classes(d, -1)] == negs, d
+
+
+def test_domain_errors():
+    with pytest.raises(ValueError, match="nonzero"):
+        solution_classes(13, 0)
+    with pytest.raises(ValueError, match="positive"):
+        solution_classes(-5, 1)
+    with pytest.raises(ValueError, match="positive"):
+        solutions_in_order(-5, 1, 3)
+    with pytest.raises(ValueError, match="nonzero"):
+        solutions_in_order(13, 0, 3)
 
 
 @given(st.integers(min_value=2, max_value=4000))
