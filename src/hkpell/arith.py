@@ -7,6 +7,11 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 
+class DomainError(Exception):
+    """Base of every layer's typed domain error (PellError, LatticeError,
+    ConeError, AutError, PeriodsError); the CLI exits 1 on any of them."""
+
+
 def is_square(n: int) -> bool:
     if n < 0:
         return False

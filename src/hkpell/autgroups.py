@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import pell
-from .arith import is_square, is_square_mod
+from .arith import DomainError, is_square, is_square_mod
 
 
-class AutError(Exception):
+class AutError(DomainError):
     pass
 
 

@@ -19,10 +19,10 @@ from math import gcd, isqrt
 from typing import Optional
 
 from . import pell
-from .arith import binomial_poly, is_square
+from .arith import DomainError, binomial_poly, is_square
 
 
-class ConeError(Exception):
+class ConeError(DomainError):
     pass
 
 
@@ -225,7 +225,8 @@ def _wall_solutions(e: int, m: int, kappa_sq: int, s: int, mov: ExtremalSlope):
     if not is_square(e * p):
         # slope(e*s*x, p*y) < mu bounds x outright
         denom = 2 * e * s * s * (e - mu2 * p)
-        assert denom > 0
+        if denom <= 0:
+            raise ConeError(f"movable slope^2 {mu2} of e={e}, m={m} is not below e/(m-1)")
         bound = mu2 * p * abs(kappa_sq) / denom
         x_max = isqrt(bound.numerator // bound.denominator) + 2
         sols = takewhile(lambda sol: sol.a <= x_max, sols)

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import (gcd_all, is_square_mod, mod1, mod2, omega,
+from .arith import (DomainError, gcd_all, is_square_mod, mod1, mod2, omega,
                     prime_factors, v_p)
 
 
-class LatticeError(Exception):
+class LatticeError(DomainError):
     pass
 
 

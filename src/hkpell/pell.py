@@ -19,10 +19,10 @@ from math import isqrt
 from itertools import islice
 from typing import Iterator, Optional
 
-from .arith import is_square, square_divisors
+from .arith import DomainError, is_square, square_divisors
 
 
-class PellError(Exception):
+class PellError(DomainError):
     """Base class for the solver's domain errors."""
 
 
@@ -42,6 +42,15 @@ class ExcludedDegenerateCase(PellError):
     """Raised by compose_to_unit on the two excluded parameter combinations."""
 
 
+def _int_text(n: int) -> str:
+    """n in decimal, or its bit length where decimal is past the interpreter's
+    int-to-str digit limit (units reach it: d = 10**9 + 7 has ~6400 digits)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit int>"
+
+
 @dataclass(frozen=True, order=True)
 class PellSolution:
     a: int
@@ -50,6 +59,9 @@ class PellSolution:
     def __iter__(self):
         yield self.a
         yield self.b
+
+    def __repr__(self) -> str:
+        return f"PellSolution(a={_int_text(self.a)}, b={_int_text(self.b)})"
 
 
 @dataclass(frozen=True)
@@ -231,7 +243,8 @@ def _pqa_hits(d: int, q0: int, z: int) -> list[tuple[int, int]]:
         if abs(q_next) == 1:
             norm = g_i * g_i - d * b_i * b_i
             if abs(norm) != q0:
-                raise PellError(f"PQa convergent ({g_i},{b_i}) has norm {norm}, not +-{q0}")
+                raise PellError(f"PQa convergent of {g_i.bit_length()} and {b_i.bit_length()} "
+                                f"bits has a norm of {norm.bit_length()} bits, not +-{q0}")
             hits.append((g_i, b_i))
         g_prev2, g_prev = g_prev, g_i
         b_prev2, b_prev = b_prev, b_i
@@ -435,7 +448,7 @@ def same_class(d: int, t: int, s1: PellSolution, s2: PellSolution) -> bool:
     """Whether two solutions are associated (differ by a unit, up to sign)."""
     for s in (s1, s2):
         if s.a * s.a - d * s.b * s.b != t:
-            raise WrongEquation(f"({s.a},{s.b}) does not solve a^2-{d}b^2={t}")
+            raise WrongEquation(f"{s} does not solve a^2-{d}b^2={t}")
     if is_square(d):
         return (abs(s1.a), abs(s1.b)) == (abs(s2.a), abs(s2.b))
     # s1 ~ s2 iff s1 * conj(s2) / t lies in Z[sqrt(d)] (it then has norm 1)
@@ -458,8 +471,8 @@ def compose_to_unit(e1: int, e2: int, eps: int, s: PellSolution) -> PellSolution
     if e2 == 1 and eps == -1:
         raise ExcludedDegenerateCase("e2 = -eps = 1 is excluded")
     if e1 * s.a * s.a - e2 * s.b * s.b != eps:
-        raise WrongEquation(f"({s.a},{s.b}) does not solve {e1}a^2-{e2}b^2={eps}")
+        raise WrongEquation(f"{s} does not solve {e1}a^2-{e2}b^2={eps}")
     expected = generalized_min(e1, e2, eps)
     if expected != s:
-        raise ValueError(f"({s.a},{s.b}) is not the minimal solution; expected {expected}")
+        raise ValueError(f"{s} is not the minimal solution; expected {expected}")
     return PellSolution(e1 * s.a * s.a + e2 * s.b * s.b, 2 * s.a * s.b)

@@ -21,13 +21,13 @@ from math import gcd, isqrt
 from typing import Optional
 
 from . import cones, pell
-from .arith import (gcd_all, is_prime, is_square, is_square_mod, is_squarefree,
-                    mod2, v_p)
+from .arith import (DomainError, gcd_all, is_prime, is_square, is_square_mod,
+                    is_squarefree, mod2, v_p)
 from .cones import BadCongruence
 from .lattice import DiscGroup, disc_group_of_gram
 
 
-class PeriodsError(Exception):
+class PeriodsError(DomainError):
     pass
 
 
@@ -113,7 +113,8 @@ class _Model:
         representative of a primitive class with discriminant data (star, s)."""
         x1, x2 = self.dual_of_star(star)
         a0, b0 = s * x1, s * x2
-        assert a0.denominator == 1 and b0.denominator == 1
+        if a0.denominator != 1 or b0.denominator != 1:
+            raise PeriodsError(f"{s} times the dual of star {tuple(star)} is not integral")
         return self._ambient_div_coords(int(a0), int(b0), s)
 
     def _ambient_div_coords(self, a: int, b: int, c: int) -> int:
@@ -187,7 +188,8 @@ def _disc_abs(m: int, n: int, gamma: int) -> int:
 
 def _key(m: int, n: int, gamma: int, kappa_sq: int, s: int, star) -> HeegnerKey:
     d_num = abs(kappa_sq) * _disc_abs(m, n, gamma)
-    assert d_num % (s * s) == 0
+    if d_num % (s * s):
+        raise PeriodsError(f"s^2 = {s * s} does not divide the discriminant {d_num}")
     return HeegnerKey(d_num // (s * s), kappa_sq, s, tuple(star))
 
 
@@ -280,11 +282,19 @@ def excluded_heegner_m2(n: int, gamma: int) -> tuple[HeegnerKey, ...]:
 # all dimensions with m - 1 prime (or 1)
 
 
-def wall_constraints(m: int) -> tuple[WallConstraint, ...]:
-    """All (k, a) wall conditions with negative square, for p = m - 1 prime or 1."""
+def _wall_p(m: int) -> int:
+    """p = m - 1, checked to be 1 or prime."""
+    if m < 2:
+        raise ValueError(f"wall reduction needs m >= 2, got m = {m}")
     p = m - 1
     if p != 1 and not is_prime(p):
         raise NonPrimePower(f"wall reduction needs m - 1 prime or 1, got {p}")
+    return p
+
+
+def wall_constraints(m: int) -> tuple[WallConstraint, ...]:
+    """All (k, a) wall conditions with negative square, for p = m - 1 prime or 1."""
+    p = _wall_p(m)
     out = []
     for k in range(p + 1):
         a = -1
@@ -301,9 +311,7 @@ def realize_orthogonal_classes(m: int, n: int, gamma: int,
                                wc: WallConstraint) -> tuple[HeegnerKey, ...]:
     """Heegner components cut by classes of total square wc.kappa_sq whose
     ambient divisibility is divisible by 2(m-1)."""
-    p = m - 1
-    if p != 1 and not is_prime(p):
-        raise NonPrimePower(f"need m - 1 prime or 1, got {p}")
+    p = _wall_p(m)
     if gamma not in (1, 2):
         raise UnsupportedParameters("gamma must be 1 or 2")
     total = wc.kappa_sq

@@ -80,7 +80,8 @@ def top_self_intersection(series: str, m: int, q: int) -> int:
     if q % 2:
         raise OddSquare("the square q must be even")
     value = fujiki_constant(series, m) * q ** m
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(f"x^(2m) = {value} is not an integer for m={m}, q={q}")
     return int(value)
 
 

@@ -8,9 +8,10 @@ import sys
 import pytest
 
 import hkpell
-from hkpell.cli import main, reproduce_table
+from hkpell.cli import _SERIES, main, reproduce_table
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = str(pathlib.Path(hkpell.__file__).parents[1])
 
 
 def run_cli(args, capsys):
@@ -97,9 +98,10 @@ def test_usage_error_exit():
     (["--format", "csv", "pell", "min", "--d", "13", "--t", "1"], 2),
     (["pell", "stream", "--d", "-5", "--t", "1", "--count", "3"], 1),
     (["pell", "classes", "--d", "13", "--t", "0"], 1),
+    (["period-image", "--m", "1", "--n", "1", "--gamma", "2"], 1),
 ])
 def test_out_of_domain_exit_code(args, code):
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(hkpell.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, "-m", "hkpell.cli", *args],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == code, proc.stderr
@@ -109,7 +111,7 @@ def test_out_of_domain_exit_code(args, code):
 def test_fundamental_prints_unit_past_str_digit_limit():
     # the unit of d = 10**9 + 7 has about 6400 digits, past the default 4300
     d = 1000000007
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(hkpell.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, "-m", "hkpell.cli", "pell", "fundamental", "--d", str(d)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -176,3 +178,64 @@ def test_more_commands(capsys):
     code, out, _ = run_cli(["oracle", "--m", "2", "--n", "3", "--gamma", "2",
                             "--bound", "3"], capsys)
     assert code == 0 and json.loads(out)["result"]
+
+
+def test_layers_load_on_first_use():
+    # a fresh interpreter, so that no other test has loaded a layer yet
+    code = """
+import io, sys
+from contextlib import redirect_stdout
+import hkpell.cli
+
+def loaded():
+    return {m for m in ("hkpell.lattice", "hkpell.periods") if m in sys.modules}
+
+assert not loaded(), loaded()
+with redirect_stdout(io.StringIO()):
+    assert hkpell.cli.main(["chi", "--m", "2", "--q", "6"]) == 0
+    assert hkpell.cli.main(["pell", "fundamental", "--d", "13"]) == 0
+assert not loaded(), loaded()
+assert hkpell.periods is sys.modules["hkpell.periods"]
+try:
+    hkpell.nope
+except AttributeError:
+    pass
+else:
+    raise SystemExit("hkpell.nope did not raise AttributeError")
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_names_resolve():
+    from hkpell import pell
+
+    assert hkpell.pell is pell
+    namespace: dict = {}
+    exec("from hkpell import *", namespace)
+    assert {name for name in namespace if not name.startswith("__")} == set(hkpell.__all__)
+    assert set(hkpell.__all__) <= set(dir(hkpell))
+
+
+def test_series_choices_match_rrinv():
+    from hkpell import rrinv
+
+    assert _SERIES == (rrinv.HILB_K3, rrinv.KUMMER)
+
+
+def test_layer_errors_share_one_base():
+    from hkpell import arith, autgroups, cones, lattice, pell, periods
+
+    for cls in (pell.PellError, lattice.LatticeError, cones.ConeError,
+                autgroups.AutError, periods.PeriodsError):
+        assert issubclass(cls, arith.DomainError), cls
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.iterdir()), ids=lambda p: p.stem)
+def test_reproduce_matches_golden_under_optimize(path):
+    # python -O strips asserts: no check that guards a table may be one
+    proc = subprocess.run([sys.executable, "-O", "-m", "hkpell.cli", "reproduce", path.stem],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == path.read_bytes()

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import takewhile
 from math import gcd, isqrt
@@ -8,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkpell.arith import is_square
-from hkpell.pell import (ExcludedDegenerateCase, PellEquation, PellSolution,
+from hkpell.pell import (ExcludedDegenerateCase, PellEquation, PellError, PellSolution,
                          PerfectSquareInput, Solvability, Unsolvable,
                          WrongEquation, compose_to_unit, fundamental_solution,
                          generalized_min, generalized_solutions, is_solvable,
                          min_positive_solution, positive_solutions, same_class,
                          solution_classes, solutions_in_order, solvability)
-from hkpell.pell import _negative_unit
+from hkpell.pell import _negative_unit, _pqa_hits
 
 C = PellEquation.classical
 
@@ -43,6 +44,40 @@ def test_fundamental_golden():
 def test_fundamental_square_input():
     with pytest.raises(PerfectSquareInput):
         fundamental_solution(4)
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """The interpreter's default int-to-str digit limit (4300), which the CLI
+    lifts for the whole process when a test runs it in process."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit before Python 3.11")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_repr_of_unit_past_str_digit_limit(default_int_str_limit):
+    assert repr(PellSolution(649, 180)) == "PellSolution(a=649, b=180)"
+    u = fundamental_solution(10**9 + 7)  # about 6400 digits
+    assert repr(u) == str(u) == (f"PellSolution(a=<{u.a.bit_length()}-bit int>, "
+                                 f"b=<{u.b.bit_length()}-bit int>)")
+    with pytest.raises(WrongEquation, match="16610-bit"):
+        same_class(7, 2, PellSolution(10**5000, 1), PellSolution(3, 1))
+
+
+class _SkewedD(int):
+    """d whose products are off by one, so the PQa norm check must fail."""
+
+    def __mul__(self, other):
+        return int(self) * other + 1
+
+
+def test_pqa_error_on_big_convergents_is_a_pell_error(default_int_str_limit):
+    # the first hit of sqrt(10**9 + 7) is a convergent of about 6400 digits
+    with pytest.raises(PellError, match="21198 and 21183 bits"):
+        _pqa_hits(_SkewedD(10**9 + 7), 1, 0)
 
 
 def test_units_match_sympy():

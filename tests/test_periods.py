@@ -130,6 +130,11 @@ def test_wall_constraints():
     assert {(0, -1), (2, 0), (2, -1)} <= ka
     with pytest.raises(NonPrimePower):
         wall_constraints(10)  # m - 1 = 9 is neither 1 nor prime
+    for m in (1, 0, -3):
+        with pytest.raises(ValueError, match="m >= 2"):
+            wall_constraints(m)
+        with pytest.raises(ValueError, match="m >= 2"):
+            excluded_heegner(m, 1, 2)
 
 
 def test_realize_example_m4():
