@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -10,6 +9,16 @@ from math import gcd, isqrt
 class DomainError(Exception):
     """Base of every layer's typed domain error (PellError, LatticeError,
     ConeError, AutError, PeriodsError); the CLI exits 1 on any of them."""
+
+
+# ConeError and BadCongruence live here rather than in cones so that periods
+# can raise BadCongruence without loading cones (and pell behind it)
+class ConeError(DomainError):
+    pass
+
+
+class BadCongruence(ConeError):
+    pass
 
 
 def is_square(n: int) -> bool:
@@ -103,16 +112,6 @@ def is_square_mod(a: int, n: int) -> bool:
     """Whether a is congruent to a square modulo n (n >= 1)."""
     a %= n
     return any((k * k - a) % n == 0 for k in range(n))
-
-
-def mod2(x: Fraction | int) -> Fraction:
-    """Canonical representative of x in Q/2Z, inside [0, 2)."""
-    return Fraction(x) % 2
-
-
-def mod1(x: Fraction | int) -> Fraction:
-    """Canonical representative of x in Q/Z, inside [0, 1)."""
-    return Fraction(x) % 1
 
 
 def binomial_poly(x: int, k: int) -> int:

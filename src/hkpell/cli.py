@@ -8,17 +8,15 @@ invocation reproduces.  Rationals render as "p/q", irrational slopes as
 Exit codes: 0 on success, 1 on a domain error (the error type is printed),
 2 on a usage error.
 
-Each handler imports the layers it calls, so one invocation loads only those.
+One invocation builds the parser of its command alone, and each handler
+imports the layers it calls, so the invocation loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-from fractions import Fraction
 
 from .arith import DomainError
 
@@ -27,8 +25,8 @@ from .arith import DomainError
 _SERIES = ("HilbK3", "Kummer")
 
 
-def _frac(q: Fraction) -> str:
-    q = Fraction(q)
+def _frac(q) -> str:
+    """A Fraction or an int as "p/q"."""
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -60,9 +58,17 @@ def _emit(args, command: str, params: dict, result, provenance=()) -> int:
     return 0
 
 
+def _csv_text(rows: list[list[str]]) -> str:
+    import csv
+    import io
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _emit_csv(rows: list[list[str]]) -> int:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerows(rows)
+    sys.stdout.write(_csv_text(rows))
     return 0
 
 
@@ -141,9 +147,7 @@ def reproduce_table(table_id: str) -> str:
         raise UnknownTable(f"unknown table id {table_id!r}; known: {sorted(_TABLES)}")
     kind, payload = _TABLES[table_id]()
     if kind == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(payload)
-        return buf.getvalue()
+        return _csv_text(payload)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -196,6 +200,8 @@ def _cmd_cone(args) -> int:
         e_to = args.e_to if args.e_to is not None else args.e
         if e_from is None or e_to is None:
             raise UsageError("cone s2 needs --e or both --e-from and --e-to")
+        if e_from > e_to:
+            raise UsageError("cone s2 needs --e-from <= --e-to")
         if args.format == "csv":
             return _emit_csv(_s2_cone_rows(e_from, e_to))
         res = [_cone_s2_row(e) for e in range(e_from, e_to + 1)]
@@ -386,130 +392,99 @@ def _cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+# command: (help, handler, arguments).  The arguments are one spec, or for a
+# command with subcommands one spec per subcommand.  A spec lists arguments
+# in order: "d" is a required integer option --d, "count=5" one with default
+# 5 and "e?" one without default; "series" is --series, "table_id" is the
+# positional table id.
+_COMMANDS = {
+    "pell": ("Pell-type equation solvers", _cmd_pell,
+             {"fundamental": "d", "min": "d t e1=1", "classes": "d t",
+              "stream": "d t count=5"}),
+    "cone": ("nef/movable cone slopes and walls", _cmd_cone,
+             {"s2": "e? e-from? e-to?", "sm": "e m", "walls": "e m",
+              "fourfold": "n e-prime prefix=8"}),
+    "chi": ("Euler characteristic of a line bundle", _cmd_chi, "series m q"),
+    "fujiki": ("Fujiki constant of a series", _cmd_fujiki, "series m"),
+    "lattice": ("discriminant groups and orbit data", _cmd_lattice,
+                {"disc": "m n gamma", "dual": "m n gamma",
+                 "orbit": "m n gamma square div"}),
+    "aut": ("automorphism-group decision procedures", _cmd_aut,
+            {"s2": "e", "sm": "e m", "fourfold": "n e-prime",
+             "table": "n=3 emax=11", "search": "emax"}),
+    "heegner": ("Heegner-divisor nonemptiness and components", _cmd_heegner,
+                {"nonempty": "n gamma e", "components": "n gamma e"}),
+    "period-image": ("excluded Heegner components", _cmd_period_image, "m n gamma"),
+    "oracle": ("brute-force coordinate enumeration", _cmd_oracle,
+               "m n gamma bound=12"),
+    "nl-family": ("Hilbert-square Noether-Lefschetz degrees", _cmd_nl_family,
+                  "n gamma a-max"),
+    "hilb-square": ("Hilbert-square points of moduli loci", _cmd_hilb_square,
+                    "n e gamma=2"),
+    "reproduce": ("print a built-in reference table", _cmd_reproduce, "table_id"),
+}
 
-def build_parser() -> argparse.ArgumentParser:
+
+def _add_arguments(parser: argparse.ArgumentParser, spec: str) -> None:
+    for arg in spec.split():
+        if arg == "table_id":
+            parser.add_argument(arg)
+        elif arg == "series":
+            parser.add_argument("--series", choices=_SERIES, default=_SERIES[0])
+        else:
+            name, has_default, default = arg.rstrip("?").partition("=")
+            parser.add_argument(f"--{name}", type=int,
+                                required=not (has_default or arg.endswith("?")),
+                                default=int(default) if has_default else None)
+
+
+def _named(argv) -> tuple[str | None, str | None]:
+    """The command argv names, if only --format options precede it, and the
+    subcommand that follows it; None for a name argv does not give."""
+    i = 0
+    while i < len(argv) and (argv[i] == "--format" or argv[i].startswith("--format=")):
+        i += 1 if "=" in argv[i] else 2
+    command = argv[i] if i < len(argv) and argv[i] in _COMMANDS else None
+    subcommands = _COMMANDS[command][2] if command else None
+    if isinstance(subcommands, dict) and i + 1 < len(argv) and argv[i + 1] in subcommands:
+        return command, argv[i + 1]
+    return command, None
+
+
+def _add_subparsers(parser: argparse.ArgumentParser, dest: str, names, named):
+    """The subparsers action for `names`, and the names to add to it: only
+    `named` when argv names one."""
+    # usage lines and errors call a subparsers action by its metavar or,
+    # without one, by its dest or the names it holds; the metavar gives a
+    # one-name action the usage and errors of the full one
+    metavar = "{" + ",".join(names) + "}" if named else None
+    action = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    return action, [named] if named else list(names)
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv.  It holds only the command and subcommand that
+    argv names, and every one where argv names none (as for --help, a bad
+    command or no command); either way it prints the usage, help and errors
+    of the full parser."""
     parser = argparse.ArgumentParser(
         prog="hkpell",
         description="Exact Pell-equation invariants of polarized hyperkahler "
                     "manifolds of K3^[m]-type: cone slopes and walls, "
                     "automorphism groups, Heegner divisors, period-map images.")
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("pell", help="Pell-type equation solvers")
-    ps = p.add_subparsers(dest="pell_cmd", required=True)
-    q = ps.add_parser("fundamental")
-    q.add_argument("--d", type=int, required=True)
-    q = ps.add_parser("min")
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--t", type=int, required=True)
-    q.add_argument("--e1", type=int, default=1)
-    q = ps.add_parser("classes")
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--t", type=int, required=True)
-    q = ps.add_parser("stream")
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--t", type=int, required=True)
-    q.add_argument("--count", type=int, default=5)
-    p.set_defaults(func=_cmd_pell)
-
-    p = sub.add_parser("cone", help="nef/movable cone slopes and walls")
-    cs = p.add_subparsers(dest="cone_cmd", required=True)
-    q = cs.add_parser("s2")
-    q.add_argument("--e", type=int)
-    q.add_argument("--e-from", dest="e_from", type=int)
-    q.add_argument("--e-to", dest="e_to", type=int)
-    for name in ("sm", "walls"):
-        q = cs.add_parser(name)
-        q.add_argument("--e", type=int, required=True)
-        q.add_argument("--m", type=int, required=True)
-    q = cs.add_parser("fourfold")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--e-prime", dest="e_prime", type=int, required=True)
-    q.add_argument("--prefix", type=int, default=8)
-    p.set_defaults(func=_cmd_cone)
-
-    p = sub.add_parser("chi", help="Euler characteristic of a line bundle")
-    p.add_argument("--series", choices=_SERIES, default=_SERIES[0])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=_cmd_chi)
-
-    p = sub.add_parser("fujiki", help="Fujiki constant of a series")
-    p.add_argument("--series", choices=_SERIES, default=_SERIES[0])
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=_cmd_fujiki)
-
-    p = sub.add_parser("lattice", help="discriminant groups and orbit data")
-    ls = p.add_subparsers(dest="lattice_cmd", required=True)
-    for name in ("disc", "dual"):
-        q = ls.add_parser(name)
-        q.add_argument("--m", type=int, required=True)
-        q.add_argument("--n", type=int, required=True)
-        q.add_argument("--gamma", type=int, required=True)
-    q = ls.add_parser("orbit")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--gamma", type=int, required=True)
-    q.add_argument("--square", type=int, required=True)
-    q.add_argument("--div", type=int, required=True)
-    p.set_defaults(func=_cmd_lattice)
-
-    p = sub.add_parser("aut", help="automorphism-group decision procedures")
-    asb = p.add_subparsers(dest="aut_cmd", required=True)
-    q = asb.add_parser("s2")
-    q.add_argument("--e", type=int, required=True)
-    q = asb.add_parser("sm")
-    q.add_argument("--e", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q = asb.add_parser("fourfold")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--e-prime", dest="e_prime", type=int, required=True)
-    q = asb.add_parser("table")
-    q.add_argument("--n", type=int, default=3)
-    q.add_argument("--emax", type=int, default=11)
-    q = asb.add_parser("search")
-    q.add_argument("--emax", type=int, required=True)
-    p.set_defaults(func=_cmd_aut)
-
-    p = sub.add_parser("heegner", help="Heegner-divisor nonemptiness and components")
-    hs = p.add_subparsers(dest="heegner_cmd", required=True)
-    for name in ("nonempty", "components"):
-        q = hs.add_parser(name)
-        q.add_argument("--n", type=int, required=True)
-        q.add_argument("--gamma", type=int, required=True)
-        q.add_argument("--e", type=int, required=True)
-    p.set_defaults(func=_cmd_heegner)
-
-    p = sub.add_parser("period-image", help="excluded Heegner components")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", type=int, required=True)
-    p.set_defaults(func=_cmd_period_image)
-
-    p = sub.add_parser("oracle", help="brute-force coordinate enumeration")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", type=int, required=True)
-    p.add_argument("--bound", type=int, default=12)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("nl-family", help="Hilbert-square Noether-Lefschetz degrees")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", type=int, required=True)
-    p.add_argument("--a-max", dest="a_max", type=int, required=True)
-    p.set_defaults(func=_cmd_nl_family)
-
-    p = sub.add_parser("hilb-square", help="Hilbert-square points of moduli loci")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--gamma", type=int, default=2)
-    p.set_defaults(func=_cmd_hilb_square)
-
-    p = sub.add_parser("reproduce", help="print a built-in reference table")
-    p.add_argument("table_id")
-    p.set_defaults(func=_cmd_reproduce)
-
+    command, subcommand = _named(argv)
+    commands, names = _add_subparsers(parser, "cmd", _COMMANDS, command)
+    for name in names:
+        help_text, handler, spec = _COMMANDS[name]
+        p = commands.add_parser(name, help=help_text)
+        if isinstance(spec, str):
+            _add_arguments(p, spec)
+        else:
+            subcommands, sub_names = _add_subparsers(p, f"{name}_cmd", spec, subcommand)
+            for sub_name in sub_names:
+                _add_arguments(subcommands.add_parser(sub_name), spec[sub_name])
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -521,7 +496,9 @@ def main(argv=None) -> int:
     # past the default limit on int-to-str conversion
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

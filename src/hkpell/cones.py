@@ -19,15 +19,7 @@ from math import gcd, isqrt
 from typing import Optional
 
 from . import pell
-from .arith import DomainError, binomial_poly, is_square
-
-
-class ConeError(DomainError):
-    pass
-
-
-class BadCongruence(ConeError):
-    pass
+from .arith import BadCongruence, ConeError, binomial_poly, is_square
 
 
 class UnsupportedM(ConeError):
@@ -186,7 +178,8 @@ def mov_ray_sm(e: int, m: int) -> tuple[DivisorClass, str]:
         if a % p in (1 % p, (-1) % p):
             return DivisorClass(a, e * b), "congruence"
         a, b = a * a + e * p * b * b, 2 * a * b  # square the unit
-    raise AssertionError("the square of the unit satisfies the congruence")
+    # not reached: the square of the unit has a = 1 mod p
+    raise ConeError(f"no unit of a^2 - {e * p}b^2 = 1 has a = +-1 mod {p}")
 
 
 def nef_ray_sm_special(e: int, m: int) -> Optional[tuple[DivisorClass, bool]]:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import (DomainError, gcd_all, is_square_mod, mod1, mod2, omega,
-                    prime_factors, v_p)
+from .arith import DomainError, gcd_all, is_square_mod, omega, prime_factors, v_p
 
 
 class LatticeError(DomainError):
@@ -258,6 +257,16 @@ def smith_normal_form(m):
     return d, u, v
 
 
+def mod2(x: Fraction | int) -> Fraction:
+    """Canonical representative of x in Q/2Z, inside [0, 2)."""
+    return Fraction(x) % 2
+
+
+def mod1(x: Fraction | int) -> Fraction:
+    """Canonical representative of x in Q/Z, inside [0, 1)."""
+    return Fraction(x) % 1
+
+
 @dataclass(frozen=True)
 class DiscGroup:
     """Finite quadratic group as a product of cyclic groups.
@@ -486,6 +495,8 @@ def disc_group(m: int, n: int, gamma: int) -> DiscGroup:
     gamma = 2 closed-form generators are used where available (n odd, or
     n = m - 1) and Smith-form generators otherwise.
     """
+    if m < 2 or n < 1:
+        raise ValueError("need m >= 2 and n >= 1")
     p = m - 1
     if gamma == 1:
         return DiscGroup(

@@ -20,11 +20,9 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Optional
 
-from . import cones, pell
-from .arith import (DomainError, gcd_all, is_prime, is_square, is_square_mod,
-                    is_squarefree, mod2, v_p)
-from .cones import BadCongruence
-from .lattice import DiscGroup, disc_group_of_gram
+from .arith import (BadCongruence, DomainError, gcd_all, is_prime, is_square,
+                    is_square_mod, is_squarefree, v_p)
+from .lattice import DiscGroup, disc_group_of_gram, mod2
 
 
 class PeriodsError(DomainError):
@@ -236,6 +234,10 @@ def _classes_for_discriminant(n: int, gamma: int, e: int):
 
 def heegner_components_m2(n: int, gamma: int, e: int) -> ComponentReport:
     """Component count (when the classification applies) with component keys."""
+    if n < 1 or e < 1:
+        raise ValueError("need n >= 1 and e >= 1")
+    if gamma not in (1, 2):
+        raise UnsupportedParameters("gamma must be 1 or 2")
     if gamma == 2 and n % 4 != 3:
         raise BadCongruence("divisibility 2 requires n = -1 (mod 4)")
     classes = _classes_for_discriminant(n, gamma, e)
@@ -409,6 +411,8 @@ def hilbert_square_points(n: int, e: int) -> tuple[tuple[int, int, int], ...]:
     below the nef boundary of the Hilbert square; gamma is 2 for even b and 1
     for odd b.  Sorted by increasing a.
     """
+    from . import cones, pell  # only here: other period commands load neither
+
     if n < 1 or e < 1:
         raise ValueError("need n >= 1 and e >= 1")
     nu = cones.nef_slope_s2(e)
@@ -444,6 +448,8 @@ def hilbert_square_point(n: int, e: int, gamma: int = 2) -> Optional[tuple[int, 
     The divisibility-2 flavor (even b) is the default: it is the one carrying
     the fourfolds with a square-2n polarization of divisibility 2.
     """
+    if gamma not in (1, 2):
+        raise UnsupportedParameters("gamma must be 1 or 2")
     for a, b, g in hilbert_square_points(n, e):
         if g == gamma:
             return (a, b, g)
@@ -456,6 +462,8 @@ def nl_family(n: int, gamma: int, a_max: int) -> tuple[int, ...]:
     gamma = 1: e = a^2 + n for 1 <= a <= a_max, excluding (n, a) = (1, 2);
     gamma = 2: e = a^2 + a + (n+1)/4 for 0 <= a <= a_max, excluding (3, 1).
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if a_max < 0:
         raise ValueError("a_max must be nonnegative")
     if gamma == 1:

@@ -1,14 +1,18 @@
+import argparse
 import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hkpell
-from hkpell.cli import _SERIES, main, reproduce_table
+from hkpell.cli import _SERIES, build_parser, main, reproduce_table
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = str(pathlib.Path(hkpell.__file__).parents[1])
@@ -99,6 +103,12 @@ def test_usage_error_exit():
     (["pell", "stream", "--d", "-5", "--t", "1", "--count", "3"], 1),
     (["pell", "classes", "--d", "13", "--t", "0"], 1),
     (["period-image", "--m", "1", "--n", "1", "--gamma", "2"], 1),
+    (["lattice", "disc", "--m", "2", "--n", "0", "--gamma", "1"], 1),
+    (["lattice", "disc", "--m", "1", "--n", "1", "--gamma", "1"], 1),
+    (["lattice", "disc", "--m", "2", "--n", "-1", "--gamma", "1"], 1),
+    (["nl-family", "--n", "-5", "--gamma", "1", "--a-max", "2"], 1),
+    (["hilb-square", "--n", "3", "--e", "7", "--gamma", "3"], 1),
+    (["cone", "s2", "--e-from", "5", "--e-to", "2"], 2),
 ])
 def test_out_of_domain_exit_code(args, code):
     env = {**os.environ, "PYTHONPATH": SRC}
@@ -180,21 +190,36 @@ def test_more_commands(capsys):
     assert code == 0 and json.loads(out)["result"]
 
 
-def test_layers_load_on_first_use():
-    # a fresh interpreter, so that no other test has loaded a layer yet
-    code = """
+_FRESH = """
 import io, sys
 from contextlib import redirect_stdout
 import hkpell.cli
 
-def loaded():
-    return {m for m in ("hkpell.lattice", "hkpell.periods") if m in sys.modules}
+def loaded(*names):
+    return {m for m in names if m in sys.modules}
 
-assert not loaded(), loaded()
-with redirect_stdout(io.StringIO()):
-    assert hkpell.cli.main(["chi", "--m", "2", "--q", "6"]) == 0
-    assert hkpell.cli.main(["pell", "fundamental", "--d", "13"]) == 0
-assert not loaded(), loaded()
+def run(*argv):
+    with redirect_stdout(io.StringIO()):
+        assert hkpell.cli.main(list(argv)) == 0, argv
+"""
+
+
+def _in_fresh_interpreter(code):
+    # no other test has loaded a module there yet
+    proc = subprocess.run([sys.executable, "-c", _FRESH + code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_layers_load_on_first_use():
+    _in_fresh_interpreter("""
+layers = ("hkpell.lattice", "hkpell.periods")
+assert not loaded("fractions", "csv", *layers), loaded("fractions", "csv", *layers)
+run("pell", "fundamental", "--d", "13")
+run("aut", "s2", "--e", "7")
+assert not loaded("fractions", *layers), loaded("fractions", *layers)
+run("chi", "--m", "2", "--q", "6")
+assert not loaded(*layers), loaded(*layers)
 assert hkpell.periods is sys.modules["hkpell.periods"]
 try:
     hkpell.nope
@@ -202,10 +227,13 @@ except AttributeError:
     pass
 else:
     raise SystemExit("hkpell.nope did not raise AttributeError")
-"""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": SRC})
-    assert proc.returncode == 0, proc.stderr
+""")
+    _in_fresh_interpreter("""
+run("period-image", "--m", "4", "--n", "1", "--gamma", "2")
+assert not loaded("hkpell.cones", "hkpell.pell"), loaded("hkpell.cones", "hkpell.pell")
+run("hilb-square", "--n", "3", "--e", "7")
+assert loaded("hkpell.cones", "hkpell.pell") == {"hkpell.cones", "hkpell.pell"}
+""")
 
 
 def test_package_names_resolve():
@@ -239,3 +267,93 @@ def test_reproduce_matches_golden_under_optimize(path):
                           capture_output=True, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == path.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+
+def _subparsers(parser, path=()):
+    """(path, parser) for every command and subcommand under parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield path + (name,), sub
+                yield from _subparsers(sub, path + (name,))
+
+
+def _captured(call, argv):
+    """(return value or exit code, stdout, stderr) of call(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_command_parser_prints_what_the_full_parser_prints():
+    full = build_parser()
+    paths = [()] + [path for path, _ in _subparsers(full)]
+    usage_errors = [
+        ["pell", "min", "--d", "13"],  # missing --t
+        ["nope"],
+        [],
+        ["--format", "xml", "pell", "min", "--d", "13", "--t", "1"],
+        ["pell"],
+        ["pell", "nope"],
+        ["pell", "min", "--d", "x", "--t", "1"],
+        ["chi", "--series", "K3", "--m", "2", "--q", "2"],
+        ["aut", "s2", "--e", "5", "--bogus"],
+    ]
+    for argv in [[*path, "--help"] for path in paths] + usage_errors:
+        assert (_captured(build_parser(argv).parse_args, argv)
+                == _captured(full.parse_args, argv)), argv
+    for path in paths:
+        # a handler's UsageError prints the top-level usage
+        assert build_parser(path).format_usage() == full.format_usage(), path
+    one = build_parser(["--format", "text", "pell", "min", "--d", "13", "--t", "1"])
+    assert [path for path, _ in _subparsers(one)] == [("pell",), ("pell", "min")]
+
+
+def _invocation(leaf):
+    """argv strategy for one command: each option omitted or drawn small."""
+    path, parser = leaf
+    parts = [st.sampled_from([[], *[["--format", f] for f in ("csv", "text")]]),
+             st.just(list(path))]
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:  # reproduce's table id
+            parts.append(st.sampled_from([[p.stem] for p in sorted(GOLDEN.iterdir())]
+                                         + [["no-such-table"]]))
+            continue
+        flag = action.option_strings[0]
+        if action.choices:
+            value = st.sampled_from([*action.choices, "K3"])
+        elif flag == "--bound":  # the oracle box grows as bound^4: keep it small
+            parts.append(st.integers(-2, 4).map(lambda b: ["--bound", str(b)]))
+            continue
+        else:
+            value = st.integers(-2, 9).map(str)
+        parts.append(st.one_of(st.just([]), value.map(lambda v, f=flag: [f, v])))
+    return st.tuples(*parts).map(lambda ps: [arg for p in ps for arg in p])
+
+
+_LEAVES = [(path, p) for path, p in _subparsers(build_parser())
+           if not any(isinstance(a, argparse._SubParsersAction) for a in p._actions)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_LEAVES).flatmap(_invocation))
+def test_cli_grammar_fuzz(argv):
+    # exit 0 with a result, 1 with a typed error, 2 on a usage error; any
+    # other exception escapes main and fails the test
+    code, out, err = _captured(main, argv)
+    if code == 0:
+        assert out
+    elif code == 1:
+        assert set(json.loads(err)) == {"error"}
+    else:
+        assert code == 2 and "usage: hkpell" in err, (argv, code)

@@ -2,14 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from hkpell.arith import mod2
 from hkpell.lattice import (E8_MINUS, U, ComponentCount, DiscGroup,
                             IncompatibleDivisibility, LatticeSpec, NoDoubleU,
                             NotPrimitive, OrbitKey, ZeroVector, disc_group,
                             disc_group_of, divisibility,
                             exists_primitive_vector, extended_k3_lattice,
                             heegner_finiteness_bound, hilbert_scheme_lattice,
-                            k3_lattice, k3_polarized_orthogonal,
+                            k3_lattice, k3_polarized_orthogonal, mod2,
                             moduli_component_count, monodromy_index,
                             orbit_key, polarization_determined,
                             polarized_orthogonal, smith_normal_form,
