@@ -1,9 +1,78 @@
-"""Small exact-integer helpers shared across the package."""
+"""Small exact-integer helpers and the immutable record base shared across
+the package."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import attrgetter
+
+# a record's __init__ sets each field once through this; assignment after
+# that raises
+set_field = object.__setattr__
+
+
+class Record:
+    """Immutable value over __slots__, which name its fields in order.
+
+    Records are equal and hash alike by their field values, only within one
+    class, and show as Name(field=value, ...).  A subclass sets its fields
+    in a hand-written __init__ with set_field.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            cls._values = property(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class OrderedRecord(Record):
+    """A Record ordered by its field values, within one class."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values < other._values
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values <= other._values
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values > other._values
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values >= other._values
+        return NotImplemented
 
 
 class DomainError(Exception):

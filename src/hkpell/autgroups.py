@@ -8,11 +8,10 @@ which side of a necessary-versus-sufficient gap the parameters landed on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import pell
-from .arith import DomainError, is_square, is_square_mod
+from .arith import DomainError, Record, is_square, is_square_mod, set_field
 
 
 class AutError(DomainError):
@@ -23,10 +22,12 @@ class InconsistentFlags(AutError):
     """The nef cone cannot have irrational rays while the movable cone is rational."""
 
 
-@dataclass(frozen=True)
-class GroupTag:
-    kind: str
-    reason: str = ""
+class GroupTag(Record):
+    __slots__ = ("kind", "reason")
+
+    def __init__(self, kind: str, reason: str = ""):
+        set_field(self, "kind", kind)
+        set_field(self, "reason", reason)
 
     def __str__(self):
         return {

@@ -42,12 +42,12 @@ def _key_payload(k) -> dict:
     return {"d": k.d, "kappa2": k.kappa_prim_sq, "div": k.s, "star": list(k.star)}
 
 
-def _emit(args, command: str, params: dict, result, provenance=()) -> int:
+def _emit(args, command: str, params: dict, result) -> int:
     envelope = {
         "command": command,
         "params": params,
         "result": result,
-        "provenance": sorted(provenance),
+        "provenance": _provenance(command, params),
     }
     if args.format == "json":
         print(json.dumps(envelope, sort_keys=True, indent=2))
@@ -123,14 +123,26 @@ def _period_image_payload(m: int, n: int, gamma: int) -> dict:
     }
 
 
+# table id: (format, builder, command, params).  builder(**params) gives the
+# table; the command run with the same params reproduces it, so its envelope
+# names the table (command None: no single command does)
 _TABLES = {
-    "s2-cones": lambda: ("csv", _s2_cone_rows(1, 13)),
-    "s2-walls": lambda: ("csv", _table_s2_walls()),
-    "aut-n3": lambda: ("csv", _aut_rows(3, 11)),
-    "period-image-m4": lambda: ("json", _period_image_payload(4, 1, 2)),
-    "period-image-m8": lambda: ("json", _period_image_payload(8, 1, 2)),
-    "period-image-m12": lambda: ("json", _period_image_payload(12, 1, 2)),
+    "s2-cones": ("csv", _s2_cone_rows, "cone s2", {"e_from": 1, "e_to": 13}),
+    "s2-walls": ("csv", _table_s2_walls, None, {}),
+    "aut-n3": ("csv", _aut_rows, "aut table", {"n": 3, "emax": 11}),
+    "period-image-m4": ("json", _period_image_payload, "period-image",
+                        {"m": 4, "n": 1, "gamma": 2}),
+    "period-image-m8": ("json", _period_image_payload, "period-image",
+                        {"m": 8, "n": 1, "gamma": 2}),
+    "period-image-m12": ("json", _period_image_payload, "period-image",
+                         {"m": 12, "n": 1, "gamma": 2}),
 }
+
+
+def _provenance(command: str, params: dict) -> list[str]:
+    """table:<id> for each reference table that command with params reproduces."""
+    return sorted(f"table:{table_id}" for table_id, (_, _, table_command, table_params)
+                  in _TABLES.items() if (table_command, table_params) == (command, params))
 
 
 class UnknownTable(Exception):
@@ -145,7 +157,8 @@ def reproduce_table(table_id: str) -> str:
     """The exact text of a built-in reference table."""
     if table_id not in _TABLES:
         raise UnknownTable(f"unknown table id {table_id!r}; known: {sorted(_TABLES)}")
-    kind, payload = _TABLES[table_id]()
+    kind, build, _, params = _TABLES[table_id]
+    payload = build(**params)
     if kind == "csv":
         return _csv_text(payload)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -205,8 +218,7 @@ def _cmd_cone(args) -> int:
         if args.format == "csv":
             return _emit_csv(_s2_cone_rows(e_from, e_to))
         res = [_cone_s2_row(e) for e in range(e_from, e_to + 1)]
-        prov = ["table:s2-cones"] if (e_from, e_to) == (1, 13) else []
-        return _emit(args, "cone s2", {"e_from": e_from, "e_to": e_to}, res, prov)
+        return _emit(args, "cone s2", {"e_from": e_from, "e_to": e_to}, res)
     if args.cone_cmd in ("sm", "walls"):
         rep = cones.walls_sm(args.e, args.m)
         ray, case = cones.mov_ray_sm(args.e, args.m)
@@ -280,6 +292,9 @@ def _cmd_lattice(args) -> int:
 def _cmd_aut(args) -> int:
     from . import autgroups
 
+    if args.aut_cmd in ("table", "search") and args.emax < 2:
+        # degrees e' start at 2: a smaller bound leaves nothing to tabulate
+        raise ValueError(f"aut {args.aut_cmd} needs emax >= 2, got emax={args.emax}")
     if args.aut_cmd == "s2":
         a, b = autgroups.bir_s2(args.e)
         return _emit(args, "aut s2", {"e": args.e}, {"aut": str(a), "bir": str(b)})
@@ -295,8 +310,7 @@ def _cmd_aut(args) -> int:
         if args.format == "csv":
             return _emit_csv(rows)
         res = [{"e_prime": int(ep), "aut": a, "bir": b} for ep, a, b in rows[1:]]
-        prov = ["table:aut-n3"] if (args.n, args.emax) == (3, 11) else []
-        return _emit(args, "aut table", {"n": args.n, "emax": args.emax}, res, prov)
+        return _emit(args, "aut table", {"n": args.n, "emax": args.emax}, res)
     if args.aut_cmd == "search":
         hits = [e for e in range(2, args.emax + 1)
                 if e % 5 and autgroups.bir_s2(e) == (autgroups.TRIVIAL, autgroups.Z2)]
@@ -341,11 +355,8 @@ def _cmd_period_image(args) -> int:
             "excluded_d": sorted({k.d for k in keys}),
             "components": [_key_payload(k) for k in keys],
         }
-    prov = []
-    if (args.n, args.gamma) == (1, 2) and args.m in (4, 8, 12):
-        prov = [f"table:period-image-m{args.m}"]
     return _emit(args, "period-image",
-                 {"m": args.m, "n": args.n, "gamma": args.gamma}, res, prov)
+                 {"m": args.m, "n": args.n, "gamma": args.gamma}, res)
 
 
 def _cmd_oracle(args) -> int:
@@ -493,11 +504,20 @@ _DOMAIN_ERRORS = (DomainError, UnknownTable, ValueError)
 
 def main(argv=None) -> int:
     # units run to thousands of digits (d = 10**9 + 7 has one of about 6400),
-    # past the default limit on int-to-str conversion
-    if hasattr(sys, "set_int_max_str_digits"):
+    # past the default limit on int-to-str conversion; the caller's limit
+    # comes back on return
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
-    if argv is None:
-        argv = sys.argv[1:]
+    try:
+        return _run(sys.argv[1:] if argv is None else argv)
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:

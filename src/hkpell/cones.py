@@ -12,30 +12,32 @@ movable cones differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
 from math import gcd, isqrt
 from typing import Optional
 
 from . import pell
-from .arith import BadCongruence, ConeError, binomial_poly, is_square
+from .arith import BadCongruence, ConeError, Record, binomial_poly, is_square, set_field
 
 
 class UnsupportedM(ConeError):
     pass
 
 
-@dataclass(frozen=True)
-class ExtremalSlope:
-    """A nonnegative real slope: rational, or the square root of a rational."""
+class ExtremalSlope(Record):
+    """A nonnegative real slope: rational, or the square root of a rational.
 
-    is_sqrt: bool
-    value: Fraction  # the slope itself, or the radicand when is_sqrt
+    value is the slope itself, or the radicand when is_sqrt.
+    """
 
-    def __post_init__(self):
-        if self.value < 0:
+    __slots__ = ("is_sqrt", "value")
+
+    def __init__(self, is_sqrt: bool, value: Fraction):
+        if value < 0:
             raise ValueError("slopes are nonnegative")
+        set_field(self, "is_sqrt", is_sqrt)
+        set_field(self, "value", value)
 
     @classmethod
     def rational(cls, q) -> "ExtremalSlope":
@@ -75,12 +77,14 @@ class ExtremalSlope:
         return f"{self.value.numerator}/{self.value.denominator}"
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """The class c_l * L_m - c_delta * delta on a punctual Hilbert scheme."""
 
-    c_l: int
-    c_delta: int
+    __slots__ = ("c_l", "c_delta")
+
+    def __init__(self, c_l: int, c_delta: int):
+        set_field(self, "c_l", c_l)
+        set_field(self, "c_delta", c_delta)
 
     def square(self, e: int, m: int) -> int:
         return 2 * e * self.c_l ** 2 - 2 * (m - 1) * self.c_delta ** 2
@@ -92,13 +96,19 @@ class DivisorClass:
         return Fraction(self.c_delta, self.c_l)
 
 
-@dataclass(frozen=True)
-class ConeReport:
-    mov_slope: ExtremalSlope
-    nef_slope: ExtremalSlope
-    interior_walls: tuple[Fraction, ...]
-    walls_infinite: bool = False
-    symmetric: bool = False  # fourfolds: every wall w stands for the pair +-w
+class ConeReport(Record):
+    """symmetric marks the fourfolds, where every wall w stands for the pair +-w."""
+
+    __slots__ = ("mov_slope", "nef_slope", "interior_walls", "walls_infinite", "symmetric")
+
+    def __init__(self, mov_slope: ExtremalSlope, nef_slope: ExtremalSlope,
+                 interior_walls: tuple[Fraction, ...], walls_infinite: bool = False,
+                 symmetric: bool = False):
+        set_field(self, "mov_slope", mov_slope)
+        set_field(self, "nef_slope", nef_slope)
+        set_field(self, "interior_walls", interior_walls)
+        set_field(self, "walls_infinite", walls_infinite)
+        set_field(self, "symmetric", symmetric)
 
     @property
     def nef_equals_mov(self) -> bool:

@@ -11,11 +11,11 @@ order and quadratic value of the discriminant class.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import DomainError, gcd_all, is_square_mod, omega, prime_factors, v_p
+from .arith import (DomainError, Record, gcd_all, is_square_mod, omega, prime_factors,
+                    set_field, v_p)
 
 
 class LatticeError(DomainError):
@@ -56,21 +56,21 @@ def _e8_minus_gram() -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in g)
 
 
-@dataclass(frozen=True)
-class Block:
-    name: str
-    gram: tuple[tuple[int, ...], ...]
+class Block(Record):
+    __slots__ = ("name", "gram")
 
-    def __post_init__(self):
-        n = len(self.gram)
-        for i, row in enumerate(self.gram):
+    def __init__(self, name: str, gram: tuple[tuple[int, ...], ...]):
+        n = len(gram)
+        for i, row in enumerate(gram):
             if len(row) != n:
                 raise ValueError("Gram matrix must be square")
             if row[i] % 2:
                 raise ValueError("lattice must be even")
             for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
+        set_field(self, "name", name)
+        set_field(self, "gram", gram)
 
     @property
     def rank(self) -> int:
@@ -114,9 +114,11 @@ def _det_cached(m, _cache={}) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    blocks: tuple[Block, ...]
+class LatticeSpec(Record):
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[Block, ...]):
+        set_field(self, "blocks", blocks)
 
     @property
     def rank(self) -> int:
@@ -147,14 +149,14 @@ class LatticeSpec:
         return sum(1 for b in self.blocks if b.name == "U")
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    lattice: LatticeSpec
-    coords: tuple[int, ...]
+class LatticeVector(Record):
+    __slots__ = ("lattice", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != self.lattice.rank:
+    def __init__(self, lattice: LatticeSpec, coords: tuple[int, ...]):
+        if len(coords) != lattice.rank:
             raise ValueError("coordinate length does not match the lattice rank")
+        set_field(self, "lattice", lattice)
+        set_field(self, "coords", coords)
 
     def pairings(self) -> tuple[int, ...]:
         g = self.lattice.gram()
@@ -267,17 +269,20 @@ def mod1(x: Fraction | int) -> Fraction:
     return Fraction(x) % 1
 
 
-@dataclass(frozen=True)
-class DiscGroup:
+class DiscGroup(Record):
     """Finite quadratic group as a product of cyclic groups.
 
     orders[i] is the order of the i-th generator, gen_q[i] its quadratic value
     in Q/2Z (stored in [0, 2)), gen_pair the bilinear pairings in Q/Z.
     """
 
-    orders: tuple[int, ...]
-    gen_q: tuple[Fraction, ...]
-    gen_pair: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("orders", "gen_q", "gen_pair")
+
+    def __init__(self, orders: tuple[int, ...], gen_q: tuple[Fraction, ...],
+                 gen_pair: tuple[tuple[Fraction, ...], ...]):
+        set_field(self, "orders", orders)
+        set_field(self, "gen_q", gen_q)
+        set_field(self, "gen_pair", gen_pair)
 
     @property
     def order(self) -> int:
@@ -396,22 +401,25 @@ def disc_group_of(spec: LatticeSpec) -> DiscGroup:
 # Eichler orbit keys
 
 
-@dataclass(frozen=True)
-class OrbitKey:
-    """Square, order of the discriminant class, and its quadratic value."""
+class OrbitKey(Record):
+    """Square, order of the discriminant class, and its quadratic value.
 
-    square: int
-    star_order: int
-    star_q: Fraction | None = None  # derived from the other two when omitted
+    star_q is derived from the other two when omitted.
+    """
 
-    def __post_init__(self):
-        if self.star_order < 1:
+    __slots__ = ("square", "star_order", "star_q")
+
+    def __init__(self, square: int, star_order: int, star_q: Fraction | None = None):
+        if star_order < 1:
             raise ValueError("star_order must be positive")
-        expected = mod2(Fraction(self.square, self.star_order ** 2))
-        if self.star_q is None:
-            object.__setattr__(self, "star_q", expected)
-        elif mod2(self.star_q) != expected:
+        expected = mod2(Fraction(square, star_order ** 2))
+        if star_q is None:
+            star_q = expected
+        elif mod2(star_q) != expected:
             raise ValueError("star_q must be square/star_order^2 modulo 2")
+        set_field(self, "square", square)
+        set_field(self, "star_order", star_order)
+        set_field(self, "star_q", star_q)
 
 
 def orbit_key(v: LatticeVector) -> OrbitKey:
@@ -530,10 +538,12 @@ def monodromy_index(m: int) -> int:
     return 2 ** max(omega(m - 1) - 1, 0)
 
 
-@dataclass(frozen=True)
-class ComponentCount:
-    count: int | None
-    note: str = ""
+class ComponentCount(Record):
+    __slots__ = ("count", "note")
+
+    def __init__(self, count: int | None, note: str = ""):
+        set_field(self, "count", count)
+        set_field(self, "note", note)
 
 
 def moduli_component_count(m: int, n: int, gamma: int) -> ComponentCount:

@@ -13,13 +13,12 @@ from one lazy stream, positive_solutions.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from itertools import islice
 from typing import Iterator, Optional
 
-from .arith import DomainError, is_square, square_divisors
+from .arith import DomainError, OrderedRecord, Record, is_square, set_field, square_divisors
 
 
 class PellError(DomainError):
@@ -51,10 +50,12 @@ def _int_text(n: int) -> str:
         return f"<{n.bit_length()}-bit int>"
 
 
-@dataclass(frozen=True, order=True)
-class PellSolution:
-    a: int
-    b: int
+class PellSolution(OrderedRecord):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
     def __iter__(self):
         yield self.a
@@ -64,20 +65,20 @@ class PellSolution:
         return f"PellSolution(a={_int_text(self.a)}, b={_int_text(self.b)})"
 
 
-@dataclass(frozen=True)
-class PellEquation:
+class PellEquation(Record):
     """e1*a^2 - e2*b^2 = t; the classical equation a^2 - e*b^2 = t has e1 = 1."""
 
-    e1: int
-    e2: int
-    t: int
+    __slots__ = ("e1", "e2", "t")
 
-    def __post_init__(self):
-        if self.e1 < 1 or self.e2 < 1:
+    def __init__(self, e1: int, e2: int, t: int):
+        if e1 < 1 or e2 < 1:
             raise ValueError(f"coefficients e1, e2 (d when e1 = 1) must be positive, "
-                             f"got e1={self.e1}, e2={self.e2}")
-        if self.t == 0:
+                             f"got e1={e1}, e2={e2}")
+        if t == 0:
             raise ValueError("right-hand side t must be nonzero")
+        set_field(self, "e1", e1)
+        set_field(self, "e2", e2)
+        set_field(self, "t", t)
 
     @classmethod
     def classical(cls, e: int, t: int) -> "PellEquation":
@@ -91,8 +92,7 @@ class PellEquation:
         return self.e1 * a * a - self.e2 * b * b == self.t
 
 
-@dataclass(frozen=True)
-class SolutionClass:
+class SolutionClass(Record):
     """A class of associated solutions, given by its minimal positive member.
 
     conjugate_of is the index (within the containing list) of the conjugate
@@ -100,16 +100,21 @@ class SolutionClass:
     conjugate.
     """
 
-    representative: PellSolution
-    conjugate_of: Optional[int]
+    __slots__ = ("representative", "conjugate_of")
+
+    def __init__(self, representative: PellSolution, conjugate_of: Optional[int]):
+        set_field(self, "representative", representative)
+        set_field(self, "conjugate_of", conjugate_of)
 
 
-@dataclass(frozen=True)
-class Solvability:
+class Solvability(Record):
     """Both solvability flags: with b = 0 admitted, and with b > 0 required."""
 
-    any_solution: bool
-    with_positive_b: bool
+    __slots__ = ("any_solution", "with_positive_b")
+
+    def __init__(self, any_solution: bool, with_positive_b: bool):
+        set_field(self, "any_solution", any_solution)
+        set_field(self, "with_positive_b", with_positive_b)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,13 @@ An independent brute-force enumeration over bounded coordinates
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Optional
 
-from .arith import (BadCongruence, DomainError, gcd_all, is_prime, is_square,
-                    is_square_mod, is_squarefree, v_p)
+from .arith import (BadCongruence, DomainError, OrderedRecord, Record, gcd_all, is_prime,
+                    is_square, is_square_mod, is_squarefree, set_field, v_p)
 from .lattice import DiscGroup, disc_group_of_gram, mod2
 
 
@@ -37,59 +36,73 @@ class UnsupportedParameters(PeriodsError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class HeegnerKey:
+class HeegnerKey(OrderedRecord):
     """One irreducible Heegner-divisor component.
 
     star holds the discriminant-class residues with respect to the model's
     generators, normalized to the lexicographically smaller of +-star.
     """
 
-    d: int
-    kappa_prim_sq: int
-    s: int
-    star: tuple[int, ...]
+    __slots__ = ("d", "kappa_prim_sq", "s", "star")
+
+    def __init__(self, d: int, kappa_prim_sq: int, s: int, star: tuple[int, ...]):
+        set_field(self, "d", d)
+        set_field(self, "kappa_prim_sq", kappa_prim_sq)
+        set_field(self, "s", s)
+        set_field(self, "star", star)
 
 
-@dataclass(frozen=True)
-class WallConstraint:
-    k: int
-    a: int
-    kappa_sq: int
+class WallConstraint(Record):
+    __slots__ = ("k", "a", "kappa_sq")
+
+    def __init__(self, k: int, a: int, kappa_sq: int):
+        set_field(self, "k", k)
+        set_field(self, "a", a)
+        set_field(self, "kappa_sq", kappa_sq)
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    count: Optional[int]
-    keys: tuple[HeegnerKey, ...]
-    certain: bool
+class ComponentReport(Record):
+    __slots__ = ("count", "keys", "certain")
+
+    def __init__(self, count: Optional[int], keys: tuple[HeegnerKey, ...], certain: bool):
+        set_field(self, "count", count)
+        set_field(self, "keys", keys)
+        set_field(self, "certain", certain)
 
 
-@dataclass(frozen=True)
-class ExclusionReport:
-    keys: tuple[HeegnerKey, ...]
-    uncertain: tuple[HeegnerKey, ...]  # multiplicity not pinned down
+class ExclusionReport(Record):
+    """uncertain holds the keys whose multiplicity is not pinned down."""
+
+    __slots__ = ("keys", "uncertain")
+
+    def __init__(self, keys: tuple[HeegnerKey, ...], uncertain: tuple[HeegnerKey, ...]):
+        set_field(self, "keys", keys)
+        set_field(self, "uncertain", uncertain)
 
 
 # ---------------------------------------------------------------------------
 # the coordinate model of the polarized orthogonal
 
 
-@dataclass(frozen=True)
-class _Model:
+class _Model(Record):
     """Non-unimodular tail of the polarized orthogonal, in block coordinates.
 
     gamma = 1: coordinates (u - n*v, ell), Gram diag(-2n, -(2m-2)).
     gamma = 2: coordinates (w1, w2), Gram ((-2p, -p), (-p, -(n+m-1)/2)).
     """
 
-    m: int
-    n: int
-    gamma: int
-    tail: tuple[tuple[int, int], tuple[int, int]]
-    disc: DiscGroup
-    gen_vecs: tuple[tuple[Fraction, Fraction], ...]
-    lookup: dict
+    __slots__ = ("m", "n", "gamma", "tail", "disc", "gen_vecs", "lookup")
+
+    def __init__(self, m: int, n: int, gamma: int,
+                 tail: tuple[tuple[int, int], tuple[int, int]], disc: DiscGroup,
+                 gen_vecs: tuple[tuple[Fraction, Fraction], ...], lookup: dict):
+        set_field(self, "m", m)
+        set_field(self, "n", n)
+        set_field(self, "gamma", gamma)
+        set_field(self, "tail", tail)
+        set_field(self, "disc", disc)
+        set_field(self, "gen_vecs", gen_vecs)
+        set_field(self, "lookup", lookup)
 
     @property
     def p(self) -> int:

@@ -7,11 +7,9 @@ polynomial extension and the formulas stay valid for negative squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
-from .arith import binomial_poly
+from .arith import Record, binomial_poly, set_field
 
 HILB_K3 = "HilbK3"
 KUMMER = "Kummer"
@@ -23,19 +21,19 @@ class OddSquare(ValueError):
     """Beauville-Fujiki squares of line bundles are even."""
 
 
-@dataclass(frozen=True)
-class RiemannRochInput:
-    series: str
-    m: int
-    q: int
+class RiemannRochInput(Record):
+    __slots__ = ("series", "m", "q")
 
-    def __post_init__(self):
-        if self.series not in _SERIES:
-            raise ValueError(f"unknown series {self.series!r}")
-        if self.m < 1:
+    def __init__(self, series: str, m: int, q: int):
+        if series not in _SERIES:
+            raise ValueError(f"unknown series {series!r}")
+        if m < 1:
             raise ValueError("m must be at least 1")
-        if self.q % 2:
+        if q % 2:
             raise OddSquare("the square q must be even")
+        set_field(self, "series", series)
+        set_field(self, "m", m)
+        set_field(self, "q", q)
 
 
 def chi(data: RiemannRochInput) -> int:
@@ -63,6 +61,9 @@ def h0_polarized(m: int, n: int) -> int:
 
 def fujiki_constant(series: str, m: int) -> Fraction:
     """The constant c with x^(2m) = c * q(x)^m on the series' 2m-folds."""
+    # imported here so that chi, which needs no Fraction, loads no fractions
+    from fractions import Fraction
+
     if series not in _SERIES:
         raise ValueError(f"unknown series {series!r}")
     if m < 1:

@@ -109,6 +109,8 @@ def test_usage_error_exit():
     (["nl-family", "--n", "-5", "--gamma", "1", "--a-max", "2"], 1),
     (["hilb-square", "--n", "3", "--e", "7", "--gamma", "3"], 1),
     (["cone", "s2", "--e-from", "5", "--e-to", "2"], 2),
+    (["aut", "table", "--emax", "1"], 1),
+    (["aut", "search", "--emax", "1"], 1),
 ])
 def test_out_of_domain_exit_code(args, code):
     env = {**os.environ, "PYTHONPATH": SRC}
@@ -136,6 +138,21 @@ def test_fundamental_prints_unit_past_str_digit_limit():
             sys.set_int_max_str_digits(limit)
     a, b = res["a"], res["b"]
     assert a.bit_length() > 21000 and a * a - d * b * b == 1
+
+
+def test_main_restores_int_str_digit_limit(capsys):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit in this interpreter")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)  # whatever an earlier main call left
+    try:
+        assert run_cli(["chi", "--m", "2", "--q", "6"], capsys)[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            main(["pell", "min", "--d", "13"])  # a usage error leaves it too
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_more_commands(capsys):
@@ -219,7 +236,7 @@ run("pell", "fundamental", "--d", "13")
 run("aut", "s2", "--e", "7")
 assert not loaded("fractions", *layers), loaded("fractions", *layers)
 run("chi", "--m", "2", "--q", "6")
-assert not loaded(*layers), loaded(*layers)
+assert not loaded("fractions", *layers), loaded("fractions", *layers)
 assert hkpell.periods is sys.modules["hkpell.periods"]
 try:
     hkpell.nope
@@ -234,6 +251,65 @@ assert not loaded("hkpell.cones", "hkpell.pell"), loaded("hkpell.cones", "hkpell
 run("hilb-square", "--n", "3", "--e", "7")
 assert loaded("hkpell.cones", "hkpell.pell") == {"hkpell.cones", "hkpell.pell"}
 """)
+
+
+# one in-domain invocation of every command and subcommand
+_EVERY_COMMAND = {
+    ("pell", "fundamental"): "--d 13",
+    ("pell", "min"): "--d 13 --t -4",
+    ("pell", "classes"): "--d 13 --t 12",
+    ("pell", "stream"): "--d 7 --t 1",
+    ("cone", "s2"): "--e 5",
+    ("cone", "sm"): "--e 5 --m 3",
+    ("cone", "walls"): "--e 5 --m 4",
+    ("cone", "fourfold"): "--n 3 --e-prime 2",
+    ("chi",): "--m 2 --q 6",
+    ("fujiki",): "--series Kummer --m 2",
+    ("lattice", "disc"): "--m 4 --n 1 --gamma 2",
+    ("lattice", "dual"): "--m 2 --n 3 --gamma 2",
+    ("lattice", "orbit"): "--m 2 --n 1 --gamma 1 --square -2 --div 2",
+    ("aut", "s2"): "--e 7",
+    ("aut", "sm"): "--e 7 --m 3",
+    ("aut", "fourfold"): "--n 3 --e-prime 5",
+    ("aut", "table"): "--emax 6",
+    ("aut", "search"): "--emax 30",
+    ("heegner", "nonempty"): "--n 3 --gamma 2 --e 1",
+    ("heegner", "components"): "--n 1 --gamma 1 --e 1",
+    ("period-image",): "--m 4 --n 1 --gamma 2",
+    ("oracle",): "--m 2 --n 3 --gamma 2 --bound 3",
+    ("nl-family",): "--n 3 --gamma 2 --a-max 3",
+    ("hilb-square",): "--n 3 --e 7",
+    ("reproduce",): "aut-n3",
+}
+
+
+def test_no_command_imports_dataclasses():
+    # frozen dataclasses cost every launch `import dataclasses` (which loads
+    # inspect, ast and dis) and a generated __init__ per class
+    paths = {path for path, p in _subparsers(build_parser())
+             if not any(isinstance(a, argparse._SubParsersAction) for a in p._actions)}
+    assert set(_EVERY_COMMAND) == paths
+    runs = "\n".join(f"run(*{[*path, *args.split()]!r})" for path, args in _EVERY_COMMAND.items())
+    _in_fresh_interpreter(runs + """
+heavy = ("dataclasses", "inspect", "ast", "dis")
+assert not loaded(*heavy), loaded(*heavy)
+""")
+
+
+def test_provenance_follows_the_table_registry(capsys):
+    from hkpell.cli import _TABLES
+
+    for table_id, (_, _, command, params) in _TABLES.items():
+        if command is None:
+            continue
+        argv = command.split() + [f"--{k.replace('_', '-')}={v}" for k, v in params.items()]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and json.loads(out)["provenance"] == [f"table:{table_id}"], argv
+        # a neighbouring parameter set reproduces no table
+        name, value = list(params.items())[-1]
+        argv[-1] = f"--{name.replace('_', '-')}={value - 1}"
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and json.loads(out)["provenance"] == [], argv
 
 
 def test_package_names_resolve():
