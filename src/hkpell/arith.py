@@ -7,20 +7,29 @@ from functools import lru_cache
 from math import gcd, isqrt
 from operator import attrgetter
 
-# a record's __init__ sets each field once through this; assignment after
-# that raises
-set_field = object.__setattr__
-
 
 class Record:
     """Immutable value over __slots__, which name its fields in order.
 
+    A record is built by position or by field name, in __slots__ order, and
+    each field is set once here; a subclass that checks, derives or defaults
+    a field does so in its own __init__ and ends in super().__init__.
     Records are equal and hash alike by their field values, only within one
-    class, and show as Name(field=value, ...).  A subclass sets its fields
-    in a hand-written __init__ with set_field.
+    class, and show as Name(field=value, ...).
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        if named:
+            values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
+        if named or len(values) != len(fields):
+            problem = (f"unknown or repeated field {', '.join(map(repr, named))}" if named
+                       else f"got {len(values)} values for {len(fields)} fields")
+            raise TypeError(f"{self.__class__.__qualname__}({', '.join(fields)}): {problem}")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -143,9 +152,11 @@ def omega(n: int) -> int:
 
 
 def v_p(n: int, p: int) -> int:
-    """p-adic valuation of n != 0."""
+    """p-adic valuation of n != 0, for p >= 2."""
     if n == 0:
         raise ValueError("valuation of 0")
+    if p < 2:
+        raise ValueError(f"valuation needs p >= 2, got p = {p}")
     n = abs(n)
     e = 0
     while n % p == 0:
@@ -160,6 +171,8 @@ def is_squarefree(n: int) -> bool:
 
 def divisors(n: int) -> tuple[int, ...]:
     """Positive divisors of n != 0, ascending."""
+    if n == 0:
+        raise ValueError("divisors needs n != 0")
     n = abs(n)
     small, large = [], []
     f = 1
@@ -179,6 +192,8 @@ def square_divisors(n: int) -> tuple[int, ...]:
 
 def is_square_mod(a: int, n: int) -> bool:
     """Whether a is congruent to a square modulo n (n >= 1)."""
+    if n < 1:
+        raise ValueError(f"is_square_mod needs n >= 1, got n = {n}")
     a %= n
     return any((k * k - a) % n == 0 for k in range(n))
 

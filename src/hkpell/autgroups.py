@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import gcd
 
 from . import pell
-from .arith import DomainError, Record, is_square, is_square_mod, set_field
+from .arith import DomainError, Record, is_square, is_square_mod
 
 
 class AutError(DomainError):
@@ -26,8 +26,7 @@ class GroupTag(Record):
     __slots__ = ("kind", "reason")
 
     def __init__(self, kind: str, reason: str = ""):
-        set_field(self, "kind", kind)
-        set_field(self, "reason", reason)
+        super().__init__(kind, reason)
 
     def __str__(self):
         return {

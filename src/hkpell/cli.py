@@ -112,15 +112,24 @@ def _aut_rows(n: int, emax: int) -> list[list[str]]:
     return rows
 
 
-def _period_image_payload(m: int, n: int, gamma: int) -> dict:
+def _period_image_result(m: int, n: int, gamma: int) -> dict:
+    """The excluded components; for m = 2 also those of unsettled multiplicity."""
     from . import periods
 
-    keys = periods.excluded_heegner(m, n, gamma)
-    return {
-        "m": m, "n": n, "gamma": gamma,
-        "excluded_d": sorted({k.d for k in keys}),
-        "components": [_key_payload(k) for k in keys],
-    }
+    if m == 2:
+        rep = periods.excluded_heegner_m2_report(n, gamma)
+        keys = rep.keys
+    else:
+        keys = periods.excluded_heegner(m, n, gamma)
+    res = {"excluded_d": sorted({k.d for k in keys}),
+           "components": [_key_payload(k) for k in keys]}
+    if m == 2:
+        res["uncertain"] = [_key_payload(k) for k in rep.uncertain]
+    return res
+
+
+def _period_image_payload(m: int, n: int, gamma: int) -> dict:
+    return {"m": m, "n": n, "gamma": gamma, **_period_image_result(m, n, gamma)}
 
 
 # table id: (format, builder, command, params).  builder(**params) gives the
@@ -339,24 +348,8 @@ def _cmd_heegner(args) -> int:
 
 
 def _cmd_period_image(args) -> int:
-    from . import periods
-
-    if args.m == 2:
-        rep = periods.excluded_heegner_m2_report(args.n, args.gamma)
-        keys = rep.keys
-        res = {
-            "excluded_d": sorted({k.d for k in keys}),
-            "components": [_key_payload(k) for k in keys],
-            "uncertain": [_key_payload(k) for k in rep.uncertain],
-        }
-    else:
-        keys = periods.excluded_heegner(args.m, args.n, args.gamma)
-        res = {
-            "excluded_d": sorted({k.d for k in keys}),
-            "components": [_key_payload(k) for k in keys],
-        }
-    return _emit(args, "period-image",
-                 {"m": args.m, "n": args.n, "gamma": args.gamma}, res)
+    params = {"m": args.m, "n": args.n, "gamma": args.gamma}
+    return _emit(args, "period-image", params, _period_image_result(**params))
 
 
 def _cmd_oracle(args) -> int:

@@ -18,7 +18,7 @@ from math import gcd, isqrt
 from typing import Optional
 
 from . import pell
-from .arith import BadCongruence, ConeError, Record, binomial_poly, is_square, set_field
+from .arith import BadCongruence, ConeError, Record, binomial_poly, is_square
 
 
 class UnsupportedM(ConeError):
@@ -36,8 +36,7 @@ class ExtremalSlope(Record):
     def __init__(self, is_sqrt: bool, value: Fraction):
         if value < 0:
             raise ValueError("slopes are nonnegative")
-        set_field(self, "is_sqrt", is_sqrt)
-        set_field(self, "value", value)
+        super().__init__(is_sqrt, value)
 
     @classmethod
     def rational(cls, q) -> "ExtremalSlope":
@@ -57,14 +56,6 @@ class ExtremalSlope(Record):
     def squared(self) -> Fraction:
         return self.value if self.is_sqrt else self.value * self.value
 
-    def __eq__(self, other):
-        if not isinstance(other, ExtremalSlope):
-            return NotImplemented
-        return self.is_sqrt == other.is_sqrt and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.is_sqrt, self.value))
-
     def __lt__(self, other):
         return self.squared() < other.squared()
 
@@ -81,10 +72,6 @@ class DivisorClass(Record):
     """The class c_l * L_m - c_delta * delta on a punctual Hilbert scheme."""
 
     __slots__ = ("c_l", "c_delta")
-
-    def __init__(self, c_l: int, c_delta: int):
-        set_field(self, "c_l", c_l)
-        set_field(self, "c_delta", c_delta)
 
     def square(self, e: int, m: int) -> int:
         return 2 * e * self.c_l ** 2 - 2 * (m - 1) * self.c_delta ** 2
@@ -104,11 +91,7 @@ class ConeReport(Record):
     def __init__(self, mov_slope: ExtremalSlope, nef_slope: ExtremalSlope,
                  interior_walls: tuple[Fraction, ...], walls_infinite: bool = False,
                  symmetric: bool = False):
-        set_field(self, "mov_slope", mov_slope)
-        set_field(self, "nef_slope", nef_slope)
-        set_field(self, "interior_walls", interior_walls)
-        set_field(self, "walls_infinite", walls_infinite)
-        set_field(self, "symmetric", symmetric)
+        super().__init__(mov_slope, nef_slope, interior_walls, walls_infinite, symmetric)
 
     @property
     def nef_equals_mov(self) -> bool:

@@ -14,8 +14,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .arith import (DomainError, Record, gcd_all, is_square_mod, omega, prime_factors,
-                    set_field, v_p)
+from .arith import DomainError, Record, gcd_all, is_square_mod, omega, prime_factors, v_p
 
 
 class LatticeError(DomainError):
@@ -69,8 +68,7 @@ class Block(Record):
             for j in range(n):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        set_field(self, "name", name)
-        set_field(self, "gram", gram)
+        super().__init__(name, gram)
 
     @property
     def rank(self) -> int:
@@ -96,29 +94,27 @@ def gram_block(rows) -> Block:
 
 
 def _det(m) -> int:
-    return _det_cached(tuple(tuple(row) for row in m))
-
-
-def _det_cached(m, _cache={}) -> int:
-    if m in _cache:
-        return _cache[m]
-    n = len(m)
-    if n == 1:
-        out = m[0][0]
-    else:
-        out = 0
-        for j in range(n):
-            minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
-            out += (-1) ** j * m[0][j] * _det_cached(minor)
-    _cache[m] = out
-    return out
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # exact: Bareiss's invariant makes prev divide the 2x2 minor
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
 
 
 class LatticeSpec(Record):
     __slots__ = ("blocks",)
-
-    def __init__(self, blocks: tuple[Block, ...]):
-        set_field(self, "blocks", blocks)
 
     @property
     def rank(self) -> int:
@@ -155,8 +151,7 @@ class LatticeVector(Record):
     def __init__(self, lattice: LatticeSpec, coords: tuple[int, ...]):
         if len(coords) != lattice.rank:
             raise ValueError("coordinate length does not match the lattice rank")
-        set_field(self, "lattice", lattice)
-        set_field(self, "coords", coords)
+        super().__init__(lattice, coords)
 
     def pairings(self) -> tuple[int, ...]:
         g = self.lattice.gram()
@@ -278,12 +273,6 @@ class DiscGroup(Record):
 
     __slots__ = ("orders", "gen_q", "gen_pair")
 
-    def __init__(self, orders: tuple[int, ...], gen_q: tuple[Fraction, ...],
-                 gen_pair: tuple[tuple[Fraction, ...], ...]):
-        set_field(self, "orders", orders)
-        set_field(self, "gen_q", gen_q)
-        set_field(self, "gen_pair", gen_pair)
-
     @property
     def order(self) -> int:
         out = 1
@@ -342,6 +331,19 @@ class DiscGroup(Record):
 
     def negate(self, el) -> tuple[int, ...]:
         return tuple((-c) % d for c, d in zip(el, self.orders))
+
+    def normalize(self, el) -> tuple[int, ...]:
+        """The lexicographically smaller of +-el."""
+        return min(tuple(el), self.negate(el))
+
+    def classes(self):
+        """(order, el) once for each pair +-el, el normalized; the order and the
+        quadratic value are the same on both members."""
+        # elements() runs in lexicographic order, so the first member met of
+        # each pair is its normalized one
+        for el in self.elements():
+            if el <= self.negate(el):
+                yield self.element_order(el), el
 
 
 def disc_group_of_gram(gram) -> tuple[DiscGroup, tuple[tuple[Fraction, ...], ...]]:
@@ -417,9 +419,7 @@ class OrbitKey(Record):
             star_q = expected
         elif mod2(star_q) != expected:
             raise ValueError("star_q must be square/star_order^2 modulo 2")
-        set_field(self, "square", square)
-        set_field(self, "star_order", star_order)
-        set_field(self, "star_q", star_q)
+        super().__init__(square, star_order, star_q)
 
 
 def orbit_key(v: LatticeVector) -> OrbitKey:
@@ -443,10 +443,7 @@ def exists_primitive_vector(spec: LatticeSpec, key: OrbitKey) -> bool:
         return False
     want = mod2(Fraction(key.square, key.star_order ** 2))
     dg = disc_group_of(spec)
-    for el in dg.elements():
-        if dg.element_order(el) == key.star_order and dg.qbar(el) == want:
-            return True
-    return False
+    return any(order == key.star_order and dg.qbar(el) == want for order, el in dg.classes())
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +539,7 @@ class ComponentCount(Record):
     __slots__ = ("count", "note")
 
     def __init__(self, count: int | None, note: str = ""):
-        set_field(self, "count", count)
-        set_field(self, "note", note)
+        super().__init__(count, note)
 
 
 def moduli_component_count(m: int, n: int, gamma: int) -> ComponentCount:

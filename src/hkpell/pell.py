@@ -18,7 +18,7 @@ from math import isqrt
 from itertools import islice
 from typing import Iterator, Optional
 
-from .arith import DomainError, OrderedRecord, Record, is_square, set_field, square_divisors
+from .arith import DomainError, OrderedRecord, Record, is_square, square_divisors
 
 
 class PellError(DomainError):
@@ -53,10 +53,6 @@ def _int_text(n: int) -> str:
 class PellSolution(OrderedRecord):
     __slots__ = ("a", "b")
 
-    def __init__(self, a: int, b: int):
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-
     def __iter__(self):
         yield self.a
         yield self.b
@@ -76,9 +72,7 @@ class PellEquation(Record):
                              f"got e1={e1}, e2={e2}")
         if t == 0:
             raise ValueError("right-hand side t must be nonzero")
-        set_field(self, "e1", e1)
-        set_field(self, "e2", e2)
-        set_field(self, "t", t)
+        super().__init__(e1, e2, t)
 
     @classmethod
     def classical(cls, e: int, t: int) -> "PellEquation":
@@ -102,19 +96,11 @@ class SolutionClass(Record):
 
     __slots__ = ("representative", "conjugate_of")
 
-    def __init__(self, representative: PellSolution, conjugate_of: Optional[int]):
-        set_field(self, "representative", representative)
-        set_field(self, "conjugate_of", conjugate_of)
-
 
 class Solvability(Record):
     """Both solvability flags: with b = 0 admitted, and with b > 0 required."""
 
     __slots__ = ("any_solution", "with_positive_b")
-
-    def __init__(self, any_solution: bool, with_positive_b: bool):
-        set_field(self, "any_solution", any_solution)
-        set_field(self, "with_positive_b", with_positive_b)
 
 
 # ---------------------------------------------------------------------------

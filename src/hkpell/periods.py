@@ -20,7 +20,7 @@ from math import gcd, isqrt
 from typing import Optional
 
 from .arith import (BadCongruence, DomainError, OrderedRecord, Record, gcd_all, is_prime,
-                    is_square, is_square_mod, is_squarefree, set_field, v_p)
+                    is_square, is_square_mod, is_squarefree, v_p)
 from .lattice import DiscGroup, disc_group_of_gram, mod2
 
 
@@ -45,39 +45,19 @@ class HeegnerKey(OrderedRecord):
 
     __slots__ = ("d", "kappa_prim_sq", "s", "star")
 
-    def __init__(self, d: int, kappa_prim_sq: int, s: int, star: tuple[int, ...]):
-        set_field(self, "d", d)
-        set_field(self, "kappa_prim_sq", kappa_prim_sq)
-        set_field(self, "s", s)
-        set_field(self, "star", star)
-
 
 class WallConstraint(Record):
     __slots__ = ("k", "a", "kappa_sq")
 
-    def __init__(self, k: int, a: int, kappa_sq: int):
-        set_field(self, "k", k)
-        set_field(self, "a", a)
-        set_field(self, "kappa_sq", kappa_sq)
-
 
 class ComponentReport(Record):
     __slots__ = ("count", "keys", "certain")
-
-    def __init__(self, count: Optional[int], keys: tuple[HeegnerKey, ...], certain: bool):
-        set_field(self, "count", count)
-        set_field(self, "keys", keys)
-        set_field(self, "certain", certain)
 
 
 class ExclusionReport(Record):
     """uncertain holds the keys whose multiplicity is not pinned down."""
 
     __slots__ = ("keys", "uncertain")
-
-    def __init__(self, keys: tuple[HeegnerKey, ...], uncertain: tuple[HeegnerKey, ...]):
-        set_field(self, "keys", keys)
-        set_field(self, "uncertain", uncertain)
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +73,6 @@ class _Model(Record):
 
     __slots__ = ("m", "n", "gamma", "tail", "disc", "gen_vecs", "lookup")
 
-    def __init__(self, m: int, n: int, gamma: int,
-                 tail: tuple[tuple[int, int], tuple[int, int]], disc: DiscGroup,
-                 gen_vecs: tuple[tuple[Fraction, Fraction], ...], lookup: dict):
-        set_field(self, "m", m)
-        set_field(self, "n", n)
-        set_field(self, "gamma", gamma)
-        set_field(self, "tail", tail)
-        set_field(self, "disc", disc)
-        set_field(self, "gen_vecs", gen_vecs)
-        set_field(self, "lookup", lookup)
-
     @property
     def p(self) -> int:
         return self.m - 1
@@ -115,9 +84,6 @@ class _Model(Record):
 
     def star_of_dual(self, x1: Fraction, x2: Fraction) -> tuple[int, ...]:
         return self.lookup[(x1 % 1, x2 % 1)]
-
-    def normalize(self, star) -> tuple[int, ...]:
-        return min(tuple(star), self.disc.negate(star))
 
     def ambient_div(self, star, s: int) -> int:
         """Divisibility in the full second-cohomology lattice of the canonical
@@ -180,16 +146,10 @@ def _realizable_classes(m: int, n: int, gamma: int, kappa_sq: int):
     """
     model = _model(m, n, gamma)
     out = []
-    seen = set()
-    for star in model.disc.elements():
-        norm = model.normalize(star)
-        if norm in seen:
-            continue
-        seen.add(norm)
-        s = model.disc.element_order(star)
+    for s, star in model.disc.classes():
         if Fraction(kappa_sq, s * s) % 2 != model.disc.qbar(star):
             continue
-        out.append((s, norm, model.ambient_div(norm, s)))
+        out.append((s, star, model.ambient_div(star, s)))
     return out
 
 
@@ -226,13 +186,7 @@ def _classes_for_discriminant(n: int, gamma: int, e: int):
     disc = _disc_abs(2, n, gamma)
     model = _model(2, n, gamma)
     out = []
-    seen = set()
-    for star in model.disc.elements():
-        norm = model.normalize(star)
-        if norm in seen:
-            continue
-        seen.add(norm)
-        s = model.disc.element_order(star)
+    for s, star in model.disc.classes():
         num = 2 * e * s * s
         if num % disc:
             continue
@@ -241,7 +195,7 @@ def _classes_for_discriminant(n: int, gamma: int, e: int):
             continue
         if Fraction(kappa_sq, s * s) % 2 != model.disc.qbar(star):
             continue
-        out.append((s, norm, kappa_sq))
+        out.append((s, star, kappa_sq))
     return out
 
 
@@ -395,7 +349,7 @@ def coordinate_oracle(m: int, n: int, gamma: int, bound: int,
                 if gcd_all(a, b, c) != 1:
                     continue
                 s = gcd_all(pr1, pr2, c)
-                star = model.normalize(model.star_of_dual(Fraction(a, s), Fraction(b, s)))
+                star = model.disc.normalize(model.star_of_dual(Fraction(a, s), Fraction(b, s)))
                 amb = model._ambient_div_coords(a, b, c)
                 if c == 0:
                     realized = (base,)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .arith import Record, binomial_poly, set_field
+from .arith import Record, binomial_poly
 
 HILB_K3 = "HilbK3"
 KUMMER = "Kummer"
@@ -31,9 +31,7 @@ class RiemannRochInput(Record):
             raise ValueError("m must be at least 1")
         if q % 2:
             raise OddSquare("the square q must be even")
-        set_field(self, "series", series)
-        set_field(self, "m", m)
-        set_field(self, "q", q)
+        super().__init__(series, m, q)
 
 
 def chi(data: RiemannRochInput) -> int:

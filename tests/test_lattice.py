@@ -1,8 +1,10 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from hkpell.lattice import (E8_MINUS, U, ComponentCount, DiscGroup,
+from hkpell.lattice import (E8_MINUS, U, ComponentCount, DiscGroup, _det,
                             IncompatibleDivisibility, LatticeSpec, NoDoubleU,
                             NotPrimitive, OrbitKey, ZeroVector, disc_group,
                             disc_group_of, divisibility,
@@ -22,6 +24,45 @@ def test_block_dets():
     assert extended_k3_lattice().det == 1
     assert hilbert_scheme_lattice(2).det == 2
     assert abs(k3_polarized_orthogonal(6).det) == 12
+
+
+def _leibniz(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def test_det_matches_leibniz():
+    rng = random.Random(2018)
+    for n in range(1, 6):
+        for _ in range(60):
+            # mostly zeros, so that zero pivots and row swaps come up
+            m = [[rng.choice((0, 0, 0, -1, 1, 2, -3)) for _ in range(n)] for _ in range(n)]
+            assert _det(m) == _leibniz(m), m
+    assert _det(((0, 1), (1, 0))) == -1
+    singular = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+    assert _det(singular) == _leibniz(singular) == 0
+    assert _det(E8_MINUS.gram) == _leibniz(E8_MINUS.gram) == 1
+
+
+@pytest.mark.parametrize("dg", [disc_group(2, 1, 1), disc_group(5, 3, 1), disc_group(2, 3, 2),
+                                disc_group(3, 2, 2), disc_group(5, 8, 2)])
+def test_classes_visit_each_pm_pair_once(dg):
+    classes = list(dg.classes())
+    pairs = [frozenset({el, dg.negate(el)}) for _, el in classes]
+    assert len(set(pairs)) == len(pairs)
+    assert set(pairs) == {frozenset({el, dg.negate(el)}) for el in dg.elements()}
+    self_paired = sum(1 for el in dg.elements() if el == dg.negate(el))
+    assert 2 * len(classes) == dg.order + self_paired
+    for order, el in classes:
+        assert el == dg.normalize(el) == dg.normalize(dg.negate(el))
+        assert order == dg.element_order(el) == dg.element_order(dg.negate(el))
+        assert dg.qbar(el) == dg.qbar(dg.negate(el))
 
 
 def test_divisibility_examples():

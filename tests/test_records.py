@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from hkpell import autgroups, cones, lattice, pell, periods, rrinv
-from hkpell.arith import Record, set_field
+from hkpell import arith
+from hkpell.arith import Record
 
 # every record class, with constructor arguments that pass its checks
 RECORDS = [
@@ -40,11 +41,7 @@ UNHASHABLE = {periods._Model}  # holds a dict, as the dataclass did
 
 def _twin(cls):
     """A record class with the same fields as cls, unrelated to it."""
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            set_field(self, name, value)
-    return type(f"Twin{cls.__name__}", (Record,), {"__slots__": cls.__slots__,
-                                                    "__init__": __init__})
+    return type(f"Twin{cls.__name__}", (Record,), {"__slots__": cls.__slots__})
 
 
 def test_every_record_is_listed():
@@ -78,6 +75,39 @@ def test_records_keep_value_semantics(cls, args):
         a.extra = 0
     assert not hasattr(a, "__dict__")
     assert pickle.loads(pickle.dumps(a)) == a and copy.copy(a) == a
+
+
+@pytest.mark.parametrize("cls,args", RECORDS, ids=lambda v: getattr(v, "__name__", ""))
+def test_records_take_fields_by_name(cls, args):
+    assert cls(**dict(zip(cls.__slots__, args))) == cls(*args)
+    twin = _twin(cls)
+    assert "__init__" not in vars(twin)
+    assert twin(*args[:1], **dict(zip(cls.__slots__[1:], args[1:]))) == twin(*args)
+
+
+@pytest.mark.parametrize("cls,args", [(periods.HeegnerKey, (6, -12, 2, (0, 1))),
+                                      (pell.PellEquation, (1, 13, -4))],
+                         ids=lambda v: getattr(v, "__name__", ""))
+def test_records_refuse_bad_fields(cls, args):
+    first, *rest = cls.__slots__
+    by_name = dict(zip(rest, args[1:]))
+    missing = cls.__slots__[-1]
+    calls = {
+        "missing": ((*args[:-1],), {}),
+        "missing by name": ((args[0],), {k: v for k, v in by_name.items() if k != missing}),
+        "extra positional": ((*args, 0), {}),
+        "unknown keyword": (args, {"extra": 0}),
+        "given twice": ((args[0],), {first: args[0], **by_name}),
+    }
+    for what, (values, named) in calls.items():
+        with pytest.raises(TypeError) as err:
+            cls(*values, **named)
+        if cls is periods.HeegnerKey:  # Record's own constructor names the fields
+            assert str(err.value).startswith("HeegnerKey(d, kappa_prim_sq, s, star): "), what
+
+
+def test_set_field_is_gone():
+    assert "set_field" not in vars(arith)
 
 
 def test_keyword_arguments_and_defaults():
