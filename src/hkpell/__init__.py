@@ -9,7 +9,7 @@ loads none of them and `hkpell.pell` loads pell and the layers it imports.
 
 import importlib
 
-__all__ = ["arith", "autgroups", "cones", "lattice", "pell", "periods", "rrinv"]
+__all__ = ["arith", "autgroups", "cones", "discform", "lattice", "pell", "periods", "rrinv"]
 __version__ = "0.1.0"
 
 

@@ -267,6 +267,8 @@ def fourfold_cones(n: int, e_prime: int, prefix: int = 8) -> ConeReport:
         raise BadCongruence("n must be congruent to -1 mod 4")
     if e_prime < 2:
         raise ValueError("e' must be at least 2")
+    if prefix < 0:
+        raise ValueError(f"prefix must be nonnegative, got prefix={prefix}")
     sol1 = pell.generalized_min(n, e_prime, -1)
     if sol1 is None:
         mov = ExtremalSlope.sqrt_of(Fraction(n, e_prime))

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .arith import (BadCongruence, DomainError, OrderedRecord, Record, gcd_all, is_prime,
                     is_square, is_square_mod, is_squarefree, v_p)
-from .lattice import DiscGroup, disc_group_of_gram, mod2
+from .discform import DiscGroup, disc_group_of_gram, mod2
 
 
 class PeriodsError(DomainError):

@@ -111,6 +111,8 @@ def test_usage_error_exit():
     (["cone", "s2", "--e-from", "5", "--e-to", "2"], 2),
     (["aut", "table", "--emax", "1"], 1),
     (["aut", "search", "--emax", "1"], 1),
+    (["cone", "fourfold", "--n", "3", "--e-prime", "4", "--prefix", "-1"], 1),
+    (["cone", "fourfold", "--n", "3", "--e-prime", "2", "--prefix", "-1"], 1),
 ])
 def test_out_of_domain_exit_code(args, code):
     env = {**os.environ, "PYTHONPATH": SRC}
@@ -251,6 +253,50 @@ assert not loaded("hkpell.cones", "hkpell.pell"), loaded("hkpell.cones", "hkpell
 run("hilb-square", "--n", "3", "--e", "7")
 assert loaded("hkpell.cones", "hkpell.pell") == {"hkpell.cones", "hkpell.pell"}
 """)
+    from hkpell.cli import _COMMANDS, _TABLES
+
+    for path, args in _EVERY_COMMAND.items():
+        handler = _COMMANDS[path[0]][1]
+        if callable(handler):  # reproduce, in the core: its table's builder
+            handler = _TABLES[args][1]
+        modules = _modules_loaded_as_main([*path, *args.split()])
+        # only the module that holds the handler, of all the handler modules
+        assert [m for m in modules if m.startswith("hkpell.cli.")] == [
+            "hkpell.cli." + handler.split(".")[0]], path
+        if path in {("period-image",), ("heegner", "components"), ("oracle",)}:
+            # discriminant groups come from discform, without block lattices
+            assert "hkpell.discform" in modules and "hkpell.lattice" not in modules, path
+
+
+_AS_MAIN = """
+import io, json, os, runpy, sys
+from contextlib import redirect_stdout
+
+sys.argv = ["hkpell", *sys.argv[1:]]
+with redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("hkpell.cli", run_name="__main__", alter_sys=True)  # as -m does
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+        tb = exc.__traceback__
+while tb.tb_next:
+    tb = tb.tb_next
+# the exit came from the shim, which ran the main of the one loaded core
+shim, core = tb.tb_frame.f_globals, sys.modules["hkpell.cli"]
+assert shim["__name__"] == "__main__" and shim["main"] is core.main
+assert shim["__file__"].endswith(os.path.join("cli", "__main__.py")), shim["__file__"]
+assert [m for m in list(sys.modules.values())
+        if getattr(m, "__file__", None) == core.__file__] == [core]
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("hkpell"))))
+"""
+
+
+def _modules_loaded_as_main(argv):
+    """The hkpell modules a fresh `python -m hkpell.cli <argv>` loads."""
+    proc = subprocess.run([sys.executable, "-c", _AS_MAIN, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 # one in-domain invocation of every command and subcommand

@@ -15,6 +15,7 @@ from hkpell.lattice import (E8_MINUS, U, ComponentCount, DiscGroup, _det,
                             orbit_key, polarization_determined,
                             polarized_orthogonal, smith_normal_form,
                             strange_dual_params)
+from hkpell.periods import coordinate_oracle
 
 
 def test_block_dets():
@@ -199,6 +200,22 @@ def test_exists_primitive_vector():
     uu = LatticeSpec((U, U))
     assert exists_primitive_vector(uu, root_div1)
     assert not exists_primitive_vector(uu, OrbitKey(-2, 3, mod2(Fraction(-2, 9))))
+
+
+def test_exists_primitive_vector_matches_the_coordinate_oracle():
+    # every (square, divisibility) of a primitive vector the brute-force
+    # oracle builds in a coordinate box exists by the discriminant-group test
+    checked = 0
+    for m in (2, 3, 4):
+        for n in range(1, 5):
+            for gamma in (1, 2) if (n + m) % 4 == 1 else (1,):
+                spec = polarized_orthogonal(m, n, gamma)
+                keys = {(k2, s) for k2, s, _, _ in coordinate_oracle(m, n, gamma, 3)}
+                for k2, s in keys:
+                    assert exists_primitive_vector(spec, OrbitKey(k2, s)), (m, n, gamma, k2, s)
+                assert len(keys) > 20, (m, n, gamma)
+                checked += len(keys)
+    assert checked > 1500
 
 
 def test_monodromy_index():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hkpell import autgroups, cones, lattice, pell, periods, rrinv
+from hkpell import autgroups, cones, discform, lattice, pell, periods, rrinv
 from hkpell import arith
 from hkpell.arith import Record
 
@@ -25,7 +25,7 @@ RECORDS = [
     (lattice.Block, ("U", ((0, 1), (1, 0)))),
     (lattice.LatticeSpec, ((lattice.U, lattice.U),)),
     (lattice.LatticeVector, (lattice.LatticeSpec((lattice.U,)), (1, 1))),
-    (lattice.DiscGroup, ((2,), (Fraction(3, 2),), ((Fraction(3, 4),),))),
+    (discform.DiscGroup, ((2,), (Fraction(3, 2),), ((Fraction(3, 4),),))),
     (lattice.OrbitKey, (-2, 2, Fraction(3, 2))),
     (lattice.ComponentCount, (None, "untabulated")),
     (autgroups.GroupTag, ("unknown", "no witness")),
@@ -47,7 +47,7 @@ def _twin(cls):
 def test_every_record_is_listed():
     classes = {cls for cls, _ in RECORDS}
     assert len(classes) == 20
-    for mod in (pell, cones, lattice, autgroups, rrinv, periods):
+    for mod in (pell, cones, discform, lattice, autgroups, rrinv, periods):
         for obj in vars(mod).values():
             if isinstance(obj, type) and issubclass(obj, Record) and obj.__module__ == mod.__name__:
                 assert obj in classes, obj
