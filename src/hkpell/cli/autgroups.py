@@ -34,8 +34,6 @@ def _cmd_aut(args) -> int:
             return _emit_csv(rows)
         res = [{"e_prime": int(ep), "aut": a, "bir": b} for ep, a, b in rows[1:]]
         return _emit(args, "aut table", {"n": args.n, "emax": args.emax}, res)
-    if args.aut_cmd == "search":
-        hits = [e for e in range(2, args.emax + 1)
-                if e % 5 and autgroups.bir_s2(e) == (autgroups.TRIVIAL, autgroups.Z2)]
-        return _emit(args, "aut search", {"emax": args.emax}, {"e": hits})
-    raise AssertionError
+    hits = [e for e in range(2, args.emax + 1)
+            if e % 5 and autgroups.bir_s2(e) == (autgroups.TRIVIAL, autgroups.Z2)]
+    return _emit(args, "aut search", {"emax": args.emax}, {"e": hits})

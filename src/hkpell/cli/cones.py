@@ -70,16 +70,14 @@ def _cmd_cone(args) -> int:
             "nef_equals_mov": rep.nef_equals_mov,
         }
         return _emit(args, f"cone {args.cone_cmd}", {"e": args.e, "m": args.m}, res)
-    if args.cone_cmd == "fourfold":
-        rep = cones.fourfold_cones(args.n, args.e_prime, prefix=args.prefix)
-        res = {
-            "mov": _slope(rep.mov_slope),
-            "nef": _slope(rep.nef_slope),
-            "walls": [_frac(w) for w in rep.interior_walls],
-            "walls_infinite": rep.walls_infinite,
-            "symmetric": rep.symmetric,
-            "nef_equals_mov": rep.nef_equals_mov,
-        }
-        return _emit(args, "cone fourfold",
-                     {"n": args.n, "e_prime": args.e_prime, "prefix": args.prefix}, res)
-    raise AssertionError
+    rep = cones.fourfold_cones(args.n, args.e_prime, prefix=args.prefix)
+    res = {
+        "mov": _slope(rep.mov_slope),
+        "nef": _slope(rep.nef_slope),
+        "walls": [_frac(w) for w in rep.interior_walls],
+        "walls_infinite": rep.walls_infinite,
+        "symmetric": rep.symmetric,
+        "nef_equals_mov": rep.nef_equals_mov,
+    }
+    return _emit(args, "cone fourfold",
+                 {"n": args.n, "e_prime": args.e_prime, "prefix": args.prefix}, res)

@@ -24,9 +24,7 @@ def _cmd_lattice(args) -> int:
         return _emit(args, "lattice orbit",
                      {"m": args.m, "n": args.n, "gamma": args.gamma,
                       "square": args.square, "div": args.div}, res)
-    if args.lattice_cmd == "dual":
-        m2, n2, g2 = lattice.strange_dual_params(args.m, args.n, args.gamma)
-        return _emit(args, "lattice dual",
-                     {"m": args.m, "n": args.n, "gamma": args.gamma},
-                     {"m": m2, "n": n2, "gamma": g2})
-    raise AssertionError
+    m2, n2, g2 = lattice.strange_dual_params(args.m, args.n, args.gamma)
+    return _emit(args, "lattice dual",
+                 {"m": args.m, "n": args.n, "gamma": args.gamma},
+                 {"m": m2, "n": n2, "gamma": g2})

@@ -20,9 +20,7 @@ def _cmd_pell(args) -> int:
         res = [{"a": c.representative.a, "b": c.representative.b,
                 "conjugate_of": c.conjugate_of} for c in cls]
         return _emit(args, "pell classes", {"d": args.d, "t": args.t}, res)
-    if args.pell_cmd == "stream":
-        sols = pell.solutions_in_order(args.d, args.t, args.count)
-        res = [{"a": s.a, "b": s.b} for s in sols]
-        return _emit(args, "pell stream",
-                     {"d": args.d, "t": args.t, "count": args.count}, res)
-    raise AssertionError
+    sols = pell.solutions_in_order(args.d, args.t, args.count)
+    res = [{"a": s.a, "b": s.b} for s in sols]
+    return _emit(args, "pell stream",
+                 {"d": args.d, "t": args.t, "count": args.count}, res)

@@ -35,16 +35,14 @@ def _cmd_heegner(args) -> int:
         return _emit(args, "heegner nonempty",
                      {"n": args.n, "gamma": args.gamma, "e": args.e},
                      {"nonempty": res})
-    if args.heegner_cmd == "components":
-        rep = periods.heegner_components_m2(args.n, args.gamma, args.e)
-        res = {
-            "count": rep.count,
-            "certain": rep.certain,
-            "components": [_key_payload(k) for k in rep.keys],
-        }
-        return _emit(args, "heegner components",
-                     {"n": args.n, "gamma": args.gamma, "e": args.e}, res)
-    raise AssertionError
+    rep = periods.heegner_components_m2(args.n, args.gamma, args.e)
+    res = {
+        "count": rep.count,
+        "certain": rep.certain,
+        "components": [_key_payload(k) for k in rep.keys],
+    }
+    return _emit(args, "heegner components",
+                 {"n": args.n, "gamma": args.gamma, "e": args.e}, res)
 
 
 def _cmd_period_image(args) -> int:

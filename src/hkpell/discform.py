@@ -1,6 +1,7 @@
 """The discriminant-form engine: Smith normal form, finite quadratic groups
-with their Q/2Z-valued quadratic form held exactly as Fractions, and the
-discriminant group of an even Gram block.
+with their Q/2Z-valued quadratic form held exactly as Fractions, the
+discriminant group of an orthogonal sum of even Gram blocks, and the
+(order, integer q-bar) index of its classes that decides realizability.
 
 It knows nothing of block lattices, so period-map code that needs only
 discriminant groups loads this module and not lattice.
@@ -102,11 +103,22 @@ def mod1(x: Fraction | int) -> Fraction:
     return Fraction(x) % 1
 
 
+def residue(square: Fraction | int, order: int) -> Fraction | int:
+    """square modulo 2 * order^2: the integer q-bar, q-bar * order^2, of the
+    classes of the given order that carry the primitive vectors of that square.
+
+    Such a class has q-bar = square/order^2 modulo 2.  In an even lattice the
+    integer q-bar of every class is even, so an odd square matches none.
+    """
+    return square % (2 * order * order)
+
+
 class DiscGroup(Record):
     """Finite quadratic group as a product of cyclic groups.
 
     orders[i] is the order of the i-th generator, gen_q[i] its quadratic value
-    in Q/2Z (stored in [0, 2)), gen_pair the bilinear pairings in Q/Z.
+    in Q/2Z (stored in [0, 2)), gen_pair the bilinear pairings in Q/Z; qbar
+    reads only its off-diagonal entries.
     """
 
     __slots__ = ("orders", "gen_q", "gen_pair")
@@ -116,13 +128,6 @@ class DiscGroup(Record):
         out = 1
         for d in self.orders:
             out *= d
-        return out
-
-    @property
-    def exponent(self) -> int:
-        out = 1
-        for d in self.orders:
-            out = out * d // gcd(out, d)
         return out
 
     @property
@@ -160,13 +165,6 @@ class DiscGroup(Record):
                 total += 2 * c * el[j] * self.gen_pair[i][j]
         return mod2(total)
 
-    def pairing(self, el1, el2) -> Fraction:
-        total = Fraction(0)
-        for i, c in enumerate(el1):
-            for j, e in enumerate(el2):
-                total += c * e * self.gen_pair[i][j]
-        return mod1(total)
-
     def negate(self, el) -> tuple[int, ...]:
         return tuple((-c) % d for c, d in zip(el, self.orders))
 
@@ -183,30 +181,49 @@ class DiscGroup(Record):
             if el <= self.negate(el):
                 yield self.element_order(el), el
 
+    def index(self) -> dict[int, dict[int, list[tuple[int, ...]]]]:
+        """The normalized classes by order s, then by integer q-bar: q-bar * s^2,
+        an integer for the discriminant form of an even lattice.
 
-def disc_group_of_gram(gram) -> tuple[DiscGroup, tuple[tuple[Fraction, ...], ...]]:
-    """Discriminant group of an even Gram block, with rational generator lifts.
+        index()[s].get(residue(square, s), ()) are the classes of order s
+        that the primitive vectors of that square and divisibility s map to.
+        """
+        out: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+        for s, el in self.classes():
+            out.setdefault(s, {}).setdefault(int(self.qbar(el) * (s * s)), []).append(el)
+        return out
 
-    The second value gives each generator as a vector in the block's dual,
-    expressed in the block basis.
+
+def disc_group_of_gram(*blocks) -> tuple[DiscGroup, tuple[tuple[Fraction, ...], ...]]:
+    """Discriminant group of an orthogonal sum of even Gram blocks, with
+    rational generator lifts.
+
+    Each block gives its Smith-form generators, in block order.  The second
+    value gives each generator as a vector in the sum's dual, expressed in
+    the sum's basis.
     """
-    n = len(gram)
-    d, _, v = smith_normal_form(gram)
+    n = sum(len(gram) for gram in blocks)
+    g = [[0] * n for _ in range(n)]
     orders, vecs = [], []
-    for i in range(n):
-        di = abs(d[i])
-        if di == 1:
-            continue
-        vec = tuple(Fraction(v[k][i], di) for k in range(n))
-        orders.append(di)
-        vecs.append(vec)
-
-    def q_of(x):
-        return sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))
+    off = 0
+    for gram in blocks:
+        k = len(gram)
+        for i in range(k):
+            g[off + i][off:off + k] = gram[i]
+        d, _, v = smith_normal_form(gram)
+        for i in range(k):
+            di = abs(d[i])
+            if di == 1:
+                continue
+            lift = [Fraction(0)] * n
+            lift[off:off + k] = (Fraction(v[r][i], di) for r in range(k))
+            orders.append(di)
+            vecs.append(tuple(lift))
+        off += k
 
     def b_of(x, y):
-        return sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
+        return sum(x[i] * g[i][j] * y[j] for i in range(n) for j in range(n))
 
-    gen_q = tuple(mod2(q_of(x)) for x in vecs)
+    gen_q = tuple(mod2(b_of(x, x)) for x in vecs)
     gen_pair = tuple(tuple(mod1(b_of(x, y)) for y in vecs) for x in vecs)
     return DiscGroup(tuple(orders), gen_q, gen_pair), tuple(vecs)

@@ -15,7 +15,8 @@ from math import gcd
 
 from .arith import DomainError, Record, gcd_all, is_square_mod, omega, prime_factors, v_p
 # the discriminant-form engine, bound here too so that lattice keeps its names
-from .discform import DiscGroup, disc_group_of_gram, mod1, mod2, smith_normal_form  # noqa: F401
+from .discform import (DiscGroup, disc_group_of_gram, mod1, mod2, residue,  # noqa: F401
+                       smith_normal_form)
 
 
 class LatticeError(DomainError):
@@ -180,27 +181,7 @@ def divisibility(v: LatticeVector) -> int:
 
 def disc_group_of(spec: LatticeSpec) -> DiscGroup:
     """Discriminant group of a block-sum lattice (blockwise; U and E8 drop out)."""
-    orders: list[int] = []
-    q: list[Fraction] = []
-    pair_blocks: list[tuple[tuple[Fraction, ...], ...]] = []
-    for b in spec.blocks:
-        if abs(b.det) == 1:
-            continue
-        sub, _ = disc_group_of_gram(b.gram)
-        orders.extend(sub.orders)
-        q.extend(sub.gen_q)
-        pair_blocks.append(sub.gen_pair)
-    # assemble the block-diagonal pairing matrix
-    total = len(orders)
-    pair = [[Fraction(0)] * total for _ in range(total)]
-    off = 0
-    for blockpair in pair_blocks:
-        k = len(blockpair)
-        for i in range(k):
-            for j in range(k):
-                pair[off + i][off + j] = blockpair[i][j]
-        off += k
-    return DiscGroup(tuple(orders), tuple(q), tuple(tuple(r) for r in pair))
+    return disc_group_of_gram(*(b.gram for b in spec.blocks if abs(b.det) != 1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +199,10 @@ class OrbitKey(Record):
     def __init__(self, square: int, star_order: int, star_q: Fraction | None = None):
         if star_order < 1:
             raise ValueError("star_order must be positive")
-        expected = mod2(Fraction(square, star_order ** 2))
+        expected = residue(square, star_order)
         if star_q is None:
-            star_q = expected
-        elif mod2(star_q) != expected:
+            star_q = Fraction(expected, star_order ** 2)
+        elif residue(star_q * star_order ** 2, star_order) != expected:
             raise ValueError("star_q must be square/star_order^2 modulo 2")
         super().__init__(square, star_order, star_q)
 
@@ -243,11 +224,8 @@ def exists_primitive_vector(spec: LatticeSpec, key: OrbitKey) -> bool:
     """
     if spec.u_block_count() < 2:
         raise NoDoubleU("existence test requires two hyperbolic planes")
-    if key.square % 2:
-        return False
-    want = mod2(Fraction(key.square, key.star_order ** 2))
-    dg = disc_group_of(spec)
-    return any(order == key.star_order and dg.qbar(el) == want for order, el in dg.classes())
+    by_q = disc_group_of(spec).index().get(key.star_order, {})
+    return residue(key.square, key.star_order) in by_q
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +282,10 @@ def disc_group(m: int, n: int, gamma: int) -> DiscGroup:
     gamma = 2 closed-form generators are used where available (n odd, or
     n = m - 1) and Smith-form generators otherwise.
     """
-    if m < 2 or n < 1:
-        raise ValueError("need m >= 2 and n >= 1")
-    p = m - 1
+    spec = polarized_orthogonal(m, n, gamma)  # validates gamma and the congruence
     if gamma == 1:
-        return DiscGroup(
-            (2 * p, 2 * n),
-            (mod2(Fraction(-1, 2 * p)), mod2(Fraction(-1, 2 * n))),
-            ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),
-        )
-    spec = polarized_orthogonal(m, n, gamma)  # validates the congruence
+        return disc_group_of(spec)
+    p = m - 1
     if n % 2 == 1:
         orders = tuple(d for d in (p, n) if d > 1)
         qs = tuple(mod2(Fraction(-2, d)) for d in (p, n) if d > 1)

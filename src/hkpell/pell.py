@@ -18,7 +18,7 @@ from math import isqrt
 from itertools import islice
 from typing import Iterator, Optional
 
-from .arith import DomainError, OrderedRecord, Record, is_square, square_divisors
+from .arith import DomainError, OrderedRecord, Record, divisors, is_square, square_divisors
 
 
 class PellError(DomainError):
@@ -288,28 +288,18 @@ def _square_d_solutions(d: int, t: int) -> tuple[PellSolution, ...]:
     if r * r != d:
         raise PellError(f"divisor-pair solver needs a square d, got {d}")
     out = set()
-    for u in _signed_divisors(t):
+    for u in (sign * f for f in divisors(t) for sign in (1, -1)):
         v = t // u
         if (u + v) % 2:
             continue
         a = (u + v) // 2
         rb = (v - u) // 2
-        if r == 0:
-            continue
         if rb % r:
             continue
         b = rb // r
         if a >= 0 and b >= 0:
             out.add((a, b))
     return tuple(PellSolution(a, b) for a, b in sorted(out))
-
-
-def _signed_divisors(n: int) -> list[int]:
-    out = []
-    for f in range(1, isqrt(abs(n)) + 1):
-        if n % f == 0:
-            out.extend({f, -f, n // f, -(n // f)})
-    return sorted(set(out))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .arith import (BadCongruence, DomainError, OrderedRecord, Record, gcd_all, is_prime,
                     is_square, is_square_mod, is_squarefree, v_p)
-from .discform import DiscGroup, disc_group_of_gram, mod2
+from .discform import disc_group_of_gram, residue
 
 
 class PeriodsError(DomainError):
@@ -71,7 +71,7 @@ class _Model(Record):
     gamma = 2: coordinates (w1, w2), Gram ((-2p, -p), (-p, -(n+m-1)/2)).
     """
 
-    __slots__ = ("m", "n", "gamma", "tail", "disc", "gen_vecs", "lookup")
+    __slots__ = ("m", "n", "gamma", "tail", "disc", "gen_vecs")
 
     @property
     def p(self) -> int:
@@ -81,9 +81,6 @@ class _Model(Record):
         x1 = sum((c * v[0] for c, v in zip(star, self.gen_vecs)), Fraction(0))
         x2 = sum((c * v[1] for c, v in zip(star, self.gen_vecs)), Fraction(0))
         return x1, x2
-
-    def star_of_dual(self, x1: Fraction, x2: Fraction) -> tuple[int, ...]:
-        return self.lookup[(x1 % 1, x2 % 1)]
 
     def ambient_div(self, star, s: int) -> int:
         """Divisibility in the full second-cohomology lattice of the canonical
@@ -115,12 +112,7 @@ def _model(m: int, n: int, gamma: int) -> _Model:
     p = m - 1
     if gamma == 1:
         tail = ((-2 * n, 0), (0, -2 * p))
-        disc = DiscGroup(
-            (2 * n, 2 * p),
-            (mod2(Fraction(-1, 2 * n)), mod2(Fraction(-1, 2 * p))),
-            ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),
-        )
-        vecs = ((Fraction(1, 2 * n), Fraction(0)), (Fraction(0), Fraction(1, 2 * p)))
+        disc, vecs = disc_group_of_gram(((-2 * n,),), ((-2 * p,),))
     elif gamma == 2:
         if (n + m) % 4 != 1:
             raise BadCongruence("divisibility 2 requires n + m = 1 (mod 4)")
@@ -129,12 +121,7 @@ def _model(m: int, n: int, gamma: int) -> _Model:
         disc, vecs = disc_group_of_gram(tail)
     else:
         raise UnsupportedParameters("gamma must be 1 or 2")
-    lookup = {}
-    for el in disc.elements():
-        x1 = sum((c * v[0] for c, v in zip(el, vecs)), Fraction(0))
-        x2 = sum((c * v[1] for c, v in zip(el, vecs)), Fraction(0))
-        lookup[(x1 % 1, x2 % 1)] = el
-    return _Model(m, n, gamma, tail, disc, tuple(vecs), lookup)
+    return _Model(m, n, gamma, tail, disc, vecs)
 
 
 def _realizable_classes(m: int, n: int, gamma: int, kappa_sq: int):
@@ -145,12 +132,9 @@ def _realizable_classes(m: int, n: int, gamma: int, kappa_sq: int):
     divisibility is then the order of star.
     """
     model = _model(m, n, gamma)
-    out = []
-    for s, star in model.disc.classes():
-        if Fraction(kappa_sq, s * s) % 2 != model.disc.qbar(star):
-            continue
-        out.append((s, star, model.ambient_div(star, s)))
-    return out
+    return [(s, star, model.ambient_div(star, s))
+            for s, by_q in model.disc.index().items()
+            for star in by_q.get(residue(kappa_sq, s), ())]
 
 
 def _disc_abs(m: int, n: int, gamma: int) -> int:
@@ -184,18 +168,12 @@ def heegner_nonempty_m2(n: int, gamma: int, e: int) -> bool:
 def _classes_for_discriminant(n: int, gamma: int, e: int):
     """All (s, star, kappa^2) of primitive classes cutting discriminant 2e."""
     disc = _disc_abs(2, n, gamma)
-    model = _model(2, n, gamma)
     out = []
-    for s, star in model.disc.classes():
+    for s, by_q in _model(2, n, gamma).disc.index().items():
         num = 2 * e * s * s
-        if num % disc:
-            continue
-        kappa_sq = -(num // disc)
-        if kappa_sq % 2:
-            continue
-        if Fraction(kappa_sq, s * s) % 2 != model.disc.qbar(star):
-            continue
-        out.append((s, star, kappa_sq))
+        if num % disc == 0:
+            kappa_sq = -(num // disc)
+            out.extend((s, star, kappa_sq) for star in by_q.get(residue(kappa_sq, s), ()))
     return out
 
 
@@ -340,6 +318,11 @@ def coordinate_oracle(m: int, n: int, gamma: int, bound: int,
         raise ValueError("bound must be nonnegative")
     model = _model(m, n, gamma)
     products = _coprime_products(bound)
+    # the normalized star of each dual class modulo the tail lattice
+    stars = {}
+    for el in model.disc.elements():
+        x1, x2 = model.dual_of_star(el)
+        stars[(x1 % 1, x2 % 1)] = model.disc.normalize(el)
     out = set()
     for a in range(-bound, bound + 1):
         for b in range(-bound, bound + 1):
@@ -349,7 +332,7 @@ def coordinate_oracle(m: int, n: int, gamma: int, bound: int,
                 if gcd_all(a, b, c) != 1:
                     continue
                 s = gcd_all(pr1, pr2, c)
-                star = model.disc.normalize(model.star_of_dual(Fraction(a, s), Fraction(b, s)))
+                star = stars[(Fraction(a, s) % 1, Fraction(b, s) % 1)]
                 amb = model._ambient_div_coords(a, b, c)
                 if c == 0:
                     realized = (base,)

@@ -193,10 +193,13 @@ def test_orbit_key_block_permutation():
 def test_exists_primitive_vector():
     root_div1 = OrbitKey(-2, 1, mod2(Fraction(-2)))
     root_div2 = OrbitKey(-2, 2, mod2(Fraction(-1, 2)))
+    unreduced = OrbitKey(-2, 2, Fraction(-1, 2))  # the same key, star_q kept as given
+    assert unreduced.star_q == Fraction(-1, 2)
     for e in range(1, 20):
         spec = k3_polarized_orthogonal(e)
         assert exists_primitive_vector(spec, root_div1)
         assert exists_primitive_vector(spec, root_div2) == (e % 4 == 1), e
+        assert exists_primitive_vector(spec, unreduced) == (e % 4 == 1), e
     uu = LatticeSpec((U, U))
     assert exists_primitive_vector(uu, root_div1)
     assert not exists_primitive_vector(uu, OrbitKey(-2, 3, mod2(Fraction(-2, 9))))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import count
 from math import gcd
 
 import pytest
@@ -36,6 +37,64 @@ def test_nonempty_matches_class_enumeration():
                 residue = heegner_nonempty_m2(n, gamma, e)
                 classes = _classes_for_discriminant(n, gamma, e)
                 assert residue == bool(classes), (n, gamma, e)
+
+
+def _scanned_classes(model):
+    """{normalized star: (order, q-bar)} by a plain scan of elements(), with
+    order and q-bar read off the star's dual vector in the tail Gram matrix."""
+    t = model.tail
+    out = {}
+    for el in model.disc.elements():
+        x = model.dual_of_star(el)
+        s = next(k for k in count(1) if all((k * c).denominator == 1 for c in x))
+        q = sum(x[i] * t[i][j] * x[j] for i in range(2) for j in range(2)) % 2
+        out[min(el, model.disc.negate(el))] = (s, q)
+    return out
+
+
+def _valid_params(ms, ns):
+    return [(m, n, gamma) for m in ms for n in ns
+            for gamma in ((1, 2) if (n + m) % 4 == 1 else (1,))]
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_realizable_classes_match_a_scan(m):
+    for m, n, gamma in _valid_params((m,), range(1, 9)):
+        model = _model(m, n, gamma)
+        scanned = [(s, star, q, model.ambient_div(star, s))
+                   for star, (s, q) in _scanned_classes(model).items()]
+        for kappa_sq in range(-200, 0, 2):
+            want = sorted((s, star, amb) for s, star, q, amb in scanned
+                          if Fraction(kappa_sq, s * s) % 2 == q)
+            assert sorted(_realizable_classes(m, n, gamma, kappa_sq)) == want, \
+                (m, n, gamma, kappa_sq)
+
+
+def test_classes_for_discriminant_match_a_scan():
+    from hkpell.periods import _classes_for_discriminant
+    for _, n, gamma in _valid_params((2,), range(1, 9)):
+        disc = (2 * n) * 2 // gamma ** 2
+        scanned = _scanned_classes(_model(2, n, gamma))
+        for e in range(1, 101):
+            want = []
+            for star, (s, q) in scanned.items():
+                num = 2 * e * s * s
+                kappa_sq = -(num // disc)
+                if num % disc == 0 and kappa_sq % 2 == 0 and Fraction(kappa_sq, s * s) % 2 == q:
+                    want.append((s, star, kappa_sq))
+            assert sorted(_classes_for_discriminant(n, gamma, e)) == sorted(want), (n, gamma, e)
+
+
+def test_gamma1_model_generators():
+    # no golden holds a gamma = 1 star, so pin the generators the stars use:
+    # the duals of the rank-1 blocks of -2n and -2(m-1), in that order
+    for m in range(2, 13):
+        for n in range(1, 9):
+            model = _model(m, n, 1)
+            p = m - 1
+            assert model.disc.orders == (2 * n, 2 * p)
+            assert model.disc.gen_q == (Fraction(-1, 2 * n) % 2, Fraction(-1, 2 * p) % 2)
+            assert model.gen_vecs == ((Fraction(1, 2 * n), 0), (0, Fraction(1, 2 * p)))
 
 
 def test_components_m2():
