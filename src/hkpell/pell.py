@@ -4,8 +4,14 @@ All arithmetic is arbitrary-precision integer arithmetic; nothing here ever
 touches a float.  Solutions of a^2 - d*b^2 = t fall into finitely many classes
 under multiplication by powers of the fundamental unit of a^2 - d*b^2 = 1;
 each class is represented by its minimal positive member (a > 0, b > 0,
-minimal a).  Class representatives are found with the PQa continued-fraction
-algorithm, which stays fast even when the fundamental unit is astronomical.
+minimal a).  The fundamental unit is read off half a period of the continued
+fraction of sqrt(d): the period is a palindrome, so the expansion stops at
+its midpoint, where P or Q repeats, and one product of the convergents there
+closes it (Lenstra, "Solving the Pell equation", Notices AMS 2002;
+Jacobson-Williams, Solving the Pell Equation, 2009, ch. 5; the two closing
+formulas are in fundamental_solution).  Class representatives are found with
+the PQa continued-fraction algorithm, which stays fast even when the
+fundamental unit is astronomical.
 The minimum, the first n solutions and all solutions below a bound are read
 from one lazy stream, positive_solutions.
 """
@@ -109,11 +115,20 @@ class Solvability(Record):
 
 @lru_cache(maxsize=None)
 def fundamental_solution(d: int) -> PellSolution:
-    """Minimal positive solution of a^2 - d*b^2 = 1, via continued fractions.
+    """Minimal positive solution of a^2 - d*b^2 = 1, via half a period.
 
-    One period of the expansion of sqrt(d) ends where the denominator returns
-    to 1; the convergent before that point has norm (-1)^period.  For an odd
-    period it is the unit of norm -1 and is squared once.
+    Step i of the expansion of sqrt(d) has the complete quotient
+    (P_i + sqrt(d))/Q_i and the convergent p_i/q_i.  The period l is a
+    palindrome, so the first step i with P_{i+1} = P_i (l = 2i) or with
+    Q_{i+1} = Q_i (l = 2i + 1) is its midpoint, and one product closes it:
+
+    - l = 2i: the unit is ((p_{i-1}^2 + d*q_{i-1}^2)/Q_i, 2*p_{i-1}*q_{i-1}/Q_i);
+    - l = 2i + 1: ((p_{i-1}*p_i + d*q_{i-1}*q_i)/Q_i, (p_{i-1}*q_i + p_i*q_{i-1})/Q_i)
+      is the unit of norm -1, and it is squared once.
+
+    That is half the steps of one period, on convergents of half the bits
+    (Lenstra, "Solving the Pell equation", Notices AMS 2002; Jacobson-Williams,
+    Solving the Pell Equation, 2009, ch. 5).
     """
     if d <= 0:
         raise ValueError("d must be positive")
@@ -123,20 +138,22 @@ def fundamental_solution(d: int) -> PellSolution:
     m, den, a = 0, 1, r
     p_prev, p = 1, r
     q_prev, q = 0, 1
-    odd = False
     while True:
-        m = den * a - m
-        den = (d - m * m) // den
-        odd = not odd
-        if den == 1:
+        m_next = den * a - m
+        if m_next == m:
+            p, q = (p_prev * p_prev + d * q_prev * q_prev) // den, 2 * p_prev * q_prev // den
             break
+        den_next = (d - m_next * m_next) // den
+        if den_next == den:
+            x, y = (p_prev * p + d * q_prev * q) // den, (p_prev * q + p * q_prev) // den
+            p, q = x * x + d * y * y, 2 * x * y
+            break
+        m, den = m_next, den_next
         a = (r + m) // den
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
-    if odd:
-        p, q = p * p + d * q * q, 2 * p * q
     if p * p - d * q * q != 1:
-        raise PellError(f"one period of sqrt({d}) did not yield a unit of norm 1")
+        raise PellError(f"half a period of sqrt({d}) did not yield a unit of norm 1")
     return PellSolution(p, q)
 
 

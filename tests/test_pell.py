@@ -1,8 +1,13 @@
+import inspect
+import os
 import random
+import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from itertools import takewhile
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +23,7 @@ from hkpell.pell import (ExcludedDegenerateCase, PellEquation, PellError, PellSo
 from hkpell.pell import _negative_unit, _pqa_hits
 
 C = PellEquation.classical
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def brute_min(d, t, bmax):
@@ -80,9 +86,34 @@ def test_pqa_error_on_big_convergents_is_a_pell_error(default_int_str_limit):
         _pqa_hits(_SkewedD(10**9 + 7), 1, 0)
 
 
+def test_fundamental_norm_check_is_a_pell_error():
+    # a skewed d spoils the closing products, so the norm check must fail
+    ds = (2, 3, 13, 61, 10**9 + 9)
+    for d in ds:
+        with pytest.raises(PellError, match="did not yield a unit"):
+            fundamental_solution.__wrapped__(_SkewedD(d))
+    # python -O strips asserts: the check must not be one
+    code = inspect.getsource(_SkewedD) + textwrap.dedent(f"""
+        from hkpell.pell import PellError, fundamental_solution
+        for d in {ds}:
+            try:
+                fundamental_solution.__wrapped__(_SkewedD(d))
+            except PellError:
+                continue
+            raise SystemExit(f"no PellError for d = {{d}}")
+        """)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_units_match_sympy():
     diop_DN = pytest.importorskip("sympy.solvers.diophantine.diophantine").diop_DN
-    for d in [d for d in range(2, 2000) if not is_square(d)] + [10**8 + 7]:
+    # k^2 +- 1 and k^2 +- 2 meet the midpoint of their period at the first or
+    # second step; 100000037 = 1 mod 4 is a prime with an odd period
+    near_squares = [k * k + j for k in (10, 99, 1000, 31623) for j in (-2, -1, 1, 2)]
+    for d in ([d for d in range(2, 2000) if not is_square(d)] + near_squares
+              + [10**8 + 7, 100000037]):
         unit, neg = fundamental_solution(d), _negative_unit(d)
         negs = [] if neg is None else [neg]
         assert [tuple(unit)] == diop_DN(d, 1), d
@@ -196,6 +227,32 @@ def test_classes_golden():
     unit = solution_classes(2, 1)
     assert [c.representative for c in unit] == [PellSolution(3, 2)]
     assert unit[0].conjugate_of is None
+
+
+def test_classes_match_sympy():
+    diop_DN = pytest.importorskip("sympy.solvers.diophantine.diophantine").diop_DN
+    # every d < 120 with |t| <= 8, and d < 20 up to |t| = 40: the full square
+    # (d < 120, |t| <= 40) takes sympy about 20 s
+    for d, t in [(d, t) for d in range(2, 120) for t in range(-40, 41)
+                 if t and not is_square(d) and (abs(t) <= 8 or d < 20)]:
+        u = fundamental_solution(d)
+        cls = solution_classes(d, t)
+        reps = [c.representative for c in cls]
+
+        def homes(s):
+            return [i for i, r in enumerate(reps) if same_class(d, t, r, s)]
+
+        # one class per sympy class: each sympy solution lies in its own class
+        theirs = diop_DN(d, t)
+        assert len(reps) == len(theirs), (d, t)
+        found = sorted(i for s in theirs for i in homes(PellSolution(*s)))
+        assert found == list(range(len(reps))), (d, t)
+        for i, (c, r) in enumerate(zip(cls, reps)):
+            # least positive member: the class member below it is not positive
+            below = (r.a * u.a - d * r.b * u.b, r.b * u.a - r.a * u.b)
+            assert r.a > 0 and r.b > 0 and not (below[0] > 0 and below[1] > 0), (d, t, r)
+            conj = i if c.conjugate_of is None else c.conjugate_of
+            assert homes(PellSolution(r.a, -r.b)) == [conj], (d, t, r)
 
 
 def test_class_count_law():
