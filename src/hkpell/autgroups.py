@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import gcd
 
 from . import pell
-from .arith import DomainError, Record, is_square, is_square_mod
+from .arith import BadCongruence, DomainError, Record, is_square, is_square_mod
 
 
 class AutError(DomainError):
@@ -132,7 +132,7 @@ def bir_sm(e: int, m: int) -> GroupTag:
 def fourfold_groups(n: int, e_prime: int) -> tuple[GroupTag, GroupTag]:
     """(Aut, Bir) for fourfolds with Picard form diag(2n, -2e'), H of divisibility 2."""
     if n % 4 != 3:
-        raise ValueError("n must be congruent to -1 mod 4")
+        raise BadCongruence("n must be congruent to -1 mod 4")
     if e_prime < 2:
         raise ValueError("e' must be at least 2")
     neg = _solvable(n, e_prime, -1)

@@ -40,12 +40,9 @@ def _emit(args, command: str, params: dict, result) -> int:
         "result": result,
         "provenance": _provenance(command, params),
     }
-    if args.format == "json":
-        print(json.dumps(envelope, sort_keys=True, indent=2))
-    elif args.format == "text":
-        print(json.dumps(result, sort_keys=True, indent=2))
-    else:
-        raise UsageError("csv output is only available for table commands")
+    # --format csv never gets here: _run rejects it outside _CSV_COMMANDS, and
+    # those print their tables themselves
+    print(json.dumps(envelope if args.format == "json" else result, sort_keys=True, indent=2))
     return 0
 
 
@@ -82,6 +79,11 @@ _TABLES = {
     "period-image-m12": ("json", "periods._period_image_payload", "period-image",
                          {"m": 12, "n": 1, "gamma": 2}),
 }
+
+
+# the commands that print a table under --format csv; _run rejects the
+# option for any other before running it
+_CSV_COMMANDS = ("cone s2", "aut table", "reproduce")
 
 
 def _provenance(command: str, params: dict) -> list[str]:
@@ -241,6 +243,9 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     parser = build_parser(argv)
     args = parser.parse_args(argv)
+    command = " ".join(filter(None, (args.cmd, getattr(args, f"{args.cmd}_cmd", None))))
+    if args.format == "csv" and command not in _CSV_COMMANDS:
+        parser.error("csv output is only available for table commands")
     handler = args.func if callable(args.func) else _load(args.func)
     try:
         return handler(args)

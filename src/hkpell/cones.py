@@ -310,10 +310,9 @@ def hilb_embedding_status(a: int, e: int, m: int) -> tuple[bool, bool]:
 
 def moduli_embedding_status(m: int, n: int, gamma: int) -> tuple[bool, bool, int]:
     """(base-point-free, very ample, ambient dimension) for a general polarization."""
-    if gamma not in (1, 2):
-        raise ValueError("gamma must be 1 or 2")
-    if m < 2 or n < 1:
-        raise ValueError("need m >= 2, n >= 1")
+    from .discform import polarized_tail  # only here: cone commands do not load discform
+
+    polarized_tail(m, n, gamma)  # the domain check
     if gamma == 1:
         bpf, va = n >= m - 1, n >= m + 1
     else:

@@ -1,7 +1,9 @@
 """The discriminant-form engine: Smith normal form, finite quadratic groups
 with their Q/2Z-valued quadratic form held exactly as Fractions, the
-discriminant group of an orthogonal sum of even Gram blocks, and the
-(order, integer q-bar) index of its classes that decides realizability.
+discriminant group of an orthogonal sum of even Gram blocks, the
+(order, integer q-bar) index of its classes that decides realizability, and
+the one model of the polarized orthogonal's tail with its (m, n, gamma)
+domain.
 
 It knows nothing of block lattices, so period-map code that needs only
 discriminant groups loads this module and not lattice.
@@ -13,7 +15,11 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .arith import Record, prime_factors
+from .arith import BadCongruence, DomainError, Record, prime_factors
+
+
+class UnsupportedParameters(DomainError):
+    """A divisibility gamma other than 1 or 2, which the model does not cover."""
 
 
 def _diagonalize(a, u, v):
@@ -194,6 +200,17 @@ class DiscGroup(Record):
         return out
 
 
+def block_sum(*grams) -> tuple[tuple[int, ...], ...]:
+    """Gram matrix of the orthogonal sum of the given Gram blocks, in order."""
+    n = sum(len(gram) for gram in grams)
+    rows, off = [], 0
+    for gram in grams:
+        k = len(gram)
+        rows.extend((0,) * off + tuple(row) + (0,) * (n - off - k) for row in gram)
+        off += k
+    return tuple(rows)
+
+
 def disc_group_of_gram(*blocks) -> tuple[DiscGroup, tuple[tuple[Fraction, ...], ...]]:
     """Discriminant group of an orthogonal sum of even Gram blocks, with
     rational generator lifts.
@@ -202,14 +219,12 @@ def disc_group_of_gram(*blocks) -> tuple[DiscGroup, tuple[tuple[Fraction, ...], 
     value gives each generator as a vector in the sum's dual, expressed in
     the sum's basis.
     """
-    n = sum(len(gram) for gram in blocks)
-    g = [[0] * n for _ in range(n)]
+    g = block_sum(*blocks)
+    n = len(g)
     orders, vecs = [], []
     off = 0
     for gram in blocks:
         k = len(gram)
-        for i in range(k):
-            g[off + i][off:off + k] = gram[i]
         d, _, v = smith_normal_form(gram)
         for i in range(k):
             di = abs(d[i])
@@ -227,3 +242,29 @@ def disc_group_of_gram(*blocks) -> tuple[DiscGroup, tuple[tuple[Fraction, ...], 
     gen_q = tuple(mod2(b_of(x, x)) for x in vecs)
     gen_pair = tuple(tuple(mod1(b_of(x, y)) for y in vecs) for x in vecs)
     return DiscGroup(tuple(orders), gen_q, gen_pair), tuple(vecs)
+
+
+# ---------------------------------------------------------------------------
+# the polarized orthogonal
+
+
+def polarized_tail(m: int, n: int, gamma: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Gram blocks of the tail of h^perp = U^2 + E8(-1)^2 + tail, for h of
+    square 2n and divisibility gamma in the lattice of K3^[m] type.
+
+    With p = m - 1, gamma = 1 gives I1(-2n) + I1(-2p), in the coordinates
+    (u - n*v, ell); gamma = 2, which needs n + m = 1 (mod 4), gives the one
+    block ((-2p, -p), (-p, -(n+m-1)/2)).  The Smith-form generators of these
+    blocks, in this order (n first, then p), are the generators on which the
+    star of a Heegner key and the lattice disc output are written.
+    """
+    if m < 2 or n < 1:
+        raise ValueError("need m >= 2 and n >= 1")
+    p = m - 1
+    if gamma == 1:
+        return ((-2 * n,),), ((-2 * p,),)
+    if gamma == 2:
+        if (n + m) % 4 != 1:
+            raise BadCongruence("divisibility 2 requires n + m = 1 (mod 4)")
+        return (((-2 * p, -p), (-p, -((n + m - 1) // 2))),)
+    raise UnsupportedParameters("gamma must be 1 or 2")

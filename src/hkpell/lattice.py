@@ -14,8 +14,10 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import DomainError, Record, gcd_all, is_square_mod, omega, prime_factors, v_p
-# the discriminant-form engine, bound here too so that lattice keeps its names
-from .discform import (DiscGroup, disc_group_of_gram, mod1, mod2, residue,  # noqa: F401
+# the discriminant-form engine and the polarized tail's domain errors, bound
+# here too so that lattice keeps its names
+from .discform import (BadCongruence, DiscGroup, UnsupportedParameters,  # noqa: F401
+                       block_sum, disc_group_of_gram, mod1, mod2, polarized_tail, residue,
                        smith_normal_form)
 
 
@@ -33,10 +35,6 @@ class NotPrimitive(LatticeError):
 
 class NoDoubleU(LatticeError):
     """The ambient lattice does not visibly contain U + U."""
-
-
-class IncompatibleDivisibility(LatticeError):
-    """No primitive vector with the requested square and divisibility exists."""
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +128,7 @@ class LatticeSpec(Record):
         return out
 
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        n = self.rank
-        g = [[0] * n for _ in range(n)]
-        off = 0
-        for b in self.blocks:
-            for i in range(b.rank):
-                for j in range(b.rank):
-                    g[off + i][off + j] = b.gram[i][j]
-            off += b.rank
-        return tuple(tuple(row) for row in g)
+        return block_sum(*(b.gram for b in self.blocks))
 
     def vector(self, coords) -> "LatticeVector":
         return LatticeVector(self, tuple(coords))
@@ -255,49 +245,17 @@ def hilbert_scheme_lattice(m: int) -> LatticeSpec:
 
 
 def polarized_orthogonal(m: int, n: int, gamma: int) -> LatticeSpec:
-    """Orthogonal of a square-2n, divisibility-gamma polarization in K3^[m] type.
-
-    gamma = 1 gives U^2 + E8(-1)^2 + I1(-(2m-2)) + I1(-2n); gamma = 2 (which
-    requires n + m = 1 mod 4) glues the two rank-1 pieces into a 2x2 block.
-    """
-    if m < 2 or n < 1:
-        raise ValueError("need m >= 2 and n >= 1")
-    base = (U, U, E8_MINUS, E8_MINUS)
-    if gamma == 1:
-        return LatticeSpec(base + (I1(-(2 * m - 2)), I1(-2 * n)))
-    if gamma == 2:
-        if (n + m) % 4 != 1:
-            raise IncompatibleDivisibility(
-                "divisibility 2 requires n + m = 1 (mod 4)")
-        p = m - 1
-        q = (n + m - 1) // 2
-        return LatticeSpec(base + (gram_block(((-2 * p, -p), (-p, -q))),))
-    raise ValueError("gamma must be 1 or 2")
+    """Orthogonal of a square-2n, divisibility-gamma polarization in K3^[m] type:
+    U^2 + E8(-1)^2 + the blocks of discform.polarized_tail, which checks the
+    domain."""
+    tail = tuple(gram_block(gram) for gram in polarized_tail(m, n, gamma))
+    return LatticeSpec((U, U, E8_MINUS, E8_MINUS) + tail)
 
 
 def disc_group(m: int, n: int, gamma: int) -> DiscGroup:
-    """Discriminant group of the polarized orthogonal, with standard generators.
-
-    For gamma = 1 the generators are the duals of the two rank-1 blocks; for
-    gamma = 2 closed-form generators are used where available (n odd, or
-    n = m - 1) and Smith-form generators otherwise.
-    """
-    spec = polarized_orthogonal(m, n, gamma)  # validates gamma and the congruence
-    if gamma == 1:
-        return disc_group_of(spec)
-    p = m - 1
-    if n % 2 == 1:
-        orders = tuple(d for d in (p, n) if d > 1)
-        qs = tuple(mod2(Fraction(-2, d)) for d in (p, n) if d > 1)
-        zero = tuple(tuple(Fraction(0) for _ in orders) for _ in orders)
-        return DiscGroup(orders, qs, zero)
-    if n == p:
-        return DiscGroup(
-            (n, n),
-            (mod2(Fraction(-1, n)), mod2(Fraction(-1, n))),
-            ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),
-        )
-    return disc_group_of(spec)
+    """Discriminant group of the polarized orthogonal, on the Smith-form
+    generators of the tail blocks: those the star of a Heegner key uses."""
+    return disc_group_of(polarized_orthogonal(m, n, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +276,21 @@ class ComponentCount(Record):
         super().__init__(count, note)
 
 
+def _check_polarization(m: int, n: int, gamma: int) -> None:
+    """ValueError unless m >= 2, n >= 1, gamma >= 1 and gamma divides both
+    2n and 2m - 2, as for a square-2n, divisibility-gamma polarization."""
+    if m < 2 or n < 1 or gamma < 1:
+        raise ValueError("need m >= 2, n >= 1, gamma >= 1")
+    if (2 * n) % gamma or (2 * m - 2) % gamma:
+        raise ValueError("gamma must divide both 2n and 2m-2")
+
+
 def moduli_component_count(m: int, n: int, gamma: int) -> ComponentCount:
     """Number of irreducible components of the polarized moduli space.
 
     Returns count None when the parameters fall outside the tabulated cases.
     """
-    if m < 2 or n < 1 or gamma < 1:
-        raise ValueError("need m >= 2, n >= 1, gamma >= 1")
-    if (2 * n) % gamma or (2 * m - 2) % gamma:
-        raise ValueError("gamma must divide both 2n and 2m-2")
+    _check_polarization(m, n, gamma)
     p = m - 1
     if gamma == 1:
         return ComponentCount(1)
@@ -367,8 +331,6 @@ def moduli_component_count(m: int, n: int, gamma: int) -> ComponentCount:
 
 def strange_dual_params(m: int, n: int, gamma: int) -> tuple[int, int, int]:
     """The dual parameter triple (n+1, m-1, gamma), with the lattice symmetry verified."""
-    if gamma not in (1, 2):
-        raise ValueError("gamma must be 1 or 2")
     source = polarized_orthogonal(m, n, gamma)
     dual = (n + 1, m - 1, gamma)
     target = polarized_orthogonal(*dual)
@@ -395,8 +357,7 @@ def strange_dual_params(m: int, n: int, gamma: int) -> tuple[int, int, int]:
 
 def polarization_determined(m: int, n: int, gamma: int) -> bool:
     """Whether (square, divisibility) already pins down the polarization orbit."""
-    if (2 * n) % gamma or (2 * m - 2) % gamma:
-        raise ValueError("gamma must divide both 2n and 2m-2")
+    _check_polarization(m, n, gamma)
     if gamma == 2:
         return True
     return gcd(gcd(2 * n // gamma, (2 * m - 2) // gamma), gamma) == 1
@@ -404,6 +365,7 @@ def polarization_determined(m: int, n: int, gamma: int) -> bool:
 
 def heegner_finiteness_bound(m: int, n: int, gamma: int, d: int) -> int:
     """Cap d * |disc| on |kappa^2| over the classes cutting discriminant-d divisors."""
+    _check_polarization(m, n, gamma)
     if d < 0:
         raise ValueError("d must be nonnegative")
     disc = (2 * n) * (2 * m - 2) // (gamma * gamma)

@@ -19,9 +19,11 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Optional
 
-from .arith import (BadCongruence, DomainError, OrderedRecord, Record, gcd_all, is_prime,
-                    is_square, is_square_mod, is_squarefree, v_p)
-from .discform import disc_group_of_gram, residue
+from .arith import (DomainError, OrderedRecord, Record, gcd_all, is_prime, is_square,
+                    is_square_mod, is_squarefree, v_p)
+# the model's domain errors, bound here too so that periods keeps their names
+from .discform import (BadCongruence, UnsupportedParameters, block_sum,  # noqa: F401
+                       disc_group_of_gram, polarized_tail, residue)
 
 
 class PeriodsError(DomainError):
@@ -30,10 +32,6 @@ class PeriodsError(DomainError):
 
 class NonPrimePower(PeriodsError):
     """The wall-constraint reduction needs m - 1 prime or equal to 1."""
-
-
-class UnsupportedParameters(PeriodsError):
-    pass
 
 
 class HeegnerKey(OrderedRecord):
@@ -65,10 +63,10 @@ class ExclusionReport(Record):
 
 
 class _Model(Record):
-    """Non-unimodular tail of the polarized orthogonal, in block coordinates.
-
-    gamma = 1: coordinates (u - n*v, ell), Gram diag(-2n, -(2m-2)).
-    gamma = 2: coordinates (w1, w2), Gram ((-2p, -p), (-p, -(n+m-1)/2)).
+    """Non-unimodular tail of the polarized orthogonal, in block coordinates:
+    tail is the block sum of discform.polarized_tail, disc its discriminant
+    group and gen_vecs the generators' lifts to the tail's dual.  The
+    coordinates are (u - n*v, ell) for gamma = 1 and (w1, w2) for gamma = 2.
     """
 
     __slots__ = ("m", "n", "gamma", "tail", "disc", "gen_vecs")
@@ -107,21 +105,8 @@ class _Model(Record):
 
 @lru_cache(maxsize=None)
 def _model(m: int, n: int, gamma: int) -> _Model:
-    if m < 2 or n < 1:
-        raise ValueError("need m >= 2 and n >= 1")
-    p = m - 1
-    if gamma == 1:
-        tail = ((-2 * n, 0), (0, -2 * p))
-        disc, vecs = disc_group_of_gram(((-2 * n,),), ((-2 * p,),))
-    elif gamma == 2:
-        if (n + m) % 4 != 1:
-            raise BadCongruence("divisibility 2 requires n + m = 1 (mod 4)")
-        q = (n + m - 1) // 2
-        tail = ((-2 * p, -p), (-p, -q))
-        disc, vecs = disc_group_of_gram(tail)
-    else:
-        raise UnsupportedParameters("gamma must be 1 or 2")
-    return _Model(m, n, gamma, tail, disc, vecs)
+    blocks = polarized_tail(m, n, gamma)
+    return _Model(m, n, gamma, block_sum(*blocks), *disc_group_of_gram(*blocks))
 
 
 def _realizable_classes(m: int, n: int, gamma: int, kappa_sq: int):
@@ -137,12 +122,8 @@ def _realizable_classes(m: int, n: int, gamma: int, kappa_sq: int):
             for star in by_q.get(residue(kappa_sq, s), ())]
 
 
-def _disc_abs(m: int, n: int, gamma: int) -> int:
-    return (2 * n) * (2 * m - 2) // (gamma * gamma)
-
-
 def _key(m: int, n: int, gamma: int, kappa_sq: int, s: int, star) -> HeegnerKey:
-    d_num = abs(kappa_sq) * _disc_abs(m, n, gamma)
+    d_num = abs(kappa_sq) * _model(m, n, gamma).disc.order
     if d_num % (s * s):
         raise PeriodsError(f"s^2 = {s * s} does not divide the discriminant {d_num}")
     return HeegnerKey(d_num // (s * s), kappa_sq, s, tuple(star))
@@ -154,22 +135,20 @@ def _key(m: int, n: int, gamma: int, kappa_sq: int, s: int, star) -> HeegnerKey:
 
 def heegner_nonempty_m2(n: int, gamma: int, e: int) -> bool:
     """Whether the discriminant-2e Heegner locus is nonempty for square-2n data."""
-    if n < 1 or e < 1:
+    if e < 1:
         raise ValueError("need n >= 1 and e >= 1")
+    polarized_tail(2, n, gamma)  # the domain check
     if gamma == 1:
         return is_square_mod(e, 4 * n) or is_square_mod(e - n, 4 * n)
-    if gamma == 2:
-        if n % 4 != 3:
-            raise BadCongruence("divisibility 2 requires n = -1 (mod 4)")
-        return is_square_mod(e, n)
-    raise UnsupportedParameters("gamma must be 1 or 2")
+    return is_square_mod(e, n)
 
 
 def _classes_for_discriminant(n: int, gamma: int, e: int):
     """All (s, star, kappa^2) of primitive classes cutting discriminant 2e."""
-    disc = _disc_abs(2, n, gamma)
+    model = _model(2, n, gamma)
+    disc = model.disc.order
     out = []
-    for s, by_q in _model(2, n, gamma).disc.index().items():
+    for s, by_q in model.disc.index().items():
         num = 2 * e * s * s
         if num % disc == 0:
             kappa_sq = -(num // disc)
@@ -179,12 +158,8 @@ def _classes_for_discriminant(n: int, gamma: int, e: int):
 
 def heegner_components_m2(n: int, gamma: int, e: int) -> ComponentReport:
     """Component count (when the classification applies) with component keys."""
-    if n < 1 or e < 1:
+    if e < 1:
         raise ValueError("need n >= 1 and e >= 1")
-    if gamma not in (1, 2):
-        raise UnsupportedParameters("gamma must be 1 or 2")
-    if gamma == 2 and n % 4 != 3:
-        raise BadCongruence("divisibility 2 requires n = -1 (mod 4)")
     classes = _classes_for_discriminant(n, gamma, e)
     keys = tuple(sorted(_key(2, n, gamma, k2, s, star) for s, star, k2 in classes))
     proven = is_prime(n) or (is_squarefree(n) and e % n == 0)
@@ -199,10 +174,6 @@ def excluded_heegner_m2_report(n: int, gamma: int) -> ExclusionReport:
     These are the components cut by square -2 classes (any divisibility) and
     by square -10 classes of ambient divisibility 2.
     """
-    if gamma not in (1, 2):
-        raise UnsupportedParameters("gamma must be 1 or 2")
-    if gamma == 2 and n % 4 != 3:
-        raise BadCongruence("divisibility 2 requires n = -1 (mod 4)")
     keys: set[HeegnerKey] = set()
     uncertain: set[HeegnerKey] = set()
     for s, star, _amb in _realizable_classes(2, n, gamma, -2):
@@ -259,8 +230,7 @@ def realize_orthogonal_classes(m: int, n: int, gamma: int,
     """Heegner components cut by classes of total square wc.kappa_sq whose
     ambient divisibility is divisible by 2(m-1)."""
     p = _wall_p(m)
-    if gamma not in (1, 2):
-        raise UnsupportedParameters("gamma must be 1 or 2")
+    _model(m, n, gamma)  # the domain check, whatever wc holds
     total = wc.kappa_sq
     keys = set()
     b = 1
@@ -412,16 +382,11 @@ def nl_family(n: int, gamma: int, a_max: int) -> tuple[int, ...]:
     gamma = 1: e = a^2 + n for 1 <= a <= a_max, excluding (n, a) = (1, 2);
     gamma = 2: e = a^2 + a + (n+1)/4 for 0 <= a <= a_max, excluding (3, 1).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
     if a_max < 0:
         raise ValueError("a_max must be nonnegative")
+    polarized_tail(2, n, gamma)  # the domain check
     if gamma == 1:
         return tuple(sorted({a * a + n for a in range(1, a_max + 1)
                              if (n, a) != (1, 2)}))
-    if gamma == 2:
-        if n % 4 != 3:
-            raise BadCongruence("divisibility 2 requires n = -1 (mod 4)")
-        return tuple(sorted({a * a + a + (n + 1) // 4 for a in range(a_max + 1)
-                             if (n, a) != (3, 1)}))
-    raise UnsupportedParameters("gamma must be 1 or 2")
+    return tuple(sorted({a * a + a + (n + 1) // 4 for a in range(a_max + 1)
+                         if (n, a) != (3, 1)}))

@@ -209,6 +209,47 @@ def test_more_commands(capsys):
     assert code == 0 and json.loads(out)["result"]
 
 
+# each command of a polarization (m, n, gamma), with its other arguments;
+# heegner takes no --m, its m is 2
+_POLARIZED = {
+    ("lattice", "disc"): "--m 2", ("lattice", "dual"): "--m 2",
+    ("lattice", "orbit"): "--m 2 --square -2 --div 1",
+    ("period-image",): "--m 2", ("oracle",): "--m 2 --bound 2",
+    ("heegner", "nonempty"): "--e 1", ("heegner", "components"): "--e 1",
+}
+
+
+@pytest.mark.parametrize("argv,error", [
+    *[([*path, *extra.split(), "--n", "3", "--gamma", "3"], "UnsupportedParameters")
+      for path, extra in _POLARIZED.items()],
+    *[([*path, *extra.split(), "--n", "2", "--gamma", "2"], "BadCongruence")
+      for path, extra in _POLARIZED.items()],
+    (["aut", "fourfold", "--n", "2", "--e-prime", "5"], "BadCongruence"),
+    (["cone", "fourfold", "--n", "5", "--e-prime", "5"], "BadCongruence"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_polarization_domain_errors(argv, error, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == error
+
+
+def test_csv_is_rejected_before_the_command_runs():
+    _in_fresh_interpreter("""
+from contextlib import redirect_stderr
+try:
+    with redirect_stderr(io.StringIO()) as err:
+        hkpell.cli.main(["--format", "csv", "period-image", "--m", "4", "--n", "1",
+                         "--gamma", "2"])
+except SystemExit as exc:
+    assert exc.code == 2, exc.code
+    assert "csv output is only available for table commands" in err.getvalue()
+else:
+    raise SystemExit("--format csv period-image was not rejected")
+layers = ("hkpell.periods", "hkpell.cli.periods")
+assert not loaded(*layers), loaded(*layers)
+""")
+
+
 _FRESH = """
 import io, sys
 from contextlib import redirect_stdout

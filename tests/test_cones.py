@@ -217,3 +217,14 @@ def test_moduli_embedding_status():
         for n in range(1, 12):
             bpf, va, dim = moduli_embedding_status(m, n, 1)
             assert dim + 1 == h0_polarized(m, n)
+
+
+def test_moduli_embedding_status_checks_its_domain():
+    # the polarization must exist: divisibility 2 needs n + m = 1 (mod 4)
+    with pytest.raises(BadCongruence):
+        moduli_embedding_status(2, 2, 2)
+    with pytest.raises(ValueError):
+        moduli_embedding_status(1, 3, 1)
+    from hkpell.discform import UnsupportedParameters
+    with pytest.raises(UnsupportedParameters):
+        moduli_embedding_status(2, 3, 3)

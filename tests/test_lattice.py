@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from hkpell.lattice import (E8_MINUS, U, ComponentCount, DiscGroup, _det,
-                            IncompatibleDivisibility, LatticeSpec, NoDoubleU,
+from hkpell import periods
+from hkpell.discform import block_sum, polarized_tail
+from hkpell.lattice import (E8_MINUS, U, BadCongruence, ComponentCount, DiscGroup, _det,
+                            LatticeSpec, NoDoubleU, UnsupportedParameters,
                             NotPrimitive, OrbitKey, ZeroVector, disc_group,
                             disc_group_of, divisibility,
                             exists_primitive_vector, extended_k3_lattice,
@@ -86,7 +88,7 @@ def test_polarized_orthogonal_shapes():
     spec = polarized_orthogonal(2, 3, 2)
     assert abs(spec.det) == 3
     assert spec.blocks[-1].gram == ((-2, -1), (-1, -2))
-    with pytest.raises(IncompatibleDivisibility):
+    with pytest.raises(BadCongruence):
         polarized_orthogonal(2, 2, 2)
 
 
@@ -99,9 +101,10 @@ def test_disc_group_examples():
     assert d.orders == (3,)
     assert d.gen_q == (mod2(Fraction(-2, 3)),)
 
+    # the Smith-form generators of the tail block ((-4, -2), (-2, -2))
     d = disc_group(3, 2, 2)
     assert d.orders == (2, 2)
-    assert d.gen_q == (mod2(Fraction(-1, 2)), mod2(Fraction(-1, 2)))
+    assert d.gen_q == (mod2(Fraction(-1, 2)), mod2(Fraction(-1)))
 
     # unequal 2-adic valuations: abstract type (2, 16)
     assert disc_group(5, 8, 2).invariant_factors == (2, 16)
@@ -131,6 +134,42 @@ def test_disc_group_matches_coordinates():
             return sorted((dg.element_order(el), dg.qbar(el)) for el in dg.elements())
 
         assert histogram(curated) == histogram(generic), (m, n, gamma)
+        assert curated == periods._model(m, n, gamma).disc, (m, n, gamma)
+
+
+def test_one_model_of_the_polarized_orthogonal():
+    # lattice and periods read the same tail, so they agree on the generators
+    # that lattice disc prints and the stars of Heegner keys are written on
+    for m in range(2, 31):
+        for n in range(1, 31):
+            for gamma in (1, 2) if (n + m) % 4 == 1 else (1,):
+                tail = polarized_tail(m, n, gamma)
+                spec = polarized_orthogonal(m, n, gamma)
+                assert spec.blocks[:4] == (U, U, E8_MINUS, E8_MINUS)
+                assert tuple(b.gram for b in spec.blocks[4:]) == tail, (m, n, gamma)
+                model = periods._model(m, n, gamma)
+                assert model.tail == block_sum(*tail)
+                assert disc_group(m, n, gamma) == model.disc, (m, n, gamma)
+
+
+def test_polarized_tail_domain():
+    assert polarized_tail(4, 2, 1) == (((-4,),), ((-6,),))
+    assert polarized_tail(2, 3, 2) == (((-2, -1), (-1, -2)),)
+    for m, n in [(1, 1), (2, 0), (0, -3)]:
+        with pytest.raises(ValueError, match="m >= 2"):
+            polarized_tail(m, n, 1)
+    with pytest.raises(BadCongruence, match="n \\+ m = 1"):
+        polarized_tail(2, 1, 2)
+    for gamma in (0, 3, -1):
+        with pytest.raises(UnsupportedParameters):
+            polarized_tail(2, 3, gamma)
+        with pytest.raises(UnsupportedParameters):
+            strange_dual_params(2, 3, gamma)
+
+
+def test_block_sum():
+    assert block_sum() == ()
+    assert block_sum(((2,),), ((0, 1), (1, 0))) == ((2, 0, 0), (0, 0, 1), (0, 1, 0))
 
 
 def test_smith_normal_form():
@@ -262,3 +301,15 @@ def test_heegner_finiteness_bound():
     assert heegner_finiteness_bound(2, 1, 1, 2) == 8
     assert heegner_finiteness_bound(2, 3, 2, 6) == 18
     assert heegner_finiteness_bound(2, 5, 1, 0) == 0
+
+
+@pytest.mark.parametrize("m,n,gamma,message", [
+    (2, 1, 0, "gamma >= 1"), (2, 1, -2, "gamma >= 1"), (1, 1, 1, "m >= 2"),
+    (2, 0, 1, "n >= 1"), (2, 1, 3, "must divide"), (4, 2, 4, "must divide"),
+])
+def test_polarization_numerics_check_their_domain(m, n, gamma, message):
+    for call in (lambda: moduli_component_count(m, n, gamma),
+                 lambda: polarization_determined(m, n, gamma),
+                 lambda: heegner_finiteness_bound(m, n, gamma, 2)):
+        with pytest.raises(ValueError, match=message):
+            call()
