@@ -96,6 +96,19 @@ class BadCongruence(ConeError):
     pass
 
 
+def check_polarization(m: int, n: int, gamma: int) -> None:
+    """ValueError unless m >= 2, n >= 1, gamma >= 1 and gamma divides both
+    2n and 2m - 2, as for a square-2n, divisibility-gamma polarization of
+    K3^[m] type; BadCongruence for gamma = 2 off n + m = 1 (mod 4), where no
+    such polarization exists."""
+    if m < 2 or n < 1 or gamma < 1:
+        raise ValueError("need m >= 2, n >= 1, gamma >= 1")
+    if (2 * n) % gamma or (2 * m - 2) % gamma:
+        raise ValueError("gamma must divide both 2n and 2m-2")
+    if gamma == 2 and (n + m) % 4 != 1:
+        raise BadCongruence("divisibility 2 requires n + m = 1 (mod 4)")
+
+
 def is_square(n: int) -> bool:
     if n < 0:
         return False

@@ -11,7 +11,8 @@ from __future__ import annotations
 from math import gcd
 
 from . import pell
-from .arith import BadCongruence, DomainError, Record, is_square, is_square_mod
+from .arith import (BadCongruence, DomainError, Record, check_polarization, is_square,
+                    is_square_mod)
 
 
 class AutError(DomainError):
@@ -148,10 +149,7 @@ def fourfold_groups(n: int, e_prime: int) -> tuple[GroupTag, GroupTag]:
 
 def very_general_bir(m: int, n: int, gamma: int) -> GroupTag:
     """Birational automorphisms of a very general polarized 2m-fold of Hilbert type."""
-    if m < 2 or n < 1 or gamma < 1:
-        raise ValueError("need m >= 2, n >= 1, gamma >= 1")
-    if (2 * n) % gamma or (2 * m - 2) % gamma:
-        raise ValueError("gamma must divide both 2n and 2m-2")
+    check_polarization(m, n, gamma)
     if n == 1:
         return Z2
     if n == m - 1 == gamma and is_square_mod(-1 % (m - 1), m - 1):

@@ -8,6 +8,11 @@ invocation reproduces.  Rationals render as "p/q", irrational slopes as
 Exit codes: 0 on success, 1 on a domain error (the error type is printed),
 2 on a usage error.
 
+Each command or subcommand names the function that returns its result
+from its options, the dict the envelope prints as params; a table command
+names the builder of its csv rows too.  _run alone parses, builds params,
+rejects csv where no builder is named, and prints.
+
 One invocation builds the parser of its command alone and imports only the
 module that holds its handler: hkpell.cli.<layer>, one per layer the
 handlers call, which loads that layer.  This core holds what every
@@ -33,19 +38,6 @@ def _frac(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _emit(args, command: str, params: dict, result) -> int:
-    envelope = {
-        "command": command,
-        "params": params,
-        "result": result,
-        "provenance": _provenance(command, params),
-    }
-    # --format csv never gets here: _run rejects it outside _CSV_COMMANDS, and
-    # those print their tables themselves
-    print(json.dumps(envelope if args.format == "json" else result, sort_keys=True, indent=2))
-    return 0
-
-
 def _csv_text(rows: list[list[str]]) -> str:
     import csv
     import io
@@ -55,41 +47,24 @@ def _csv_text(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _emit_csv(rows: list[list[str]]) -> int:
-    sys.stdout.write(_csv_text(rows))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # reference tables
 
 
-# table id: (format, builder, command, params).  The builder, named as for
-# _load, gives the table from **params; the command run with the same params
-# reproduces it, so its envelope names the table (command None: no single
-# command does)
+# table id: (builder, command, params).  The builder, named as for _load, is
+# the function the command calls; it gives the table from params, as csv
+# rows or as a dict printed as JSON with params merged in.  The command run
+# with params reproduces the table, so its envelope names it (command None:
+# no single command does)
 _TABLES = {
-    "s2-cones": ("csv", "cones._s2_cone_rows", "cone s2", {"e_from": 1, "e_to": 13}),
-    "s2-walls": ("csv", "cones._table_s2_walls", None, {}),
-    "aut-n3": ("csv", "autgroups._aut_rows", "aut table", {"n": 3, "emax": 11}),
-    "period-image-m4": ("json", "periods._period_image_payload", "period-image",
-                        {"m": 4, "n": 1, "gamma": 2}),
-    "period-image-m8": ("json", "periods._period_image_payload", "period-image",
-                        {"m": 8, "n": 1, "gamma": 2}),
-    "period-image-m12": ("json", "periods._period_image_payload", "period-image",
+    "s2-cones": ("cones.s2_rows", "cone s2", {"e_from": 1, "e_to": 13}),
+    "s2-walls": ("cones.s2_walls_rows", None, {}),
+    "aut-n3": ("autgroups.table_rows", "aut table", {"n": 3, "emax": 11}),
+    "period-image-m4": ("periods.period_image", "period-image", {"m": 4, "n": 1, "gamma": 2}),
+    "period-image-m8": ("periods.period_image", "period-image", {"m": 8, "n": 1, "gamma": 2}),
+    "period-image-m12": ("periods.period_image", "period-image",
                          {"m": 12, "n": 1, "gamma": 2}),
 }
-
-
-# the commands that print a table under --format csv; _run rejects the
-# option for any other before running it
-_CSV_COMMANDS = ("cone s2", "aut table", "reproduce")
-
-
-def _provenance(command: str, params: dict) -> list[str]:
-    """table:<id> for each reference table that command with params reproduces."""
-    return sorted(f"table:{table_id}" for table_id, (_, _, table_command, table_params)
-                  in _TABLES.items() if (table_command, table_params) == (command, params))
 
 
 class UnknownTable(Exception):
@@ -104,11 +79,15 @@ def reproduce_table(table_id: str) -> str:
     """The exact text of a built-in reference table."""
     if table_id not in _TABLES:
         raise UnknownTable(f"unknown table id {table_id!r}; known: {sorted(_TABLES)}")
-    kind, build, _, params = _TABLES[table_id]
-    payload = _load(build)(**params)
-    if kind == "csv":
-        return _csv_text(payload)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    build, _, params = _TABLES[table_id]
+    table = _load(build)(dict(params))
+    if isinstance(table, dict):
+        return json.dumps({**params, **table}, sort_keys=True, indent=2) + "\n"
+    return _csv_text(table)
+
+
+def _reproduce(params: dict) -> str:
+    return reproduce_table(params["table_id"])
 
 
 def _load(name: str):
@@ -117,50 +96,57 @@ def _load(name: str):
     return getattr(importlib.import_module(f"{__name__}.{module}"), function)
 
 
-def _cmd_reproduce(args) -> int:
-    sys.stdout.write(reproduce_table(args.table_id))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 
-# command: (help, handler, arguments).  The handler is a function of this
-# module or one named as for _load, which is loaded on dispatch.  The
-# arguments are one spec, or for a command with subcommands one spec per
-# subcommand.  A spec lists arguments in order: "d" is a required integer
-# option --d, "count=5" one with default 5 and "e?" one without default;
-# "series" is --series, "table_id" is the positional table id.
+# command: (help, leaf), or (help, {subcommand: leaf}).  A leaf is (handler,
+# spec), or (handler, spec, csv rows builder) for a table command; functions
+# are of this module or named as for _load, which loads them on dispatch.
+# A spec lists arguments in order: "d" is a required integer option --d,
+# "count=5" one with default 5 and "e?" one without default; "series" is
+# --series, "table_id" is the positional table id.
 _COMMANDS = {
-    "pell": ("Pell-type equation solvers", "pell._cmd_pell",
-             {"fundamental": "d", "min": "d t e1=1", "classes": "d t",
-              "stream": "d t count=5"}),
-    "cone": ("nef/movable cone slopes and walls", "cones._cmd_cone",
-             {"s2": "e? e-from? e-to?", "sm": "e m", "walls": "e m",
-              "fourfold": "n e-prime prefix=8"}),
-    "chi": ("Euler characteristic of a line bundle", "rrinv._cmd_chi", "series m q"),
-    "fujiki": ("Fujiki constant of a series", "rrinv._cmd_fujiki", "series m"),
-    "lattice": ("discriminant groups and orbit data", "lattice._cmd_lattice",
-                {"disc": "m n gamma", "dual": "m n gamma",
-                 "orbit": "m n gamma square div"}),
-    "aut": ("automorphism-group decision procedures", "autgroups._cmd_aut",
-            {"s2": "e", "sm": "e m", "fourfold": "n e-prime",
-             "table": "n=3 emax=11", "search": "emax"}),
-    "heegner": ("Heegner-divisor nonemptiness and components", "periods._cmd_heegner",
-                {"nonempty": "n gamma e", "components": "n gamma e"}),
-    "period-image": ("excluded Heegner components", "periods._cmd_period_image", "m n gamma"),
-    "oracle": ("brute-force coordinate enumeration", "periods._cmd_oracle",
-               "m n gamma bound=12"),
-    "nl-family": ("Hilbert-square Noether-Lefschetz degrees", "periods._cmd_nl_family",
-                  "n gamma a-max"),
-    "hilb-square": ("Hilbert-square points of moduli loci", "periods._cmd_hilb_square",
-                    "n e gamma=2"),
-    "reproduce": ("print a built-in reference table", _cmd_reproduce, "table_id"),
+    "pell": ("Pell-type equation solvers",
+             {"fundamental": ("pell.fundamental", "d"),
+              "min": ("pell.min_solution", "d t e1=1"),
+              "classes": ("pell.classes", "d t"),
+              "stream": ("pell.stream", "d t count=5")}),
+    "cone": ("nef/movable cone slopes and walls",
+             {"s2": ("cones.s2", "e? e-from? e-to?", "cones.s2_rows"),
+              "sm": ("cones.sm", "e m"), "walls": ("cones.sm", "e m"),
+              "fourfold": ("cones.fourfold", "n e-prime prefix=8")}),
+    "chi": ("Euler characteristic of a line bundle", ("rrinv.chi", "series m q")),
+    "fujiki": ("Fujiki constant of a series", ("rrinv.fujiki", "series m")),
+    "lattice": ("discriminant groups and orbit data",
+                {"disc": ("lattice.disc", "m n gamma"), "dual": ("lattice.dual", "m n gamma"),
+                 "orbit": ("lattice.orbit", "m n gamma square div")}),
+    "aut": ("automorphism-group decision procedures",
+            {"s2": ("autgroups.s2", "e"), "sm": ("autgroups.sm", "e m"),
+             "fourfold": ("autgroups.fourfold", "n e-prime"),
+             "table": ("autgroups.table", "n=3 emax=11", "autgroups.table_rows"),
+             "search": ("autgroups.search", "emax")}),
+    "heegner": ("Heegner-divisor nonemptiness and components",
+                {"nonempty": ("periods.heegner_nonempty", "n gamma e"),
+                 "components": ("periods.heegner_components", "n gamma e")}),
+    "period-image": ("excluded Heegner components", ("periods.period_image", "m n gamma")),
+    "oracle": ("brute-force coordinate enumeration", ("periods.oracle", "m n gamma bound=12")),
+    "nl-family": ("Hilbert-square Noether-Lefschetz degrees",
+                  ("periods.nl_family", "n gamma a-max")),
+    "hilb-square": ("Hilbert-square points of moduli loci",
+                    ("periods.hilb_square", "n e gamma=2")),
+    "reproduce": ("print a built-in reference table", (_reproduce, "table_id", _reproduce)),
 }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, spec: str) -> None:
-    for arg in spec.split():
+def _dest(arg: str) -> str:
+    """The option name of a spec argument, as in params: "e-prime=8" -> "e_prime"."""
+    return arg.rstrip("?").partition("=")[0].replace("-", "_")
+
+
+def _add_leaf(parser: argparse.ArgumentParser, command: str, leaf: tuple) -> None:
+    """The arguments of a leaf's spec; dispatch finds the leaf in the parse."""
+    parser.set_defaults(command=command, leaf=leaf)
+    for arg in leaf[1].split():
         if arg == "table_id":
             parser.add_argument(arg)
         elif arg == "series":
@@ -179,7 +165,7 @@ def _named(argv) -> tuple[str | None, str | None]:
     while i < len(argv) and (argv[i] == "--format" or argv[i].startswith("--format=")):
         i += 1 if "=" in argv[i] else 2
     command = argv[i] if i < len(argv) and argv[i] in _COMMANDS else None
-    subcommands = _COMMANDS[command][2] if command else None
+    subcommands = _COMMANDS[command][1] if command else None
     if isinstance(subcommands, dict) and i + 1 < len(argv) and argv[i + 1] in subcommands:
         return command, argv[i + 1]
     return command, None
@@ -210,19 +196,16 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     command, subcommand = _named(argv)
     commands, names = _add_subparsers(parser, "cmd", _COMMANDS, command)
     for name in names:
-        help_text, handler, spec = _COMMANDS[name]
+        help_text, leaves = _COMMANDS[name]
         p = commands.add_parser(name, help=help_text)
-        if isinstance(spec, str):
-            _add_arguments(p, spec)
-        else:
-            subcommands, sub_names = _add_subparsers(p, f"{name}_cmd", spec, subcommand)
+        if isinstance(leaves, dict):
+            subcommands, sub_names = _add_subparsers(p, f"{name}_cmd", leaves, subcommand)
             for sub_name in sub_names:
-                _add_arguments(subcommands.add_parser(sub_name), spec[sub_name])
-        p.set_defaults(func=handler)
+                _add_leaf(subcommands.add_parser(sub_name), f"{name} {sub_name}",
+                          leaves[sub_name])
+        else:
+            _add_leaf(p, name, leaves)
     return parser
-
-
-_DOMAIN_ERRORS = (DomainError, UnknownTable, ValueError)
 
 
 def main(argv=None) -> int:
@@ -243,15 +226,31 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     parser = build_parser(argv)
     args = parser.parse_args(argv)
-    command = " ".join(filter(None, (args.cmd, getattr(args, f"{args.cmd}_cmd", None))))
-    if args.format == "csv" and command not in _CSV_COMMANDS:
-        parser.error("csv output is only available for table commands")
-    handler = args.func if callable(args.func) else _load(args.func)
+    handler, spec, *csv_rows = args.leaf
+    if args.format == "csv":
+        if not csv_rows:
+            parser.error("csv output is only available for table commands")
+        handler = csv_rows[0]
+    params = {name: getattr(args, name) for name in map(_dest, spec.split())}
     try:
-        return handler(args)
+        result = (handler if callable(handler) else _load(handler))(params)
     except UsageError as exc:
         parser.error(str(exc))
-    except _DOMAIN_ERRORS as exc:
+    except (DomainError, UnknownTable, ValueError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 1
+    if isinstance(result, str):
+        sys.stdout.write(result)
+    elif args.format == "csv":
+        sys.stdout.write(_csv_text(result))
+    else:
+        # table:<id> for each reference table this command with params reproduces
+        provenance = sorted(f"table:{table_id}" for table_id, (_, command, table_params)
+                            in _TABLES.items()
+                            if (command, table_params) == (args.command, params))
+        envelope = {"command": args.command, "params": params, "result": result,
+                    "provenance": provenance}
+        print(json.dumps(envelope if args.format == "json" else result,
+                         sort_keys=True, indent=2))
+    return 0

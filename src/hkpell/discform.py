@@ -15,7 +15,8 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .arith import BadCongruence, DomainError, Record, prime_factors
+# BadCongruence is bound here for lattice and periods, which re-export it
+from .arith import BadCongruence, DomainError, Record, check_polarization, prime_factors
 
 
 class UnsupportedParameters(DomainError):
@@ -264,7 +265,6 @@ def polarized_tail(m: int, n: int, gamma: int) -> tuple[tuple[tuple[int, ...], .
     if gamma == 1:
         return ((-2 * n,),), ((-2 * p,),)
     if gamma == 2:
-        if (n + m) % 4 != 1:
-            raise BadCongruence("divisibility 2 requires n + m = 1 (mod 4)")
+        check_polarization(m, n, gamma)  # n + m = 1 (mod 4)
         return (((-2 * p, -p), (-p, -((n + m - 1) // 2))),)
     raise UnsupportedParameters("gamma must be 1 or 2")

@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .arith import DomainError, Record, gcd_all, is_square_mod, omega, prime_factors, v_p
+from .arith import (DomainError, Record, check_polarization, gcd_all, is_square_mod, omega,
+                    prime_factors, v_p)
 # the discriminant-form engine and the polarized tail's domain errors, bound
 # here too so that lattice keeps its names
 from .discform import (BadCongruence, DiscGroup, UnsupportedParameters,  # noqa: F401
@@ -276,28 +277,15 @@ class ComponentCount(Record):
         super().__init__(count, note)
 
 
-def _check_polarization(m: int, n: int, gamma: int) -> None:
-    """ValueError unless m >= 2, n >= 1, gamma >= 1 and gamma divides both
-    2n and 2m - 2, as for a square-2n, divisibility-gamma polarization."""
-    if m < 2 or n < 1 or gamma < 1:
-        raise ValueError("need m >= 2, n >= 1, gamma >= 1")
-    if (2 * n) % gamma or (2 * m - 2) % gamma:
-        raise ValueError("gamma must divide both 2n and 2m-2")
-
-
 def moduli_component_count(m: int, n: int, gamma: int) -> ComponentCount:
     """Number of irreducible components of the polarized moduli space.
 
     Returns count None when the parameters fall outside the tabulated cases.
     """
-    _check_polarization(m, n, gamma)
+    check_polarization(m, n, gamma)
     p = m - 1
-    if gamma == 1:
+    if gamma <= 2:
         return ComponentCount(1)
-    if gamma == 2:
-        if (n + m) % 4 == 1:
-            return ComponentCount(1)
-        return ComponentCount(None, "divisibility 2 outside n+m=1 (mod 4)")
     if gamma == 3 and p % 9 == 0 and n % 9 == 0:
         return ComponentCount(1)
     caveat = "tabulated case; source flags possible redundant hypotheses"
@@ -357,7 +345,7 @@ def strange_dual_params(m: int, n: int, gamma: int) -> tuple[int, int, int]:
 
 def polarization_determined(m: int, n: int, gamma: int) -> bool:
     """Whether (square, divisibility) already pins down the polarization orbit."""
-    _check_polarization(m, n, gamma)
+    check_polarization(m, n, gamma)
     if gamma == 2:
         return True
     return gcd(gcd(2 * n // gamma, (2 * m - 2) // gamma), gamma) == 1
@@ -365,7 +353,7 @@ def polarization_determined(m: int, n: int, gamma: int) -> bool:
 
 def heegner_finiteness_bound(m: int, n: int, gamma: int, d: int) -> int:
     """Cap d * |disc| on |kappa^2| over the classes cutting discriminant-d divisors."""
-    _check_polarization(m, n, gamma)
+    check_polarization(m, n, gamma)
     if d < 0:
         raise ValueError("d must be nonnegative")
     disc = (2 * n) * (2 * m - 2) // (gamma * gamma)

@@ -94,7 +94,7 @@ def test_usage_error_exit():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("args,code", [
+_OUT_OF_DOMAIN = [
     (["cone", "s2", "--e-from", "1"], 2),
     (["lattice", "orbit", "--m", "2", "--n", "1", "--gamma", "1",
       "--square", "-2", "--div", "0"], 1),
@@ -113,7 +113,10 @@ def test_usage_error_exit():
     (["aut", "search", "--emax", "1"], 1),
     (["cone", "fourfold", "--n", "3", "--e-prime", "4", "--prefix", "-1"], 1),
     (["cone", "fourfold", "--n", "3", "--e-prime", "2", "--prefix", "-1"], 1),
-])
+]
+
+
+@pytest.mark.parametrize("args,code", _OUT_OF_DOMAIN)
 def test_out_of_domain_exit_code(args, code):
     env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, "-m", "hkpell.cli", *args],
@@ -297,9 +300,10 @@ assert loaded("hkpell.cones", "hkpell.pell") == {"hkpell.cones", "hkpell.pell"}
     from hkpell.cli import _COMMANDS, _TABLES
 
     for path, args in _EVERY_COMMAND.items():
-        handler = _COMMANDS[path[0]][1]
+        leaf = _COMMANDS[path[0]][1]
+        handler = (leaf[path[1]] if len(path) > 1 else leaf)[0]
         if callable(handler):  # reproduce, in the core: its table's builder
-            handler = _TABLES[args][1]
+            handler = _TABLES[args][0]
         modules = _modules_loaded_as_main([*path, *args.split()])
         # only the module that holds the handler, of all the handler modules
         assert [m for m in modules if m.startswith("hkpell.cli.")] == [
@@ -383,10 +387,37 @@ assert not loaded(*heavy), loaded(*heavy)
 """)
 
 
+ENVELOPES = pathlib.Path(__file__).parent / "envelopes.json"
+
+
+def _envelope_argvs():
+    """Every command of _EVERY_COMMAND under each --format, and every argv of
+    test_out_of_domain_exit_code."""
+    leaves = [[*path, *args.split()] for path, args in _EVERY_COMMAND.items()]
+    return ([["--format", f, *argv] for argv in leaves for f in ("json", "text", "csv")]
+            + [argv for argv, _ in _OUT_OF_DOMAIN])
+
+
+def _envelope(argv):
+    code, out, err = _captured(main, argv)
+    return {"argv": argv, "code": code, "stdout": out, "stderr": err}
+
+
+def test_every_invocation_prints_its_golden_bytes(monkeypatch):
+    # usage lines wrap at the terminal width; the golden was taken at 80
+    # columns (regenerate it with `COLUMNS=80 PYTHONPATH=src python
+    # tests/test_cli.py`, from code whose output is trusted)
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = json.loads(ENVELOPES.read_text())
+    assert [g["argv"] for g in golden] == _envelope_argvs()
+    for expected in golden:
+        assert _envelope(expected["argv"]) == expected, expected["argv"]
+
+
 def test_provenance_follows_the_table_registry(capsys):
     from hkpell.cli import _TABLES
 
-    for table_id, (_, _, command, params) in _TABLES.items():
+    for table_id, (_, command, params) in _TABLES.items():
         if command is None:
             continue
         argv = command.split() + [f"--{k.replace('_', '-')}={v}" for k, v in params.items()]
@@ -481,7 +512,7 @@ def test_one_command_parser_prints_what_the_full_parser_prints():
 
 
 def _invocation(leaf):
-    """argv strategy for one command: each option omitted or drawn small."""
+    """(path, argv) strategy for one command: each option omitted or drawn small."""
     path, parser = leaf
     parts = [st.sampled_from([[], *[["--format", f] for f in ("csv", "text")]]),
              st.just(list(path))]
@@ -500,23 +531,50 @@ def _invocation(leaf):
             continue
         else:
             value = st.integers(-2, 9).map(str)
-        parts.append(st.one_of(st.just([]), value.map(lambda v, f=flag: [f, v])))
-    return st.tuples(*parts).map(lambda ps: [arg for p in ps for arg in p])
+        # omitted one time in four, so that most draws reach the command
+        parts.append(st.tuples(st.integers(0, 3), value).map(
+            lambda t, f=flag: [] if t[0] == 3 else [f, t[1]]))
+    return st.tuples(*parts).map(lambda ps: (path, [arg for p in ps for arg in p]))
 
 
 _LEAVES = [(path, p) for path, p in _subparsers(build_parser())
            if not any(isinstance(a, argparse._SubParsersAction) for a in p._actions)]
 
 
+def _option_names(path):
+    """The params keys of a leaf's envelope: its option names, where cone s2's
+    --e stands for the range --e-from = --e-to."""
+    names = {a.dest for a in dict(_LEAVES)[path]._actions
+             if not isinstance(a, argparse._HelpAction)}
+    return names - {"e"} if path == ("cone", "s2") else names
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(_LEAVES).flatmap(_invocation))
-def test_cli_grammar_fuzz(argv):
+def test_cli_grammar_fuzz(invocation):
     # exit 0 with a result, 1 with a typed error, 2 on a usage error; any
     # other exception escapes main and fails the test
+    path, argv = invocation
     code, out, err = _captured(main, argv)
     if code == 0:
-        assert out
+        fmt, json_argv = (argv[1], argv[2:]) if argv[0] == "--format" else ("json", argv)
+        if path == ("reproduce",):  # the table's text, under every format
+            assert out == reproduce_table(argv[-1])
+        elif fmt == "csv":
+            assert out
+        else:
+            env = json.loads(out if fmt == "json" else _captured(main, json_argv)[1])
+            assert set(env) == {"command", "params", "result", "provenance"}
+            assert env["command"] == " ".join(path)
+            assert set(env["params"]) == _option_names(path)
+            if fmt == "text":  # the envelope's result alone
+                assert json.loads(out) == env["result"]
     elif code == 1:
         assert set(json.loads(err)) == {"error"}
     else:
         assert code == 2 and "usage: hkpell" in err, (argv, code)
+
+
+if __name__ == "__main__":
+    ENVELOPES.write_text(json.dumps([_envelope(argv) for argv in _envelope_argvs()],
+                                    indent=1) + "\n")

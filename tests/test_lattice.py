@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hkpell import periods
+from hkpell.autgroups import very_general_bir
 from hkpell.discform import block_sum, polarized_tail
 from hkpell.lattice import (E8_MINUS, U, BadCongruence, ComponentCount, DiscGroup, _det,
                             LatticeSpec, NoDoubleU, UnsupportedParameters,
@@ -270,7 +271,8 @@ def test_moduli_component_count():
     assert moduli_component_count(2, 1, 1).count == 1
     assert moduli_component_count(2, 3, 2).count == 1
     assert moduli_component_count(10, 9, 3).count == 1
-    assert moduli_component_count(4, 2, 2).count is None  # n+m = 6 fails mod-4
+    with pytest.raises(BadCongruence):  # n+m = 6 fails mod-4: no such polarization
+        moduli_component_count(4, 2, 2)
     # gamma a product of two distinct odd primes: 2^(r-1) components
     # (m-1 = 11*15, n = 15, and -11 = 4 is a square mod 15)
     got = moduli_component_count(166, 15, 15)
@@ -306,10 +308,14 @@ def test_heegner_finiteness_bound():
 @pytest.mark.parametrize("m,n,gamma,message", [
     (2, 1, 0, "gamma >= 1"), (2, 1, -2, "gamma >= 1"), (1, 1, 1, "m >= 2"),
     (2, 0, 1, "n >= 1"), (2, 1, 3, "must divide"), (4, 2, 4, "must divide"),
+    (4, 2, 2, "n \\+ m = 1"),
 ])
 def test_polarization_numerics_check_their_domain(m, n, gamma, message):
+    # past m >= 2, n >= 1 a divisibility-2 polarization fails only its congruence
+    error = BadCongruence if gamma == 2 else ValueError
     for call in (lambda: moduli_component_count(m, n, gamma),
                  lambda: polarization_determined(m, n, gamma),
-                 lambda: heegner_finiteness_bound(m, n, gamma, 2)):
-        with pytest.raises(ValueError, match=message):
+                 lambda: heegner_finiteness_bound(m, n, gamma, 2),
+                 lambda: very_general_bir(m, n, gamma)):
+        with pytest.raises(error, match=message):
             call()
