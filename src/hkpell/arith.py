@@ -3,7 +3,6 @@ the package."""
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, isqrt
 
 
@@ -120,7 +119,6 @@ def sign(n: int) -> int:
     return (n > 0) - (n < 0)
 
 
-@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -136,7 +134,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     """(p, multiplicity) pairs of n >= 1, ascending."""
     if n < 1:

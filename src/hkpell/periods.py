@@ -225,32 +225,45 @@ def wall_constraints(m: int) -> tuple[WallConstraint, ...]:
     return tuple(out)
 
 
+def _wall_keys(m: int, n: int, gamma: int,
+               constraints: tuple[WallConstraint, ...]) -> tuple[HeegnerKey, ...]:
+    """Heegner components cut by classes whose total square is the kappa_sq of
+    one of the constraints and whose ambient divisibility is divisible by 2(m-1).
+
+    A class of total square kappa^2 is b times a primitive class of square
+    kappa^2/b^2, for some b with b^2 | kappa^2.  The b's are grouped by that
+    primitive square, so each square is asked of the discriminant group once.
+    The caller has checked m through _wall_p.
+    """
+    _model(m, n, gamma)  # the domain check, whatever the constraints hold
+    bs_by_square: dict[int, list[int]] = {}
+    for wc in constraints:
+        total = wc.kappa_sq
+        b = 1
+        while b * b <= abs(total):
+            if total % (b * b) == 0 and (total // (b * b)) % 2 == 0:
+                bs_by_square.setdefault(total // (b * b), []).append(b)
+            b += 1
+    two_p = 2 * (m - 1)
+    keys = set()
+    for prim_sq, bs in bs_by_square.items():
+        for s, star, amb in _realizable_classes(m, n, gamma, prim_sq):
+            if any((b * amb) % two_p == 0 for b in bs):
+                keys.add(_key(m, n, gamma, prim_sq, s, star))
+    return tuple(sorted(keys))
+
+
 def realize_orthogonal_classes(m: int, n: int, gamma: int,
                                wc: WallConstraint) -> tuple[HeegnerKey, ...]:
     """Heegner components cut by classes of total square wc.kappa_sq whose
     ambient divisibility is divisible by 2(m-1)."""
-    p = _wall_p(m)
-    _model(m, n, gamma)  # the domain check, whatever wc holds
-    total = wc.kappa_sq
-    keys = set()
-    b = 1
-    while b * b <= abs(total):
-        if total % (b * b) == 0:
-            prim_sq = total // (b * b)
-            if prim_sq % 2 == 0:
-                for s, star, amb in _realizable_classes(m, n, gamma, prim_sq):
-                    if (b * amb) % (2 * p) == 0:
-                        keys.add(_key(m, n, gamma, prim_sq, s, star))
-        b += 1
-    return tuple(sorted(keys))
+    _wall_p(m)
+    return _wall_keys(m, n, gamma, (wc,))
 
 
 def excluded_heegner(m: int, n: int, gamma: int) -> tuple[HeegnerKey, ...]:
     """The full excluded-component list: union over all wall constraints."""
-    keys = set()
-    for wc in wall_constraints(m):
-        keys.update(realize_orthogonal_classes(m, n, gamma, wc))
-    return tuple(sorted(keys))
+    return _wall_keys(m, n, gamma, wall_constraints(m))
 
 
 def excluded_discriminants(m: int, n: int, gamma: int) -> tuple[int, ...]:

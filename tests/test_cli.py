@@ -511,29 +511,50 @@ def test_one_command_parser_prints_what_the_full_parser_prints():
     assert [path for path, _ in _subparsers(one)] == [("pell",), ("pell", "min")]
 
 
+def _mostly(usual, rare, one_in):
+    """A draw from usual, or from rare one time in one_in.  Hypothesis leans
+    to the ends of a range, so the rare branch sits inside it."""
+    return st.tuples(st.integers(0, one_in - 1), usual, rare).map(
+        lambda t: t[2] if t[0] == 1 else t[1])
+
+
+# the values an option mostly takes where 2..9 would mostly miss the domain:
+# m - 1 prime or 1 and m <= 4 (walls), n = 3 (mod 4) (fourfolds), gamma 1 or
+# 2, d not a square, t solvable for every d, an even square q, and a small
+# oracle box (it grows as bound^4)
+_USUAL = {"--m": (2, 3, 4), "--n": (3, 7, 1, 2), "--gamma": (1, 2),
+          "--d": (2, 3, 5, 6, 7, 8), "--t": (1, 4, -1, 2, -2, 7),
+          "--q": (2, 4, 0, -2, 6), "--square": (-2, -4, -6, 2), "--bound": (1, 2, 3, 0, 4)}
+
+
 def _invocation(leaf):
-    """(path, argv) strategy for one command: each option omitted or drawn small."""
+    """(path, argv) strategy for one command.  Most draws reach a result: a
+    table command mostly draws --format csv and any other command seldom
+    does, an option mostly takes a value from _USUAL or 2..9, and a required
+    option is left out one time in 32.  The rest take the usage-error
+    and domain-error paths."""
     path, parser = leaf
-    parts = [st.sampled_from([[], *[["--format", f] for f in ("csv", "text")]]),
-             st.just(list(path))]
+    fmt = (["--format", "csv"],) * 4 + ([], ["--format", "text"])
+    if len(parser.get_default("leaf")) == 2:  # no csv rows builder
+        fmt = ([],) * 4 + (["--format", "text"],) * 3 + (["--format", "csv"],)
+    parts = [st.sampled_from(fmt), st.just(list(path))]
     for action in parser._actions:
         if isinstance(action, argparse._HelpAction):
             continue
         if not action.option_strings:  # reproduce's table id
-            parts.append(st.sampled_from([[p.stem] for p in sorted(GOLDEN.iterdir())]
-                                         + [["no-such-table"]]))
+            parts.append(_mostly(st.sampled_from([[p.stem] for p in sorted(GOLDEN.iterdir())]),
+                                 st.just(["no-such-table"]), 8))
             continue
         flag = action.option_strings[0]
         if action.choices:
-            value = st.sampled_from([*action.choices, "K3"])
-        elif flag == "--bound":  # the oracle box grows as bound^4: keep it small
-            parts.append(st.integers(-2, 4).map(lambda b: ["--bound", str(b)]))
-            continue
+            value = _mostly(st.sampled_from(action.choices), st.just("K3"), 8)
         else:
-            value = st.integers(-2, 9).map(str)
-        # omitted one time in four, so that most draws reach the command
-        parts.append(st.tuples(st.integers(0, 3), value).map(
-            lambda t, f=flag: [] if t[0] == 3 else [f, t[1]]))
+            usual = st.sampled_from(_USUAL[flag]) if flag in _USUAL else st.integers(2, 9)
+            rare = st.integers(-2, -1) if flag == "--bound" else st.integers(-2, 9)
+            value = _mostly(usual, rare, 8).map(str)
+        omitted = _mostly(st.just(False), st.just(True), 32 if action.required else 2)
+        parts.append(st.tuples(omitted, value).map(
+            lambda t, f=flag: [] if t[0] else [f, t[1]]))
     return st.tuples(*parts).map(lambda ps: (path, [arg for p in ps for arg in p]))
 
 
@@ -549,30 +570,31 @@ def _option_names(path):
     return names - {"e"} if path == ("cone", "s2") else names
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(_LEAVES).flatmap(_invocation))
-def test_cli_grammar_fuzz(invocation):
-    # exit 0 with a result, 1 with a typed error, 2 on a usage error; any
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*map(_invocation, _LEAVES)))
+def test_cli_grammar_fuzz(invocations):
+    # one draw per leaf in each example, so that every leaf is reached.
+    # Exit 0 with a result, 1 with a typed error, 2 on a usage error; any
     # other exception escapes main and fails the test
-    path, argv = invocation
-    code, out, err = _captured(main, argv)
-    if code == 0:
-        fmt, json_argv = (argv[1], argv[2:]) if argv[0] == "--format" else ("json", argv)
-        if path == ("reproduce",):  # the table's text, under every format
-            assert out == reproduce_table(argv[-1])
-        elif fmt == "csv":
-            assert out
+    for path, argv in invocations:
+        code, out, err = _captured(main, argv)
+        if code == 0:
+            fmt, json_argv = (argv[1], argv[2:]) if argv[0] == "--format" else ("json", argv)
+            if path == ("reproduce",):  # the table's text, under every format
+                assert out == reproduce_table(argv[-1])
+            elif fmt == "csv":
+                assert out
+            else:
+                env = json.loads(out if fmt == "json" else _captured(main, json_argv)[1])
+                assert set(env) == {"command", "params", "result", "provenance"}
+                assert env["command"] == " ".join(path)
+                assert set(env["params"]) == _option_names(path)
+                if fmt == "text":  # the envelope's result alone
+                    assert json.loads(out) == env["result"]
+        elif code == 1:
+            assert set(json.loads(err)) == {"error"}
         else:
-            env = json.loads(out if fmt == "json" else _captured(main, json_argv)[1])
-            assert set(env) == {"command", "params", "result", "provenance"}
-            assert env["command"] == " ".join(path)
-            assert set(env["params"]) == _option_names(path)
-            if fmt == "text":  # the envelope's result alone
-                assert json.loads(out) == env["result"]
-    elif code == 1:
-        assert set(json.loads(err)) == {"error"}
-    else:
-        assert code == 2 and "usage: hkpell" in err, (argv, code)
+            assert code == 2 and "usage: hkpell" in err, (argv, code)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,13 @@
 from fractions import Fraction
 from itertools import count
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
-from hkpell import cones
+from hkpell import cones, periods
 from hkpell.arith import is_squarefree, v_p
 from hkpell.periods import (BadCongruence, HeegnerKey, NonPrimePower,
-                            WallConstraint, _model, _realizable_classes,
+                            WallConstraint, _key, _model, _realizable_classes,
                             coordinate_oracle, excluded_discriminants,
                             excluded_heegner, excluded_heegner_m2,
                             excluded_heegner_m2_report, heegner_components_m2,
@@ -202,6 +202,46 @@ def test_realize_example_m4():
     assert d_of(WallConstraint(0, -1, -72)) == {6}
     assert d_of(WallConstraint(2, 0, -24)) == {2}
     assert d_of(WallConstraint(2, -1, -96)) == {2, 8}
+
+
+def _square_divisors(total):
+    """The b >= 1 with b^2 | total and total/b^2 even."""
+    return [b for b in range(1, isqrt(abs(total)) + 1)
+            if total % (b * b) == 0 and (total // (b * b)) % 2 == 0]
+
+
+def _excluded_per_pair(m, n, gamma):
+    """The excluded list asked one (wall constraint, b) pair at a time."""
+    keys = set()
+    for wc in wall_constraints(m):
+        for b in _square_divisors(wc.kappa_sq):
+            prim_sq = wc.kappa_sq // (b * b)
+            for s, star, amb in _realizable_classes(m, n, gamma, prim_sq):
+                if (b * amb) % (2 * (m - 1)) == 0:
+                    keys.add(_key(m, n, gamma, prim_sq, s, star))
+    return tuple(sorted(keys))
+
+
+@pytest.mark.parametrize("p", (1, 2, 3, 5, 7, 11, 13))
+def test_excluded_matches_the_per_pair_union(p):
+    for m, n, gamma in _valid_params((p + 1,), range(1, 5)):
+        assert excluded_heegner(m, n, gamma) == _excluded_per_pair(m, n, gamma), (m, n, gamma)
+
+
+@pytest.mark.parametrize("m", (4, 8, 12, 24))
+def test_excluded_asks_each_primitive_square_once(m, monkeypatch):
+    asked = []
+
+    def counting(m_, n_, gamma_, kappa_sq):
+        asked.append(kappa_sq)
+        return _realizable_classes(m_, n_, gamma_, kappa_sq)
+
+    monkeypatch.setattr(periods, "_realizable_classes", counting)
+    excluded_heegner(m, 1, 1)
+    squares = {wc.kappa_sq // (b * b) for wc in wall_constraints(m)
+               for b in _square_divisors(wc.kappa_sq)}
+    assert len(asked) == len(set(asked))
+    assert set(asked) == squares
 
 
 def test_excluded_discriminants_exercises():
