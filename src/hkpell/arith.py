@@ -230,3 +230,47 @@ def gcd_all(*values: int) -> int:
     for v in values:
         g = gcd(g, v)
     return g
+
+
+# ---------------------------------------------------------------------------
+# wall constraints: cones and periods both read them, and here cones reads
+# them without loading the discriminant-form engine
+
+
+class NonPrimePower(DomainError):
+    """The wall-constraint reduction needs m - 1 prime or equal to 1."""
+
+
+class WallConstraint(Record):
+    __slots__ = ("k", "a", "kappa_sq")
+
+
+def _wall_p(m: int) -> int:
+    """p = m - 1, checked to be 1 or prime."""
+    if m < 2:
+        raise ValueError(f"wall reduction needs m >= 2, got m = {m}")
+    p = m - 1
+    if p != 1 and not is_prime(p):
+        raise NonPrimePower(f"wall reduction needs m - 1 prime or 1, got {p}")
+    return p
+
+
+def wall_constraints(m: int) -> tuple[WallConstraint, ...]:
+    """All (k, a) wall conditions with negative square, for p = m - 1 prime or 1.
+
+    A wall class is kappa = 2p*s - k*v in the Mukai lattice, with v^2 = 2p,
+    s^2 = 2a >= -2 and 0 <= k = (s, v) <= p (Bayer-Macri, MMP for moduli of
+    sheaves on K3s via wall-crossing, Invent. Math. 2014, section 12), so
+    kappa^2 = 2p(4pa - k^2).
+    """
+    p = _wall_p(m)
+    out = []
+    for k in range(p + 1):
+        a = -1
+        while True:
+            kappa_sq = 2 * p * (4 * p * a - k * k)
+            if kappa_sq >= 0:
+                break
+            out.append(WallConstraint(k, a, kappa_sq))
+            a += 1
+    return tuple(out)

@@ -5,8 +5,8 @@ result payload, and the identifiers of any built-in reference table the
 invocation reproduces.  Rationals render as "p/q", irrational slopes as
 "sqrt(p/q)", groups as one of 1, Z/2, (Z/2)^2, Z, Z x| Z/2, ?.
 
-Exit codes: 0 on success, 1 on a domain error (the error type is printed),
-2 on a usage error.
+Exit codes: 0 on success, 1 on a domain error (the error type is printed)
+or when the reader closes stdout first, 2 on a usage error.
 
 Each command or subcommand names the function that returns its result
 from its options, the dict the envelope prints as params; a table command
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import sys
 
 from ..arith import DomainError
@@ -241,9 +242,9 @@ def _run(argv) -> int:
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 1
     if isinstance(result, str):
-        sys.stdout.write(result)
+        text = result
     elif args.format == "csv":
-        sys.stdout.write(_csv_text(result))
+        text = _csv_text(result)
     else:
         # table:<id> for each reference table this command with params reproduces
         provenance = sorted(f"table:{table_id}" for table_id, (_, command, table_params)
@@ -251,6 +252,15 @@ def _run(argv) -> int:
                             if (command, table_params) == (args.command, params))
         envelope = {"command": args.command, "params": params, "result": result,
                     "provenance": provenance}
-        print(json.dumps(envelope if args.format == "json" else result,
-                         sort_keys=True, indent=2))
+        text = json.dumps(envelope if args.format == "json" else result,
+                          sort_keys=True, indent=2) + "\n"
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # exit raises no second BrokenPipeError (the SIGPIPE note in the
+        # docs of the signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0

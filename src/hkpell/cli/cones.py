@@ -23,8 +23,11 @@ def _cone(rep) -> dict:
 def _s2_degrees(params: dict) -> range:
     """The degrees of cone s2; --e in params becomes the range it stands for."""
     e = params.pop("e", None)
-    e_from = params["e_from"] if params["e_from"] is not None else e
-    e_to = params["e_to"] if params["e_to"] is not None else e
+    e_from, e_to = params["e_from"], params["e_to"]
+    if e is not None:
+        if (e_from, e_to) != (None, None):
+            raise UsageError("cone s2 takes --e alone, without --e-from or --e-to")
+        e_from = e_to = e
     if e_from is None or e_to is None:
         raise UsageError("cone s2 needs --e or both --e-from and --e-to")
     if e_from > e_to:

@@ -18,7 +18,7 @@ from math import gcd, isqrt
 from typing import Optional
 
 from . import pell
-from .arith import BadCongruence, ConeError, Record, binomial_poly, is_square
+from .arith import BadCongruence, ConeError, Record, binomial_poly, is_square, wall_constraints
 
 
 class UnsupportedM(ConeError):
@@ -191,12 +191,21 @@ def nef_ray_sm_special(e: int, m: int) -> Optional[tuple[DivisorClass, bool]]:
     return None
 
 
-# (square of the primitive class, divisibility) of the possible wall types
-_WALL_TYPES = {
-    2: ((-2, 1), (-10, 2)),
-    3: ((-2, 1), (-4, 2), (-4, 4), (-12, 2), (-36, 4)),
-    4: ((-2, 1), (-6, 2), (-6, 3), (-6, 6), (-14, 2), (-24, 3), (-78, 6)),
-}
+def _wall_types(m: int) -> tuple[tuple[int, int], ...]:
+    """(square, divisibility) of the primitive classes that can cut a wall,
+    for m - 1 prime or 1, by increasing |square| and then divisibility.
+
+    The wall class kappa = 2p*s - k*v of the constraint (k, a), p = m - 1,
+    is g = gcd(2p, k) times a primitive class of square kappa^2/g^2 and
+    divisibility 2p/g (see periods.excluded_heegner).  The type (-2, 1) of
+    the constraint (0, -1) bounds the movable cone itself.
+    """
+    two_p = 2 * (m - 1)
+    types = set()
+    for wc in wall_constraints(m):
+        g = gcd(two_p, wc.k)
+        types.add((wc.kappa_sq // (g * g), two_p // g))
+    return tuple(sorted(types, key=lambda t: (-t[0], t[1])))
 
 
 def _wall_solutions(e: int, m: int, kappa_sq: int, s: int, mov: ExtremalSlope):
@@ -229,7 +238,7 @@ def _wall_solutions(e: int, m: int, kappa_sq: int, s: int, mov: ExtremalSlope):
 
 def walls_sm(e: int, m: int) -> ConeReport:
     """Chamber walls of the movable cone of a punctual Hilbert scheme, m <= 4."""
-    if m not in _WALL_TYPES:
+    if m not in (2, 3, 4):
         raise UnsupportedM(f"wall type lists are available for m in 2..4, not {m}")
     if m == 2:
         mov = mov_slope_s2(e)
@@ -242,7 +251,7 @@ def walls_sm(e: int, m: int) -> ConeReport:
             mov = ExtremalSlope.rational(ray.slope())
         nef = None
     walls: set[Fraction] = set()
-    for kappa_sq, s in _WALL_TYPES[m]:
+    for kappa_sq, s in _wall_types(m):
         if (kappa_sq, s) == (-2, 1):
             continue  # these classes bound the movable cone itself
         walls.update(_wall_solutions(e, m, kappa_sq, s, mov))

@@ -19,8 +19,11 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Optional
 
-from .arith import (DomainError, OrderedRecord, Record, gcd_all, is_prime, is_square,
-                    is_square_mod, is_squarefree, v_p)
+from .arith import (DomainError, OrderedRecord, Record, WallConstraint, _wall_p, gcd_all,
+                    is_prime, is_square, is_square_mod, is_squarefree, square_divisors, v_p,
+                    wall_constraints)
+# the wall constraints' domain error, bound here too so that periods keeps its name
+from .arith import NonPrimePower  # noqa: F401
 # the model's domain errors, bound here too so that periods keeps their names
 from .discform import (BadCongruence, UnsupportedParameters, block_sum,  # noqa: F401
                        disc_group_of_gram, polarized_tail, residue)
@@ -28,10 +31,6 @@ from .discform import (BadCongruence, UnsupportedParameters, block_sum,  # noqa:
 
 class PeriodsError(DomainError):
     pass
-
-
-class NonPrimePower(PeriodsError):
-    """The wall-constraint reduction needs m - 1 prime or equal to 1."""
 
 
 class HeegnerKey(OrderedRecord):
@@ -42,10 +41,6 @@ class HeegnerKey(OrderedRecord):
     """
 
     __slots__ = ("d", "kappa_prim_sq", "s", "star")
-
-
-class WallConstraint(Record):
-    __slots__ = ("k", "a", "kappa_sq")
 
 
 class ComponentReport(Record):
@@ -200,50 +195,19 @@ def excluded_heegner_m2(n: int, gamma: int) -> tuple[HeegnerKey, ...]:
 # all dimensions with m - 1 prime (or 1)
 
 
-def _wall_p(m: int) -> int:
-    """p = m - 1, checked to be 1 or prime."""
-    if m < 2:
-        raise ValueError(f"wall reduction needs m >= 2, got m = {m}")
-    p = m - 1
-    if p != 1 and not is_prime(p):
-        raise NonPrimePower(f"wall reduction needs m - 1 prime or 1, got {p}")
-    return p
+def _wall_keys(m: int, n: int, gamma: int, multiples) -> tuple[HeegnerKey, ...]:
+    """Heegner components cut by the primitive classes kappa' with b*kappa'
+    of square kappa_sq, for some (kappa_sq, b) in multiples, and with
+    2(m-1) | b * amb, amb the ambient divisibility of kappa'.
 
-
-def wall_constraints(m: int) -> tuple[WallConstraint, ...]:
-    """All (k, a) wall conditions with negative square, for p = m - 1 prime or 1."""
-    p = _wall_p(m)
-    out = []
-    for k in range(p + 1):
-        a = -1
-        while True:
-            kappa_sq = 2 * p * (4 * p * a - k * k)
-            if kappa_sq >= 0:
-                break
-            out.append(WallConstraint(k, a, kappa_sq))
-            a += 1
-    return tuple(out)
-
-
-def _wall_keys(m: int, n: int, gamma: int,
-               constraints: tuple[WallConstraint, ...]) -> tuple[HeegnerKey, ...]:
-    """Heegner components cut by classes whose total square is the kappa_sq of
-    one of the constraints and whose ambient divisibility is divisible by 2(m-1).
-
-    A class of total square kappa^2 is b times a primitive class of square
-    kappa^2/b^2, for some b with b^2 | kappa^2.  The b's are grouped by that
-    primitive square, so each square is asked of the discriminant group once.
-    The caller has checked m through _wall_p.
+    The b's are grouped by primitive square kappa_sq/b^2, so each square is
+    asked of the discriminant group once.  The caller has checked m through
+    _wall_p.
     """
-    _model(m, n, gamma)  # the domain check, whatever the constraints hold
+    _model(m, n, gamma)  # the domain check, whatever multiples holds
     bs_by_square: dict[int, list[int]] = {}
-    for wc in constraints:
-        total = wc.kappa_sq
-        b = 1
-        while b * b <= abs(total):
-            if total % (b * b) == 0 and (total // (b * b)) % 2 == 0:
-                bs_by_square.setdefault(total // (b * b), []).append(b)
-            b += 1
+    for kappa_sq, b in multiples:
+        bs_by_square.setdefault(kappa_sq // (b * b), []).append(b)
     two_p = 2 * (m - 1)
     keys = set()
     for prim_sq, bs in bs_by_square.items():
@@ -256,14 +220,35 @@ def _wall_keys(m: int, n: int, gamma: int,
 def realize_orthogonal_classes(m: int, n: int, gamma: int,
                                wc: WallConstraint) -> tuple[HeegnerKey, ...]:
     """Heegner components cut by classes of total square wc.kappa_sq whose
-    ambient divisibility is divisible by 2(m-1)."""
+    ambient divisibility is divisible by 2(m-1): a class of total square
+    kappa^2 is b times a primitive class of square kappa^2/b^2, for any b
+    with b^2 | kappa^2 and kappa^2/b^2 even."""
     _wall_p(m)
-    return _wall_keys(m, n, gamma, (wc,))
+    total = wc.kappa_sq
+    return _wall_keys(m, n, gamma, ((total, b) for b in square_divisors(total)
+                                    if (total // (b * b)) % 2 == 0))
 
 
 def excluded_heegner(m: int, n: int, gamma: int) -> tuple[HeegnerKey, ...]:
-    """The full excluded-component list: union over all wall constraints."""
-    return _wall_keys(m, n, gamma, wall_constraints(m))
+    """The full excluded-component list: union over all wall constraints.
+
+    Each constraint (k, a) asks one multiple, b = g = gcd(2p, k) with
+    p = m - 1, of the primitive square kappa^2/g^2; the other b's of
+    realize_orthogonal_classes add no key.  Take a primitive kappa' in
+    H^2(X) = v^perp with ambient divisibility amb.  Its glue gives
+    s = kappa'/amb + (k'/2p)*v in the Mukai lattice, with
+    gcd(2p, k') = 2p/amb, so (2p/amb)*kappa' = 2p*s - k'*v.  Say b*kappa'
+    has the square of the constraint (k, a) and 2p | b*amb, that is
+    b = j*(2p/amb).  As p is prime or 1, equal squares give k = +-j*k'
+    (mod 2p), so the constraint's witness is s'' = j*s + i*v (up to the
+    sign of kappa'), and 0 <= k <= p gives j^2 * s^2 >= s''^2 >= -2.  For
+    j = 1, b = g already.  For j >= 2, s^2 >= -1/2 and s^2 is even, so
+    s^2 >= 0 for every lift s; with k' moved into [0, p], (k', s^2/2) is
+    itself a constraint, and its g = 2p/amb keeps kappa'.
+    """
+    two_p = 2 * (m - 1)
+    return _wall_keys(m, n, gamma, ((wc.kappa_sq, gcd(two_p, wc.k))
+                                    for wc in wall_constraints(m)))
 
 
 def excluded_discriminants(m: int, n: int, gamma: int) -> tuple[int, ...]:

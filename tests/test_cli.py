@@ -113,6 +113,8 @@ _OUT_OF_DOMAIN = [
     (["aut", "search", "--emax", "1"], 1),
     (["cone", "fourfold", "--n", "3", "--e-prime", "4", "--prefix", "-1"], 1),
     (["cone", "fourfold", "--n", "3", "--e-prime", "2", "--prefix", "-1"], 1),
+    (["cone", "s2", "--e", "5", "--e-from", "2"], 2),
+    (["cone", "s2", "--e", "5", "--e-to", "7"], 2),
 ]
 
 
@@ -123,6 +125,20 @@ def test_out_of_domain_exit_code(args, code):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # as `hkpell ... | true`, but with the reader gone before the launch
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hkpell.cli", "pell", "min", "--d", "13",
+                               "--t", "1"], stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env={**os.environ, "PYTHONPATH": SRC})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr, proc.stderr
 
 
 def test_fundamental_prints_unit_past_str_digit_limit():
@@ -311,6 +327,9 @@ assert loaded("hkpell.cones", "hkpell.pell") == {"hkpell.cones", "hkpell.pell"}
         if path in {("period-image",), ("heegner", "components"), ("oracle",)}:
             # discriminant groups come from discform, without block lattices
             assert "hkpell.discform" in modules and "hkpell.lattice" not in modules, path
+        if path[0] == "cone":
+            # wall types come from arith's wall constraints
+            assert not {"hkpell.discform", "hkpell.periods"} & set(modules), path
 
 
 _AS_MAIN = """

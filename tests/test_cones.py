@@ -132,6 +132,24 @@ def test_walls_sm_examples():
         walls_sm(2, 5)
 
 
+def test_wall_types_come_from_the_wall_constraints():
+    from hkpell.cones import _wall_types
+
+    # the (square, divisibility) table that walls_sm read before the types
+    # were derived from arith.wall_constraints
+    literal = {
+        2: ((-2, 1), (-10, 2)),
+        3: ((-2, 1), (-4, 2), (-4, 4), (-12, 2), (-36, 4)),
+        4: ((-2, 1), (-6, 2), (-6, 3), (-6, 6), (-14, 2), (-24, 3), (-78, 6)),
+    }
+    assert _wall_types(3) == literal[3]
+    assert _wall_types(4) == literal[4]
+    # m = 2 adds the divisibility-2 (-2)-classes, which lie on the movable
+    # boundary and cut no interior wall
+    assert _wall_types(2) == ((-2, 1), (-2, 2), (-10, 2))
+    assert set(_wall_types(2)) - set(literal[2]) == {(-2, 2)}
+
+
 def test_walls_sm_matches_s2():
     for e in range(1, 120):
         assert walls_sm(e, 2).interior_walls == walls_s2(e).interior_walls, e
