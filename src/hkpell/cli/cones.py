@@ -45,8 +45,8 @@ def s2_rows(params: dict) -> list[list[str]]:
     for e in _s2_degrees(params):
         p1 = pell.min_positive_solution(pell.PellEquation.classical(e, 1))
         p5 = pell.min_positive_solution(pell.PellEquation.classical(4 * e, 5))
-        mov = cones.mov_slope_s2(e)
-        nef = cones.nef_slope_s2(e)
+        rep = cones.walls_s2(e)
+        mov, nef = rep.mov_slope, rep.nef_slope
         rows.append([str(e), _sol(p1), _sol(p5), str(mov), "=" if nef == mov else str(nef)])
     return rows
 

@@ -25,15 +25,11 @@ def heegner_components(params: dict) -> dict:
 
 def period_image(params: dict) -> dict:
     """The excluded components; for m = 2 also those of unsettled multiplicity."""
-    if params["m"] == 2:
-        rep = periods.excluded_heegner_m2_report(params["n"], params["gamma"])
-        keys = rep.keys
-    else:
-        keys = periods.excluded_heegner(**params)
+    keys = periods.excluded_heegner(**params)
     res = {"excluded_d": sorted({k.d for k in keys}),
            "components": [_key_payload(k) for k in keys]}
     if params["m"] == 2:
-        res["uncertain"] = [_key_payload(k) for k in rep.uncertain]
+        res["uncertain"] = [_key_payload(k) for k in periods.uncertain_m2(params["n"], keys)]
     return res
 
 

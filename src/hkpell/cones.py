@@ -13,7 +13,7 @@ movable cones differ.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import takewhile
+from itertools import islice, takewhile
 from math import gcd, isqrt
 from typing import Optional
 
@@ -100,55 +100,57 @@ class ConeReport(Record):
 
 
 # ---------------------------------------------------------------------------
-# Hilbert squares
+# the wall enumerator of a rank-2 Picard lattice diag(2a, -2b)
 
 
-def mov_slope_s2(e: int) -> ExtremalSlope:
-    """Slope of the second extremal ray of the movable cone of a Hilbert square."""
-    if e < 1:
-        raise ValueError("e must be positive")
-    if is_square(e):
-        return ExtremalSlope.sqrt_of(e)
-    a1, b1 = pell.fundamental_solution(e)
-    return ExtremalSlope.rational(Fraction(e * b1, a1))
+def _walls(a: int, b: int, sx: int, sy: int, t: int, mov: ExtremalSlope,
+           prefix: Optional[int] = None, keep=None) -> tuple[Fraction, ...]:
+    """Walls cut by the classes sx*x*X - sy*y*Y of square 2t < 0, by increasing slope.
+
+    X, Y is a basis with Picard form diag(2a, -2b), and the class orthogonal
+    to sx*x*X - sy*y*Y is X + (a*sx*x / (b*sy*y))*Y, so its slope is the
+    wall's.  Runs over the positive solutions of a*sx^2*x^2 - b*sy^2*y^2 = t
+    with keep(x, y), keeping the slopes in (0, mov); the slope grows with x.
+    A rational mov bounds x outright, and for a square a*b the stream is
+    finite.  An irrational mov, where a*b is no square, has infinitely many
+    walls below it, so `prefix` must be given: the first prefix are returned.
+    """
+    sols = pell.positive_solutions(a * sx * sx, b * sy * sy, t)
+    mu2 = mov.squared()
+    if mov.is_rational and not is_square(a * b):
+        if a <= mu2 * b:
+            raise ConeError(f"movable slope^2 {mu2} is not below {a}/{b}")
+        bound = mu2 * b * -t / (a * sx * sx * (a - mu2 * b))
+        x_max = isqrt(bound.numerator // bound.denominator) + 2
+        sols = takewhile(lambda sol: sol.a <= x_max, sols)
+    slopes = (Fraction(a * sx * x, b * sy * y) for x, y in sols if keep is None or keep(x, y))
+    inside = (w for w in slopes if w * w < mu2)
+    return tuple(islice(inside, prefix) if mov.is_sqrt else inside)
 
 
-def nef_slope_s2(e: int) -> ExtremalSlope:
-    """Slope of the second extremal ray of the nef cone of a Hilbert square."""
-    if e < 1:
-        raise ValueError("e must be positive")
-    sol = pell.min_positive_solution(pell.PellEquation.classical(4 * e, 5))
-    if sol is None:
-        return mov_slope_s2(e)
-    return ExtremalSlope.rational(Fraction(2 * e * sol.b, sol.a))
+# ---------------------------------------------------------------------------
+# punctual Hilbert schemes
 
 
 def walls_s2(e: int) -> ConeReport:
     """Chamber structure of the movable cone of a Hilbert square.
 
     Either the nef and movable cones agree (no interior wall), or there are
-    two chambers (one wall at the nef boundary), or three chambers; the third
-    case happens exactly when the unit of a^2 - e*b^2 = 1 has b even and e is
+    two chambers (one wall at the nef boundary), or three; the third case
+    happens exactly when the unit of a^2 - e*b^2 = 1 has b even and e is
     prime to 5.
     """
-    mov = mov_slope_s2(e)
-    sol5 = pell.min_positive_solution(pell.PellEquation.classical(4 * e, 5))
-    if sol5 is None:
-        return ConeReport(mov, mov, ())
-    a5, b5 = sol5
-    nef = ExtremalSlope.rational(Fraction(2 * e * b5, a5))
-    if e == 1:
-        a1, b1 = 1, 1
-    else:
-        a1, b1 = pell.fundamental_solution(e)
-    walls = [Fraction(2 * e * b5, a5)]
-    if b1 % 2 == 0 and e % 5 != 0:
-        walls.append(Fraction(e * (a5 * b1 - 2 * a1 * b5), a1 * a5 - 2 * e * b1 * b5))
-    return ConeReport(mov, nef, tuple(sorted(walls)))
+    return walls_sm(e, 2)
 
 
-# ---------------------------------------------------------------------------
-# higher punctual Hilbert schemes
+def mov_slope_s2(e: int) -> ExtremalSlope:
+    """Slope of the second extremal ray of the movable cone of a Hilbert square."""
+    return walls_s2(e).mov_slope
+
+
+def nef_slope_s2(e: int) -> ExtremalSlope:
+    """Slope of the second extremal ray of the nef cone of a Hilbert square."""
+    return walls_s2(e).nef_slope
 
 
 def mov_ray_sm(e: int, m: int) -> tuple[DivisorClass, str]:
@@ -191,73 +193,75 @@ def nef_ray_sm_special(e: int, m: int) -> Optional[tuple[DivisorClass, bool]]:
     return None
 
 
-def _wall_types(m: int) -> tuple[tuple[int, int], ...]:
-    """(square, divisibility) of the primitive classes that can cut a wall,
-    for m - 1 prime or 1, by increasing |square| and then divisibility.
+# (k, a) of the constraints whose classes bound the movable cone
+# (Bayer-Macri, Invent. Math. 2014, Thm 5.7): Brill-Noether, Hilbert-Chow
+# and Li-Gieseker-Uhlenbeck
+_MOV_BOUNDARY = ((0, -1), (1, 0), (2, 0))
+
+
+def _wall_type(m: int, wc) -> tuple[int, int]:
+    """(square, divisibility) of the primitive class behind the constraint wc.
 
     The wall class kappa = 2p*s - k*v of the constraint (k, a), p = m - 1,
     is g = gcd(2p, k) times a primitive class of square kappa^2/g^2 and
-    divisibility 2p/g (see periods.excluded_heegner).  The type (-2, 1) of
-    the constraint (0, -1) bounds the movable cone itself.
+    divisibility 2p/g (see periods.excluded_heegner).
     """
     two_p = 2 * (m - 1)
-    types = set()
-    for wc in wall_constraints(m):
-        g = gcd(two_p, wc.k)
-        types.add((wc.kappa_sq // (g * g), two_p // g))
+    g = gcd(two_p, wc.k)
+    return wc.kappa_sq // (g * g), two_p // g
+
+
+def _wall_types(m: int) -> tuple[tuple[int, int], ...]:
+    """(square, divisibility) of the primitive classes that can cut a wall,
+    for m - 1 prime or 1, by increasing |square| and then divisibility."""
+    types = {_wall_type(m, wc) for wc in wall_constraints(m)}
     return tuple(sorted(types, key=lambda t: (-t[0], t[1])))
 
 
-def _wall_solutions(e: int, m: int, kappa_sq: int, s: int, mov: ExtremalSlope):
-    """Slopes of walls cut by primitive classes of the given square and divisibility."""
-    p = m - 1
-    mu2 = mov.squared()
-    if kappa_sq % 2:
-        return
-    t = kappa_sq // 2
-    # kappa = s*x*L - y*delta with e*s^2*x^2 - p*y^2 = t
-    sols = pell.positive_solutions(e * s * s, p, t)  # finite when e*p is a square
-    if not is_square(e * p):
-        # slope(e*s*x, p*y) < mu bounds x outright
-        denom = 2 * e * s * s * (e - mu2 * p)
-        if denom <= 0:
-            raise ConeError(f"movable slope^2 {mu2} of e={e}, m={m} is not below e/(m-1)")
-        bound = mu2 * p * abs(kappa_sq) / denom
-        x_max = isqrt(bound.numerator // bound.denominator) + 2
-        sols = takewhile(lambda sol: sol.a <= x_max, sols)
-    for x, y in sols:
-        big_x = s * x
-        if gcd(big_x, y) != 1:
-            continue
-        if gcd(big_x, 2 * p * y) != s:
-            continue
-        slope = Fraction(e * big_x, p * y)
-        if 0 < slope * slope < mu2:
-            yield slope
-
-
 def walls_sm(e: int, m: int) -> ConeReport:
-    """Chamber walls of the movable cone of a punctual Hilbert scheme, m <= 4."""
+    """Chamber walls of the movable cone of a punctual Hilbert scheme, m <= 4.
+
+    A wall class of type (square, s) is kappa = s*x*L - y*delta with
+    e*s^2*x^2 - p*y^2 = square/2, p = m - 1, primitive and of divisibility s.
+    The nef boundary is the first wall, or mov when there is none.
+
+    Bayer-Macri (Invent. Math. 2014, Thm 5.7 and Thm 12.3) split the wall
+    constraints (k, a) of arith.wall_constraints.  Those of Brill-Noether
+    (0, -1), Hilbert-Chow (1, 0) and Li-Gieseker-Uhlenbeck (2, 0), the last
+    for p >= 2 only, induce divisorial contractions; their hyperplanes cut
+    out Mov, so they cut no wall inside it.  The flopping constraints cut
+    the walls inside.  A type is solved only when a flopping constraint has
+    it.  With p prime or 1, that skips exactly the types (-2, 1), (-2p, 2p)
+    and (-2p, p) of the three boundary constraints, because no flopping
+    constraint reduces to them (kappa^2 = 2p(4pa - k^2), g = gcd(2p, k)):
+
+    - (-2, 1) needs g = 2p, so 2p | k <= p: k = 0 and a = -1.
+    - (-2p, 2p) needs g = 1 and (k - 1)(k + 1) = 4pa.  a = -1 is
+      impossible, a = 0 gives k = 1, and a >= 1 gives 3 <= k <= p, where
+      the prime p misses k - 1 and so divides k + 1: k = p - 1, and then
+      p - 2 = 4a makes p even and past 2.
+    - (-2p, p) needs g = 2, so k = 2j with gcd(j, p) = 1, j <= p/2 and
+      (j - 1)(j + 1) = pa.  a = -1 gives p = 1 and k = 0, a = 0 gives
+      k = 2, and a >= 1 gives 2 <= j, so p >= 4 and both j - 1 and j + 1
+      lie in [1, p/2 + 1], below the prime p.
+    """
     if m not in (2, 3, 4):
         raise UnsupportedM(f"wall type lists are available for m in 2..4, not {m}")
-    if m == 2:
-        mov = mov_slope_s2(e)
-        nef = nef_slope_s2(e)
-    else:
-        ray, _ = mov_ray_sm(e, m)
-        if is_square(e * (m - 1)):
-            mov = ExtremalSlope.sqrt_of(Fraction(e, m - 1))
-        else:
-            mov = ExtremalSlope.rational(ray.slope())
-        nef = None
+    ray, _ = mov_ray_sm(e, m)
+    mov = ExtremalSlope.rational(ray.slope())
+    p = m - 1
+    flops = {_wall_type(m, wc) for wc in wall_constraints(m)
+             if (wc.k, wc.a) not in _MOV_BOUNDARY}
     walls: set[Fraction] = set()
     for kappa_sq, s in _wall_types(m):
-        if (kappa_sq, s) == (-2, 1):
-            continue  # these classes bound the movable cone itself
-        walls.update(_wall_solutions(e, m, kappa_sq, s, mov))
+        if (kappa_sq, s) not in flops:
+            continue
+
+        def keep(x: int, y: int) -> bool:  # primitive, of divisibility s
+            return gcd(s * x, y) == 1 and gcd(s * x, 2 * p * y) == s
+        walls.update(_walls(e, p, s, 1, kappa_sq // 2, mov, keep=keep))
     ordered = tuple(sorted(walls))
-    if nef is None:
-        nef = ExtremalSlope.rational(ordered[0]) if ordered else mov
+    nef = ExtremalSlope.rational(ordered[0]) if ordered else mov
     return ConeReport(mov, nef, ordered)
 
 
@@ -268,9 +272,10 @@ def walls_sm(e: int, m: int) -> ConeReport:
 def fourfold_cones(n: int, e_prime: int, prefix: int = 8) -> ConeReport:
     """Cone slopes for H + s*L on a fourfold with Picard form diag(2n, -2e').
 
-    When the movable slope is irrational and the cones differ there are
-    infinitely many walls; `prefix` of them (by increasing Pell solution) are
-    reported with walls_infinite set.
+    The walls are cut by the classes a*H + 2b*L of square -10, and the nef
+    boundary is the first of them.  When the movable slope is irrational
+    there are infinitely many walls, or none; `prefix` of them (by
+    increasing Pell solution) are reported with walls_infinite set.
     """
     if n % 4 != 3:
         raise BadCongruence("n must be congruent to -1 mod 4")
@@ -283,16 +288,11 @@ def fourfold_cones(n: int, e_prime: int, prefix: int = 8) -> ConeReport:
         mov = ExtremalSlope.sqrt_of(Fraction(n, e_prime))
     else:
         mov = ExtremalSlope.rational(Fraction(n * sol1.a, e_prime * sol1.b))
-    sol5 = pell.generalized_min(n, 4 * e_prime, -5)
-    if sol5 is None:
-        return ConeReport(mov, mov, (), symmetric=True)
-    nef = ExtremalSlope.rational(Fraction(n * sol5.a, 2 * e_prime * sol5.b))
-    if mov.is_rational:
-        # exactly one wall pair: the nef boundary itself, three chambers
-        return ConeReport(mov, nef, (nef.value,), symmetric=True)
-    sols = pell.generalized_solutions(n, 4 * e_prime, -5, prefix) if prefix else []
-    walls = tuple(sorted(Fraction(n * a, 2 * e_prime * b) for a, b in sols))
-    return ConeReport(mov, nef, walls, walls_infinite=True, symmetric=True)
+    walls = _walls(n, e_prime, 1, 2, -5, mov, max(prefix, 1))
+    nef = ExtremalSlope.rational(walls[0]) if walls else mov
+    infinite = mov.is_sqrt and bool(walls)
+    return ConeReport(mov, nef, walls[:prefix] if infinite else walls, infinite,
+                      symmetric=True)
 
 
 # ---------------------------------------------------------------------------

@@ -358,8 +358,14 @@ def positive_solutions(e1: int, e2: int, t: int) -> Iterator[PellSolution]:
 
     The stream is finite exactly when e1*e2 is a perfect square; otherwise it
     lazily merges the orbits of the classes of A^2 - e1*e2*B^2 = e1*t.
+    With e2 = 1 < e1 it reads the classical b^2 - e1*a^2 = -t instead, whose
+    class search scans |t| residues rather than e1*|t|: b grows with a on
+    the branch, so the solutions come in the same order.
     """
     PellEquation(e1, e2, t)  # domain check
+    if e2 == 1 < e1:
+        yield from (PellSolution(s.b, s.a) for s in positive_solutions(1, e1, -t))
+        return
     d, big_t = e1 * e2, e1 * t
     if is_square(d):
         yield from (PellSolution(s.a // e1, s.b) for s in _square_d_solutions(d, big_t)

@@ -163,28 +163,24 @@ def heegner_components_m2(n: int, gamma: int, e: int) -> ComponentReport:
     return ComponentReport(None, keys, False)
 
 
+def uncertain_m2(n: int, keys) -> tuple[HeegnerKey, ...]:
+    """The keys among an m = 2 excluded list whose number of components is
+    not pinned down: those of square -10 and divisibility 10, when the
+    5-free part of n is not squarefree."""
+    if is_squarefree(n // 5 ** v_p(n, 5)):
+        return ()
+    return tuple(k for k in keys if (k.kappa_prim_sq, k.s) == (-10, 10))
+
+
 def excluded_heegner_m2_report(n: int, gamma: int) -> ExclusionReport:
     """Components missed by the period map on square-2n moduli of fourfolds.
 
-    These are the components cut by square -2 classes (any divisibility) and
-    by square -10 classes of ambient divisibility 2.
+    These are excluded_heegner(2, n, gamma): the components cut by square -2
+    classes (any divisibility) and by square -10 classes of ambient
+    divisibility 2.
     """
-    keys: set[HeegnerKey] = set()
-    uncertain: set[HeegnerKey] = set()
-    for s, star, _amb in _realizable_classes(2, n, gamma, -2):
-        keys.add(_key(2, n, gamma, -2, s, star))
-    for s, star, amb in _realizable_classes(2, n, gamma, -10):
-        if amb != 2:
-            continue
-        key = _key(2, n, gamma, -10, s, star)
-        keys.add(key)
-        if s == 10:
-            # the number of components here is only pinned down when the
-            # 5-free part of n is squarefree
-            n_pp = n // 5 ** v_p(n, 5)
-            if not is_squarefree(n_pp):
-                uncertain.add(key)
-    return ExclusionReport(tuple(sorted(keys)), tuple(sorted(uncertain)))
+    keys = excluded_heegner(2, n, gamma)
+    return ExclusionReport(keys, uncertain_m2(n, keys))
 
 
 def excluded_heegner_m2(n: int, gamma: int) -> tuple[HeegnerKey, ...]:

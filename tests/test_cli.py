@@ -115,6 +115,8 @@ _OUT_OF_DOMAIN = [
     (["cone", "fourfold", "--n", "3", "--e-prime", "2", "--prefix", "-1"], 1),
     (["cone", "s2", "--e", "5", "--e-from", "2"], 2),
     (["cone", "s2", "--e", "5", "--e-to", "7"], 2),
+    (["cone", "s2", "--e", "0"], 1),
+    (["cone", "sm", "--e", "0", "--m", "3"], 1),
 ]
 
 

@@ -118,9 +118,22 @@ def test_nef_ray_sm_special():
     assert nef_ray_sm_special(4, 2) == (DivisorClass(1, 2), True)
     assert nef_ray_sm_special(3, 5) == (DivisorClass(8, 6), True)  # m = e + 2
     assert nef_ray_sm_special(11, 3) is None
-    # against the degree table at m = 2: applicable only for e = 1 and squares
-    ray, equal = nef_ray_sm_special(1, 2)
-    assert F(ray.c_delta, ray.c_l) == nef_slope_s2(1).value and not equal
+
+
+def test_nef_ray_sm_special_matches_the_walls():
+    # the closed forms against the first wall of the enumerator
+    cases = 0
+    for m in (2, 3, 4):
+        for e in range(1, 400):
+            special = nef_ray_sm_special(e, m)
+            if special is None:
+                continue
+            ray, equal = special
+            rep = walls_sm(e, m)
+            assert rep.nef_slope == ExtremalSlope.rational(ray.slope()), (e, m)
+            assert rep.nef_equals_mov == equal, (e, m)
+            cases += 1
+    assert cases == 50
 
 
 def test_walls_sm_examples():
@@ -148,6 +161,21 @@ def test_wall_types_come_from_the_wall_constraints():
     # boundary and cut no interior wall
     assert _wall_types(2) == ((-2, 1), (-2, 2), (-10, 2))
     assert set(_wall_types(2)) - set(literal[2]) == {(-2, 2)}
+
+
+def test_no_flopping_constraint_has_a_mov_boundary_type():
+    # the argument in walls_sm's docstring, for every m - 1 prime or 1 up to 23
+    from hkpell.arith import wall_constraints
+    from hkpell.cones import _MOV_BOUNDARY, _wall_type
+
+    for p in (1, 2, 3, 5, 7, 11, 13, 17, 19, 23):
+        m = p + 1
+        boundary = {_wall_type(m, wc) for wc in wall_constraints(m)
+                    if (wc.k, wc.a) in _MOV_BOUNDARY}
+        flops = {_wall_type(m, wc) for wc in wall_constraints(m)
+                 if (wc.k, wc.a) not in _MOV_BOUNDARY}
+        assert boundary == {(-2, 1), (-2 * p, 2 * p), (-2 * p, p)}, p
+        assert not boundary & flops, p
 
 
 def test_walls_sm_matches_s2():
@@ -183,6 +211,28 @@ def test_fourfold_cones():
 
     with pytest.raises(BadCongruence):
         fourfold_cones(2, 5)
+
+
+def test_fourfold_rational_mov_has_at_most_one_wall_pair():
+    # a rational movable slope leaves three chambers at most: the nef
+    # boundary is the one wall pair
+    pairs = 0
+    for n in range(3, 64, 4):
+        for ep in range(2, 301):
+            rep = fourfold_cones(n, ep, prefix=8)
+            if not rep.mov_slope.is_rational:
+                continue
+            assert not rep.walls_infinite, (n, ep)
+            if not rep.nef_equals_mov:
+                assert rep.interior_walls == (rep.nef_slope.value,), (n, ep)
+                pairs += 1
+    assert pairs == 41
+
+
+def test_fourfold_prefix_zero_keeps_nef():
+    rep = fourfold_cones(3, 2, prefix=0)
+    assert rep.interior_walls == () and rep.walls_infinite
+    assert rep.nef_slope.value == F(3, 4)
 
 
 def test_fourfold_order_sweep():

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from itertools import takewhile
+from itertools import islice, takewhile
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -424,3 +424,22 @@ def test_generalized_exactness(e1, e2, t):
         for a in range(1, 120):
             for b in range(1, 120):
                 assert e1 * a * a - e2 * b * b != t, (e1, e2, t, a, b)
+
+
+def test_positive_solutions_with_e2_one_match_a_scan():
+    # e1*a^2 - b^2 = t runs as the classical b^2 - e1*a^2 = -t; a scan of
+    # a <= A finds every solution below A, by increasing a
+    A = 1500
+    scanned = {}
+    for e1 in range(2, 61):
+        for a in range(1, A + 1):
+            v = e1 * a * a
+            for b in range(isqrt(max(v - 41, 0)), isqrt(v + 40) + 2):
+                t = v - b * b
+                if b > 0 and 1 <= abs(t) <= 40:
+                    scanned.setdefault((e1, t), []).append((a, b))
+    for e1 in range(2, 61):
+        for t in [*range(-40, 0), *range(1, 41)]:
+            stream = takewhile(lambda s: s.a <= A, islice(positive_solutions(e1, 1, t), 4))
+            expect = scanned.get((e1, t), [])[:4]
+            assert [tuple(s) for s in stream] == expect, (e1, t)
