@@ -274,3 +274,48 @@ def wall_constraints(m: int) -> tuple[WallConstraint, ...]:
             out.append(WallConstraint(k, a, kappa_sq))
             a += 1
     return tuple(out)
+
+
+class WallType(Record):
+    """The primitive class behind a wall constraint: its square, its
+    divisibility in H^2 and whether the constraint bounds Mov."""
+
+    __slots__ = ("kappa_prim_sq", "div", "bounds_mov")
+
+
+# (k, a) of the constraints whose classes bound the movable cone
+# (Bayer-Macri, Invent. Math. 2014, Thm 5.7): Brill-Noether, Hilbert-Chow
+# and Li-Gieseker-Uhlenbeck
+_MOV_BOUNDARY = ((0, -1), (1, 0), (2, 0))
+
+
+def wall_types(m: int) -> tuple[WallType, ...]:
+    """The distinct types of the wall constraints, for m - 1 prime or 1, by
+    increasing |square| and then divisibility.
+
+    The wall class kappa = 2p*s - k*v of the constraint (k, a), p = m - 1,
+    is g = gcd(2p, k) times a primitive class of square kappa^2/g^2 and
+    divisibility 2p/g.  bounds_mov flags the types of the Brill-Noether
+    (0, -1), Hilbert-Chow (1, 0) and Li-Gieseker-Uhlenbeck (2, 0)
+    constraints, the last for p >= 2 only: they induce divisorial
+    contractions, so their hyperplanes cut out Mov and cut no wall inside
+    it; the flopping constraints cut the walls inside.  No flopping
+    constraint has one of these types, (-2, 1), (-2p, 2p) and (-2p, p),
+    because kappa^2 = 2p(4pa - k^2) and p is prime or 1:
+
+    - (-2, 1) needs g = 2p, so 2p | k <= p: k = 0 and a = -1.
+    - (-2p, 2p) needs g = 1 and (k - 1)(k + 1) = 4pa.  a = -1 is
+      impossible, a = 0 gives k = 1, and a >= 1 gives 3 <= k <= p, where
+      the prime p misses k - 1 and so divides k + 1: k = p - 1, and then
+      p - 2 = 4a makes p even and past 2.
+    - (-2p, p) needs g = 2, so k = 2j with gcd(j, p) = 1, j <= p/2 and
+      (j - 1)(j + 1) = pa.  a = -1 gives p = 1 and k = 0, a = 0 gives
+      k = 2, and a >= 1 gives 2 <= j, so p >= 4 and both j - 1 and j + 1
+      lie in [1, p/2 + 1], below the prime p.
+    """
+    two_p = 2 * (m - 1)
+    types = set()
+    for wc in wall_constraints(m):
+        g = gcd(two_p, wc.k)
+        types.add(WallType(wc.kappa_sq // (g * g), two_p // g, (wc.k, wc.a) in _MOV_BOUNDARY))
+    return tuple(sorted(types, key=lambda t: (-t.kappa_prim_sq, t.div, t.bounds_mov)))

@@ -11,8 +11,7 @@ from __future__ import annotations
 from math import gcd
 
 from . import pell
-from .arith import (BadCongruence, DomainError, Record, check_polarization, is_square,
-                    is_square_mod)
+from .arith import DomainError, Record, check_polarization, is_square_mod
 
 
 class AutError(DomainError):
@@ -112,15 +111,17 @@ def bir_sm(e: int, m: int) -> GroupTag:
         return Z2
     if m in (e - 1, e + 1, e + 2, e + 3):
         return TRIVIAL
-    if is_square(e * p):  # condition (a)
-        return TRIVIAL
     if gcd(e, p) != 1:  # condition (b)
         return TRIVIAL
-    if _solvable(p, e, 1):  # condition (c)
+    from .cones import mov_ray_sm  # only here: aut s2 loads no fractions
+
+    ray, case = mov_ray_sm(e, m)
+    # the case is "isotropic" under condition (a) and "two-term" under (c);
+    # otherwise the ray is (a1, e*b1), with a1 + b1*sqrt(e(m-1)) the least
+    # unit with a1 = +-1 mod m-1, which (d) reads
+    if case != "congruence":
         return TRIVIAL
-    a1, b1 = pell.fundamental_solution(e * p)
-    if a1 % p not in (1 % p, (-1) % p):
-        a1, b1 = a1 * a1 + e * p * b1 * b1, 2 * a1 * b1
+    a1, b1 = ray.c_l, ray.c_delta // e
     if a1 % (2 * e) not in (1, 2 * e - 1) or b1 % 2:  # condition (d)
         return TRIVIAL
     return unknown("necessary conditions hold")
@@ -131,18 +132,20 @@ def bir_sm(e: int, m: int) -> GroupTag:
 
 
 def fourfold_groups(n: int, e_prime: int) -> tuple[GroupTag, GroupTag]:
-    """(Aut, Bir) for fourfolds with Picard form diag(2n, -2e'), H of divisibility 2."""
-    if n % 4 != 3:
-        raise BadCongruence("n must be congruent to -1 mod 4")
-    if e_prime < 2:
-        raise ValueError("e' must be at least 2")
-    neg = _solvable(n, e_prime, -1)
-    five = _solvable(n, 4 * e_prime, -5)
-    square = is_square(n * e_prime)
-    if neg or square:
+    """(Aut, Bir) for fourfolds with Picard form diag(2n, -2e'), H of divisibility 2.
+
+    Finiteness comes from the rationality of the nef and movable rays of
+    cones.fourfold_cones, through rank2_trichotomy; an infinite group is
+    Z x| Z/2 when n*a^2 - e'*b^2 = 1 is solvable, and Z otherwise.
+    """
+    from .cones import fourfold_cones  # only here: aut s2 loads no fractions
+
+    rep = fourfold_cones(n, e_prime, prefix=1)
+    case = rank2_trichotomy(rep.nef_slope.is_rational, rep.mov_slope.is_rational)
+    if case == FINITE_BOTH:
         return TRIVIAL, TRIVIAL
     infinite = INFINITE_DIHEDRAL if _solvable(n, e_prime, 1) else INFINITE_CYCLIC
-    if five:
+    if case == FINITE_AUT_INFINITE_BIR:
         return TRIVIAL, infinite
     return infinite, infinite
 

@@ -18,7 +18,7 @@ from math import gcd, isqrt
 from typing import Optional
 
 from . import pell
-from .arith import BadCongruence, ConeError, Record, binomial_poly, is_square, wall_constraints
+from .arith import BadCongruence, ConeError, Record, binomial_poly, is_square, wall_types
 
 
 class UnsupportedM(ConeError):
@@ -193,31 +193,6 @@ def nef_ray_sm_special(e: int, m: int) -> Optional[tuple[DivisorClass, bool]]:
     return None
 
 
-# (k, a) of the constraints whose classes bound the movable cone
-# (Bayer-Macri, Invent. Math. 2014, Thm 5.7): Brill-Noether, Hilbert-Chow
-# and Li-Gieseker-Uhlenbeck
-_MOV_BOUNDARY = ((0, -1), (1, 0), (2, 0))
-
-
-def _wall_type(m: int, wc) -> tuple[int, int]:
-    """(square, divisibility) of the primitive class behind the constraint wc.
-
-    The wall class kappa = 2p*s - k*v of the constraint (k, a), p = m - 1,
-    is g = gcd(2p, k) times a primitive class of square kappa^2/g^2 and
-    divisibility 2p/g (see periods.excluded_heegner).
-    """
-    two_p = 2 * (m - 1)
-    g = gcd(two_p, wc.k)
-    return wc.kappa_sq // (g * g), two_p // g
-
-
-def _wall_types(m: int) -> tuple[tuple[int, int], ...]:
-    """(square, divisibility) of the primitive classes that can cut a wall,
-    for m - 1 prime or 1, by increasing |square| and then divisibility."""
-    types = {_wall_type(m, wc) for wc in wall_constraints(m)}
-    return tuple(sorted(types, key=lambda t: (-t[0], t[1])))
-
-
 def walls_sm(e: int, m: int) -> ConeReport:
     """Chamber walls of the movable cone of a punctual Hilbert scheme, m <= 4.
 
@@ -225,41 +200,26 @@ def walls_sm(e: int, m: int) -> ConeReport:
     e*s^2*x^2 - p*y^2 = square/2, p = m - 1, primitive and of divisibility s.
     The nef boundary is the first wall, or mov when there is none.
 
-    Bayer-Macri (Invent. Math. 2014, Thm 5.7 and Thm 12.3) split the wall
-    constraints (k, a) of arith.wall_constraints.  Those of Brill-Noether
-    (0, -1), Hilbert-Chow (1, 0) and Li-Gieseker-Uhlenbeck (2, 0), the last
-    for p >= 2 only, induce divisorial contractions; their hyperplanes cut
-    out Mov, so they cut no wall inside it.  The flopping constraints cut
-    the walls inside.  A type is solved only when a flopping constraint has
-    it.  With p prime or 1, that skips exactly the types (-2, 1), (-2p, 2p)
-    and (-2p, p) of the three boundary constraints, because no flopping
-    constraint reduces to them (kappa^2 = 2p(4pa - k^2), g = gcd(2p, k)):
-
-    - (-2, 1) needs g = 2p, so 2p | k <= p: k = 0 and a = -1.
-    - (-2p, 2p) needs g = 1 and (k - 1)(k + 1) = 4pa.  a = -1 is
-      impossible, a = 0 gives k = 1, and a >= 1 gives 3 <= k <= p, where
-      the prime p misses k - 1 and so divides k + 1: k = p - 1, and then
-      p - 2 = 4a makes p even and past 2.
-    - (-2p, p) needs g = 2, so k = 2j with gcd(j, p) = 1, j <= p/2 and
-      (j - 1)(j + 1) = pa.  a = -1 gives p = 1 and k = 0, a = 0 gives
-      k = 2, and a >= 1 gives 2 <= j, so p >= 4 and both j - 1 and j + 1
-      lie in [1, p/2 + 1], below the prime p.
+    The types come from arith.wall_types (Bayer-Macri, Invent. Math. 2014,
+    Thm 5.7 and Thm 12.3).  Only the unflagged ones, of flopping
+    constraints, are solved: the flagged ones bound Mov and cut no wall
+    inside it, and its docstring shows that no flopping constraint shares
+    them.
     """
     if m not in (2, 3, 4):
         raise UnsupportedM(f"wall type lists are available for m in 2..4, not {m}")
     ray, _ = mov_ray_sm(e, m)
     mov = ExtremalSlope.rational(ray.slope())
     p = m - 1
-    flops = {_wall_type(m, wc) for wc in wall_constraints(m)
-             if (wc.k, wc.a) not in _MOV_BOUNDARY}
     walls: set[Fraction] = set()
-    for kappa_sq, s in _wall_types(m):
-        if (kappa_sq, s) not in flops:
+    for wt in wall_types(m):
+        if wt.bounds_mov:
             continue
+        s = wt.div
 
         def keep(x: int, y: int) -> bool:  # primitive, of divisibility s
             return gcd(s * x, y) == 1 and gcd(s * x, 2 * p * y) == s
-        walls.update(_walls(e, p, s, 1, kappa_sq // 2, mov, keep=keep))
+        walls.update(_walls(e, p, s, 1, wt.kappa_prim_sq // 2, mov, keep=keep))
     ordered = tuple(sorted(walls))
     nef = ExtremalSlope.rational(ordered[0]) if ordered else mov
     return ConeReport(mov, nef, ordered)

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 from typing import Optional
 
-from .arith import (DomainError, OrderedRecord, Record, WallConstraint, _wall_p, gcd_all,
-                    is_prime, is_square, is_square_mod, is_squarefree, square_divisors, v_p,
-                    wall_constraints)
-# the wall constraints' domain error, bound here too so that periods keeps its name
-from .arith import NonPrimePower  # noqa: F401
+from .arith import (DomainError, OrderedRecord, Record, gcd_all, is_prime, is_square_mod,
+                    is_squarefree, v_p, wall_types)
+# the wall constraints and their domain error, bound here too so that periods
+# keeps their names
+from .arith import NonPrimePower, wall_constraints  # noqa: F401
 # the model's domain errors, bound here too so that periods keeps their names
 from .discform import (BadCongruence, UnsupportedParameters, block_sum,  # noqa: F401
                        disc_group_of_gram, polarized_tail, residue)
@@ -191,46 +191,14 @@ def excluded_heegner_m2(n: int, gamma: int) -> tuple[HeegnerKey, ...]:
 # all dimensions with m - 1 prime (or 1)
 
 
-def _wall_keys(m: int, n: int, gamma: int, multiples) -> tuple[HeegnerKey, ...]:
-    """Heegner components cut by the primitive classes kappa' with b*kappa'
-    of square kappa_sq, for some (kappa_sq, b) in multiples, and with
-    2(m-1) | b * amb, amb the ambient divisibility of kappa'.
-
-    The b's are grouped by primitive square kappa_sq/b^2, so each square is
-    asked of the discriminant group once.  The caller has checked m through
-    _wall_p.
-    """
-    _model(m, n, gamma)  # the domain check, whatever multiples holds
-    bs_by_square: dict[int, list[int]] = {}
-    for kappa_sq, b in multiples:
-        bs_by_square.setdefault(kappa_sq // (b * b), []).append(b)
-    two_p = 2 * (m - 1)
-    keys = set()
-    for prim_sq, bs in bs_by_square.items():
-        for s, star, amb in _realizable_classes(m, n, gamma, prim_sq):
-            if any((b * amb) % two_p == 0 for b in bs):
-                keys.add(_key(m, n, gamma, prim_sq, s, star))
-    return tuple(sorted(keys))
-
-
-def realize_orthogonal_classes(m: int, n: int, gamma: int,
-                               wc: WallConstraint) -> tuple[HeegnerKey, ...]:
-    """Heegner components cut by classes of total square wc.kappa_sq whose
-    ambient divisibility is divisible by 2(m-1): a class of total square
-    kappa^2 is b times a primitive class of square kappa^2/b^2, for any b
-    with b^2 | kappa^2 and kappa^2/b^2 even."""
-    _wall_p(m)
-    total = wc.kappa_sq
-    return _wall_keys(m, n, gamma, ((total, b) for b in square_divisors(total)
-                                    if (total // (b * b)) % 2 == 0))
-
-
 def excluded_heegner(m: int, n: int, gamma: int) -> tuple[HeegnerKey, ...]:
     """The full excluded-component list: union over all wall constraints.
 
-    Each constraint (k, a) asks one multiple, b = g = gcd(2p, k) with
-    p = m - 1, of the primitive square kappa^2/g^2; the other b's of
-    realize_orthogonal_classes add no key.  Take a primitive kappa' in
+    A constraint of type (kappa^2/g^2, 2p/g) of arith.wall_types, p = m - 1
+    and g = gcd(2p, k), keeps the primitive classes of square kappa^2/g^2
+    whose ambient divisibility amb is divisible by 2p/g; each distinct
+    square is asked of the discriminant group once.  The other multiples
+    b*kappa' of square kappa^2 add no key.  Take a primitive kappa' in
     H^2(X) = v^perp with ambient divisibility amb.  Its glue gives
     s = kappa'/amb + (k'/2p)*v in the Mukai lattice, with
     gcd(2p, k') = 2p/amb, so (2p/amb)*kappa' = 2p*s - k'*v.  Say b*kappa'
@@ -242,9 +210,15 @@ def excluded_heegner(m: int, n: int, gamma: int) -> tuple[HeegnerKey, ...]:
     s^2 >= 0 for every lift s; with k' moved into [0, p], (k', s^2/2) is
     itself a constraint, and its g = 2p/amb keeps kappa'.
     """
-    two_p = 2 * (m - 1)
-    return _wall_keys(m, n, gamma, ((wc.kappa_sq, gcd(two_p, wc.k))
-                                    for wc in wall_constraints(m)))
+    divs_by_square: dict[int, list[int]] = {}
+    for wt in wall_types(m):
+        divs_by_square.setdefault(wt.kappa_prim_sq, []).append(wt.div)
+    keys = set()
+    for prim_sq, divs in divs_by_square.items():
+        for s, star, amb in _realizable_classes(m, n, gamma, prim_sq):
+            if any(amb % div == 0 for div in divs):
+                keys.add(_key(m, n, gamma, prim_sq, s, star))
+    return tuple(sorted(keys))
 
 
 def excluded_discriminants(m: int, n: int, gamma: int) -> tuple[int, ...]:
@@ -329,31 +303,15 @@ def hilbert_square_points(n: int, e: int) -> tuple[tuple[int, int, int], ...]:
 
     if n < 1 or e < 1:
         raise ValueError("need n >= 1 and e >= 1")
-    nu = cones.nef_slope_s2(e)
-    nu_sq = nu.squared()
+    nu_sq = cones.nef_slope_s2(e).squared()
     out = []
-    if nu_sq == e:
-        # the nef boundary is the isotropic ray; every solution is admissible
-        # e is then a square, so the stream is finite
-        cands = [(s.a, s.b) for s in pell.positive_solutions(1, e, -n)]
-    else:
-        bound = Fraction(n, e - nu_sq)
-        b_max = 1
-        while b_max * b_max * bound.denominator <= bound.numerator:
-            b_max += 1
-        cands = []
-        for b in range(1, b_max + 1):
-            a_sq = e * b * b - n
-            if a_sq <= 0 or not is_square(a_sq):
-                continue
-            cands.append((isqrt(a_sq), b))
-    for a, b in cands:
-        if a <= 0 or gcd(a, b) != 1:
-            continue
+    # a^2/b^2 = e - n/b^2 grows along the stream, which is finite for square e
+    for a, b in pell.positive_solutions(1, e, -n):
         if Fraction(a, b) ** 2 >= nu_sq:
-            continue
-        out.append((a, b, 2 if b % 2 == 0 else 1))
-    return tuple(sorted(out))
+            break
+        if gcd(a, b) == 1:
+            out.append((a, b, 2 if b % 2 == 0 else 1))
+    return tuple(out)
 
 
 def hilbert_square_point(n: int, e: int, gamma: int = 2) -> Optional[tuple[int, int, int]]:

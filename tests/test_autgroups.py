@@ -1,11 +1,14 @@
+from math import gcd
+
 import pytest
 
-from hkpell import cones, pell
+from hkpell import pell
+from hkpell.arith import is_square
 from hkpell.autgroups import (EQUAL_INFINITE, FINITE_AUT_INFINITE_BIR,
                               FINITE_BOTH, INFINITE_CYCLIC,
                               INFINITE_DIHEDRAL, TRIVIAL, Z2, GroupTag,
                               InconsistentFlags, aut_k3_rank1, aut_s2, bir_s2,
-                              bir_sm, fourfold_groups, rank2_trichotomy,
+                              bir_sm, fourfold_groups, rank2_trichotomy, unknown,
                               very_general_bir)
 
 
@@ -77,19 +80,51 @@ def test_fourfold_examples():
     assert fourfold_groups(3, 11) == (INFINITE_DIHEDRAL, INFINITE_DIHEDRAL)
 
 
-def test_fourfold_matches_cone_rationality():
-    for n in range(3, 52, 4):
-        for ep in range(2, 41):
-            rep = cones.fourfold_cones(n, ep, prefix=1)
-            tri = rank2_trichotomy(rep.nef_slope.is_rational,
-                                   rep.mov_slope.is_rational)
-            aut, bir = fourfold_groups(n, ep)
-            if tri == FINITE_BOTH:
-                assert aut.is_finite and bir.is_finite, (n, ep)
-            elif tri == FINITE_AUT_INFINITE_BIR:
-                assert aut.is_finite and not bir.is_finite, (n, ep)
-            else:
-                assert aut == bir and not aut.is_finite, (n, ep)
+def _solvable(e1, e2, t):
+    return pell.generalized_min(e1, e2, t) is not None
+
+
+def _fourfold_groups_by_pell(n, ep):
+    """(Aut, Bir) read off the Pell equations themselves: both trivial when
+    n*a^2 - e'*b^2 = -1 is solvable or n*e' is a square, else Aut trivial
+    when n*a^2 - 4e'*b^2 = -5 is solvable, and an infinite group dihedral
+    when n*a^2 - e'*b^2 = 1 is solvable."""
+    if _solvable(n, ep, -1) or is_square(n * ep):
+        return TRIVIAL, TRIVIAL
+    infinite = INFINITE_DIHEDRAL if _solvable(n, ep, 1) else INFINITE_CYCLIC
+    if _solvable(n, 4 * ep, -5):
+        return TRIVIAL, infinite
+    return infinite, infinite
+
+
+def test_fourfold_groups_match_the_pell_equations():
+    for n in range(3, 100, 4):
+        for ep in range(2, 151):
+            assert fourfold_groups(n, ep) == _fourfold_groups_by_pell(n, ep), (n, ep)
+
+
+def _bir_sm_conditions_hold(e, m):
+    """The four necessary conditions of bir_sm, each from its own equation:
+    (a) e(m-1) is no square, (b) gcd(e, m-1) = 1, (c) (m-1)a^2 - e*b^2 = 1
+    is unsolvable, and (d) the least unit a1 + b1*sqrt(e(m-1)) with
+    a1 = +-1 mod m-1 has a1 = +-1 mod 2e and b1 even."""
+    p = m - 1
+    if is_square(e * p) or gcd(e, p) != 1 or _solvable(p, e, 1):
+        return False
+    a1, b1 = pell.fundamental_solution(e * p)
+    if a1 % p not in (1 % p, (-1) % p):
+        a1, b1 = a1 * a1 + e * p * b1 * b1, 2 * a1 * b1
+    return a1 % (2 * e) in (1, 2 * e - 1) and b1 % 2 == 0
+
+
+def test_bir_sm_matches_its_four_conditions():
+    for e in range(2, 61):
+        for m in range(3, 31):
+            if m == e or (e, m) == (5, 3) or m in (e - 1, e + 1, e + 2, e + 3):
+                continue
+            expected = unknown("necessary conditions hold") if _bir_sm_conditions_hold(e, m) \
+                else TRIVIAL
+            assert bir_sm(e, m) == expected, (e, m)
 
 
 def test_case_b_reciprocity_exclusion():

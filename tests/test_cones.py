@@ -145,8 +145,12 @@ def test_walls_sm_examples():
         walls_sm(2, 5)
 
 
+def _pairs(types):
+    return tuple((t.kappa_prim_sq, t.div) for t in types)
+
+
 def test_wall_types_come_from_the_wall_constraints():
-    from hkpell.cones import _wall_types
+    from hkpell.arith import wall_types
 
     # the (square, divisibility) table that walls_sm read before the types
     # were derived from arith.wall_constraints
@@ -155,25 +159,24 @@ def test_wall_types_come_from_the_wall_constraints():
         3: ((-2, 1), (-4, 2), (-4, 4), (-12, 2), (-36, 4)),
         4: ((-2, 1), (-6, 2), (-6, 3), (-6, 6), (-14, 2), (-24, 3), (-78, 6)),
     }
-    assert _wall_types(3) == literal[3]
-    assert _wall_types(4) == literal[4]
+    assert _pairs(wall_types(3)) == literal[3]
+    assert _pairs(wall_types(4)) == literal[4]
     # m = 2 adds the divisibility-2 (-2)-classes, which lie on the movable
     # boundary and cut no interior wall
-    assert _wall_types(2) == ((-2, 1), (-2, 2), (-10, 2))
-    assert set(_wall_types(2)) - set(literal[2]) == {(-2, 2)}
+    assert _pairs(wall_types(2)) == ((-2, 1), (-2, 2), (-10, 2))
+    assert set(_pairs(wall_types(2))) - set(literal[2]) == {(-2, 2)}
 
 
 def test_no_flopping_constraint_has_a_mov_boundary_type():
-    # the argument in walls_sm's docstring, for every m - 1 prime or 1 up to 23
-    from hkpell.arith import wall_constraints
-    from hkpell.cones import _MOV_BOUNDARY, _wall_type
+    # the argument in arith.wall_types' docstring, for every m - 1 prime or 1
+    # up to 23: a type that both kinds of constraint had would be listed
+    # twice, once flagged
+    from hkpell.arith import wall_types
 
     for p in (1, 2, 3, 5, 7, 11, 13, 17, 19, 23):
-        m = p + 1
-        boundary = {_wall_type(m, wc) for wc in wall_constraints(m)
-                    if (wc.k, wc.a) in _MOV_BOUNDARY}
-        flops = {_wall_type(m, wc) for wc in wall_constraints(m)
-                 if (wc.k, wc.a) not in _MOV_BOUNDARY}
+        types = wall_types(p + 1)
+        boundary = set(_pairs(t for t in types if t.bounds_mov))
+        flops = set(_pairs(t for t in types if not t.bounds_mov))
         assert boundary == {(-2, 1), (-2 * p, 2 * p), (-2 * p, p)}, p
         assert not boundary & flops, p
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
@@ -6,14 +7,13 @@ import pytest
 
 from hkpell import cones, periods
 from hkpell.arith import is_squarefree, v_p
-from hkpell.periods import (BadCongruence, HeegnerKey, NonPrimePower,
-                            WallConstraint, _key, _model, _realizable_classes,
-                            coordinate_oracle, excluded_discriminants,
-                            excluded_heegner, excluded_heegner_m2,
-                            excluded_heegner_m2_report, heegner_components_m2,
-                            heegner_nonempty_m2, hilbert_square_point,
-                            hilbert_square_points, nl_family,
-                            realize_orthogonal_classes, wall_constraints)
+from hkpell.periods import (BadCongruence, HeegnerKey, NonPrimePower, _key, _model,
+                            _realizable_classes, coordinate_oracle,
+                            excluded_discriminants, excluded_heegner,
+                            excluded_heegner_m2, excluded_heegner_m2_report,
+                            heegner_components_m2, heegner_nonempty_m2,
+                            hilbert_square_point, hilbert_square_points, nl_family,
+                            wall_constraints)
 
 
 def test_nonempty_m2():
@@ -196,30 +196,39 @@ def test_wall_constraints():
             excluded_heegner(m, 1, 2)
 
 
-def test_realize_example_m4():
-    # the three wall shapes of the 8-dimensional square-2 family
-    d_of = lambda wc: {k.d for k in realize_orthogonal_classes(4, 1, 2, wc)}
-    assert d_of(WallConstraint(0, -1, -72)) == {6}
-    assert d_of(WallConstraint(2, 0, -24)) == {2}
-    assert d_of(WallConstraint(2, -1, -96)) == {2, 8}
-
-
 def _square_divisors(total):
     """The b >= 1 with b^2 | total and total/b^2 even."""
     return [b for b in range(1, isqrt(abs(total)) + 1)
             if total % (b * b) == 0 and (total // (b * b)) % 2 == 0]
 
 
+def _keys_of_constraint(m, n, gamma, wc):
+    """The components cut by the classes of total square wc.kappa_sq whose
+    ambient divisibility is divisible by 2(m-1), asked one b at a time: a
+    class of total square kappa^2 is b times a primitive class of square
+    kappa^2/b^2, for any b with b^2 | kappa^2 and kappa^2/b^2 even."""
+    keys = set()
+    for b in _square_divisors(wc.kappa_sq):
+        prim_sq = wc.kappa_sq // (b * b)
+        for s, star, amb in _realizable_classes(m, n, gamma, prim_sq):
+            if (b * amb) % (2 * (m - 1)) == 0:
+                keys.add(_key(m, n, gamma, prim_sq, s, star))
+    return keys
+
+
 def _excluded_per_pair(m, n, gamma):
     """The excluded list asked one (wall constraint, b) pair at a time."""
-    keys = set()
-    for wc in wall_constraints(m):
-        for b in _square_divisors(wc.kappa_sq):
-            prim_sq = wc.kappa_sq // (b * b)
-            for s, star, amb in _realizable_classes(m, n, gamma, prim_sq):
-                if (b * amb) % (2 * (m - 1)) == 0:
-                    keys.add(_key(m, n, gamma, prim_sq, s, star))
-    return tuple(sorted(keys))
+    return tuple(sorted(set().union(*(_keys_of_constraint(m, n, gamma, wc)
+                                      for wc in wall_constraints(m)))))
+
+
+def test_realize_example_m4():
+    # the three wall shapes of the 8-dimensional square-2 family
+    shapes = {(w.k, w.a): w for w in wall_constraints(4)}
+    d_of = lambda k, a: {key.d for key in _keys_of_constraint(4, 1, 2, shapes[k, a])}
+    assert shapes[0, -1].kappa_sq == -72 and d_of(0, -1) == {6}
+    assert shapes[2, 0].kappa_sq == -24 and d_of(2, 0) == {2}
+    assert shapes[2, -1].kappa_sq == -96 and d_of(2, -1) == {2, 8}
 
 
 @pytest.mark.parametrize("p", (1, 2, 3, 5, 7, 11, 13, 17, 19, 23))
@@ -341,6 +350,43 @@ def test_hilbert_square_identities():
                 nu = cones.nef_slope_s2(e)
                 assert Fraction(a, b) ** 2 < nu.squared() or \
                     (nu.squared() == e and Fraction(a, b) ** 2 < e)
+
+
+def _hilbert_square_points_by_b_scan(n, e, b_max):
+    """hilbert_square_points by a scan over b <= b_max, or None when the
+    admissible b may exceed b_max: a^2/b^2 = e - n/b^2 < nu^2 needs
+    b^2 < n/(e - nu^2), and for e = r^2, n = (rb - a)(rb + a) needs b <= n."""
+    nu_sq = cones.nef_slope_s2(e).squared()
+    if (nu_sq == e and n > b_max) or (nu_sq < e and (e - nu_sq) * b_max * b_max < n):
+        return None
+    out = []
+    for b in range(1, b_max + 1):
+        a_sq = e * b * b - n
+        a = isqrt(max(a_sq, 0))
+        if a > 0 and a * a == a_sq and gcd(a, b) == 1 and Fraction(a, b) ** 2 < nu_sq:
+            out.append((a, b, 2 if b % 2 == 0 else 1))
+    return tuple(out)
+
+
+def test_hilbert_square_points_match_a_b_scan():
+    compared = 0
+    for n in range(1, 21):
+        for e in range(1, 201):
+            scan = _hilbert_square_points_by_b_scan(n, e, 300)
+            if scan is not None:
+                assert hilbert_square_points(n, e) == scan, (n, e)
+                compared += 1
+    assert compared > 2500
+
+
+def test_hilbert_square_points_near_the_isotropic_ray():
+    # the nef slope lies so close to sqrt(e) that a b-scan would run to
+    # about 4*10^19 at e = 397; the Pell stream stops at its first solution
+    # past the nef slope
+    start = time.perf_counter()
+    assert hilbert_square_points(1, 397) == ((20478302982, 1027776565, 1),)
+    assert hilbert_square_points(1, 157) == ((4832118, 385645, 1),)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_nl_family():

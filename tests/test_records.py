@@ -31,7 +31,8 @@ RECORDS = [
     (autgroups.GroupTag, ("unknown", "no witness")),
     (rrinv.RiemannRochInput, (rrinv.KUMMER, 2, 4)),
     (periods.HeegnerKey, (6, -12, 2, (0, 1))),
-    (periods.WallConstraint, (1, 2, -10)),
+    (arith.WallConstraint, (1, 2, -10)),
+    (arith.WallType, (-10, 2, False)),
     (periods.ComponentReport, (1, (periods.HeegnerKey(6, -12, 2, (0, 1)),), True)),
     (periods.ExclusionReport, ((periods.HeegnerKey(6, -12, 2, (0, 1)),), ())),
     (periods._Model, (4, 1, 2, ((-6, -3), (-3, -2)), None, ())),
@@ -45,7 +46,7 @@ def _twin(cls):
 
 def test_every_record_is_listed():
     classes = {cls for cls, _ in RECORDS}
-    assert len(classes) == 20
+    assert len(classes) == 21
     for mod in (pell, cones, discform, lattice, autgroups, rrinv, periods):
         for obj in vars(mod).values():
             if isinstance(obj, type) and issubclass(obj, Record) and obj.__module__ == mod.__name__:
