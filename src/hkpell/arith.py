@@ -115,10 +115,6 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-def sign(n: int) -> int:
-    return (n > 0) - (n < 0)
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -71,58 +71,58 @@ def aut_k3_rank1(two_e: int) -> GroupTag:
 
 def aut_s2(e: int) -> GroupTag:
     """Biregular automorphisms of the Hilbert square of a degree-2e K3 generator."""
-    if e < 1:
-        raise ValueError("e must be positive")
-    if e == 1:
-        return Z2
-    if _solvable(1, e, -1) and not _solvable(1, 4 * e, 5):
-        return Z2
-    return TRIVIAL
+    return bir_s2(e)[0]
 
 
 def bir_s2(e: int) -> tuple[GroupTag, GroupTag]:
-    """(Aut, Bir) of the Hilbert square of a degree-2e K3 generator."""
+    """(Aut, Bir) of the Hilbert square of a degree-2e K3 generator, asking
+    a^2 - e*b^2 = -1 and a^2 - 4e*b^2 = 5 at most once each."""
     if e < 1:
         raise ValueError("e must be positive")
-    aut = aut_s2(e)
-    if aut == Z2:
+    if e == 1:
         return Z2, Z2
-    neg = _solvable(1, e, -1)
-    five = _solvable(1, 4 * e, 5)
-    if e == 5 or (e > 1 and e % 5 != 0 and neg and five):
-        return TRIVIAL, Z2
-    return TRIVIAL, TRIVIAL
+    if not _solvable(1, e, -1):
+        return TRIVIAL, TRIVIAL
+    if not _solvable(1, 4 * e, 5):
+        return Z2, Z2
+    return TRIVIAL, Z2 if e == 5 or e % 5 else TRIVIAL
 
 
 def bir_sm(e: int, m: int) -> GroupTag:
     """Birational automorphisms of the m-th Hilbert power, m >= 3, e > 1.
 
-    The four necessary conditions for a nontrivial group are tested; they are
-    also sufficient at m = e (the residual involution) and at (e, m) = (5, 3)
-    (the Hilbert-cube involution), trivially violated at m in
-    {e-1, e+1, e+2, e+3}, and undecided otherwise.
+    The group is Z/2 at m = e (the residual involution) and at (e, m) = (5, 3)
+    (the Hilbert-cube involution).  Elsewhere a nontrivial group needs four
+    conditions: (a) e(m-1) is no square, (b) gcd(e, m-1) = 1, (c)
+    (m-1)a^2 - e*b^2 = 1 is unsolvable, and (d) the least unit
+    a1 + b1*sqrt(e(m-1)) with a1 = +-1 mod m-1 has a1 = +-1 mod 2e.  The
+    group is trivial when one fails and undecided when all hold.
+
+    (d) asks no parity of b1: with (b) and a1 = +-1 mod 2e, b1 is even.  For
+    odd p = m-1, a1 = 2ek +- 1 gives p*b1^2 = 4k(ek +- 1); for even p,
+    a1 = +-1 mod p gives v2(a1^2 - 1) >= v2(p) + 1.
+
+    The conditions alone decide m in {e-1, e+1, e+2, e+3}:
+    - m = e+1: (b) fails, as gcd(e, e) = e >= 2;
+    - m = e+2: (1, 1) solves (m-1)a^2 - e*b^2 = 1, so (c) fails;
+    - m = e-1 and m = e+3: (b) fails for even e.  For odd e,
+      e(e-+2) = (e-+1)^2 - 1 is no square, and the unit of
+      a^2 - e(e-+2)b^2 = 1 is (e-+1, 1), with e-+1 = 1 mod m-1; so unless
+      (c) fails, the ray is (e-+1, e), and e-+1 is not +-1 mod 2e because
+      m >= 3 forces e >= 3: (d) fails.
     """
     if e < 2 or m < 3:
         raise ValueError("need e >= 2 and m >= 3")
-    p = m - 1
-    if m == e:
+    if m == e or (e, m) == (5, 3):
         return Z2
-    if (e, m) == (5, 3):
-        return Z2
-    if m in (e - 1, e + 1, e + 2, e + 3):
-        return TRIVIAL
-    if gcd(e, p) != 1:  # condition (b)
+    if gcd(e, m - 1) != 1:  # condition (b)
         return TRIVIAL
     from .cones import mov_ray_sm  # only here: aut s2 loads no fractions
 
     ray, case = mov_ray_sm(e, m)
     # the case is "isotropic" under condition (a) and "two-term" under (c);
-    # otherwise the ray is (a1, e*b1), with a1 + b1*sqrt(e(m-1)) the least
-    # unit with a1 = +-1 mod m-1, which (d) reads
-    if case != "congruence":
-        return TRIVIAL
-    a1, b1 = ray.c_l, ray.c_delta // e
-    if a1 % (2 * e) not in (1, 2 * e - 1) or b1 % 2:  # condition (d)
+    # otherwise the ray is (a1, e*b1), the unit that (d) reads
+    if case != "congruence" or ray.c_l % (2 * e) not in (1, 2 * e - 1):
         return TRIVIAL
     return unknown("necessary conditions hold")
 

@@ -110,22 +110,22 @@ def _walls(a: int, b: int, sx: int, sy: int, t: int, mov: ExtremalSlope,
     X, Y is a basis with Picard form diag(2a, -2b), and the class orthogonal
     to sx*x*X - sy*y*Y is X + (a*sx*x / (b*sy*y))*Y, so its slope is the
     wall's.  Runs over the positive solutions of a*sx^2*x^2 - b*sy^2*y^2 = t
-    with keep(x, y), keeping the slopes in (0, mov); the slope grows with x.
-    A rational mov bounds x outright, and for a square a*b the stream is
-    finite.  An irrational mov, where a*b is no square, has infinitely many
-    walls below it, so `prefix` must be given: the first prefix are returned.
+    with keep(x, y), keeping the slopes in (0, mov).  With A = a*sx^2*x^2 the
+    slope^2 is (a/b) * A/(A - t), which grows with x towards a/b, so the
+    stream stops at its first slope past mov, before keep is asked (a stop
+    after keep is never reached when keep rejects every later solution).
+    For a square a*b the stream is finite.  An irrational mov, where a*b is
+    no square, has infinitely many walls below it, so `prefix` must be
+    given: the first prefix are returned.
     """
-    sols = pell.positive_solutions(a * sx * sx, b * sy * sy, t)
     mu2 = mov.squared()
-    if mov.is_rational and not is_square(a * b):
-        if a <= mu2 * b:
-            raise ConeError(f"movable slope^2 {mu2} is not below {a}/{b}")
-        bound = mu2 * b * -t / (a * sx * sx * (a - mu2 * b))
-        x_max = isqrt(bound.numerator // bound.denominator) + 2
-        sols = takewhile(lambda sol: sol.a <= x_max, sols)
+    if mov.is_rational and not is_square(a * b) and a <= mu2 * b:
+        raise ConeError(f"movable slope^2 {mu2} is not below {a}/{b}")
+    num, den = mu2.numerator, mu2.denominator
+    sols = takewhile(lambda sol: den * (a * sx * sol.a) ** 2 < num * (b * sy * sol.b) ** 2,
+                     pell.positive_solutions(a * sx * sx, b * sy * sy, t))
     slopes = (Fraction(a * sx * x, b * sy * y) for x, y in sols if keep is None or keep(x, y))
-    inside = (w for w in slopes if w * w < mu2)
-    return tuple(islice(inside, prefix) if mov.is_sqrt else inside)
+    return tuple(islice(slopes, prefix) if mov.is_sqrt else slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +157,10 @@ def mov_ray_sm(e: int, m: int) -> tuple[DivisorClass, str]:
     """Generator of the second extremal ray of the movable cone, with its case tag.
 
     Cases: "isotropic" when e(m-1) is a perfect square, "two-term" when
-    (m-1)a^2 - e*b^2 = 1 is solvable, "congruence" otherwise (the minimal
-    solution of a^2 - e(m-1)b^2 = 1 with a = +-1 mod m-1).
+    (m-1)a^2 - e*b^2 = 1 is solvable, "congruence" otherwise.  The
+    congruence ray is (a, e*b) for the least unit a + b*sqrt(e(m-1)) with
+    a = +-1 mod m-1: the fundamental unit, or else its square, whose first
+    coordinate always is 1 mod m-1.
     """
     if e < 1 or m < 2:
         raise ValueError("need e >= 1 and m >= 2")
@@ -169,12 +171,10 @@ def mov_ray_sm(e: int, m: int) -> tuple[DivisorClass, str]:
     if sol is not None:
         return DivisorClass(p * sol.a, e * sol.b), "two-term"
     a, b = pell.fundamental_solution(e * p)
-    for _ in range(2):
-        if a % p in (1 % p, (-1) % p):
-            return DivisorClass(a, e * b), "congruence"
-        a, b = a * a + e * p * b * b, 2 * a * b  # square the unit
-    # not reached: the square of the unit has a = 1 mod p
-    raise ConeError(f"no unit of a^2 - {e * p}b^2 = 1 has a = +-1 mod {p}")
+    if a % p not in (1 % p, (-1) % p):
+        # a^2 - e*p*b^2 = 1 gives a^2 = 1 mod p, so the square's 2a^2 - 1 is 1 mod p
+        a, b = a * a + e * p * b * b, 2 * a * b
+    return DivisorClass(a, e * b), "congruence"
 
 
 def nef_ray_sm_special(e: int, m: int) -> Optional[tuple[DivisorClass, bool]]:
@@ -239,6 +239,8 @@ def fourfold_cones(n: int, e_prime: int, prefix: int = 8) -> ConeReport:
     """
     if n % 4 != 3:
         raise BadCongruence("n must be congruent to -1 mod 4")
+    if n < 0:
+        raise ValueError(f"n must be positive, got n={n}")
     if e_prime < 2:
         raise ValueError("e' must be at least 2")
     if prefix < 0:

@@ -281,17 +281,12 @@ def _class_reps(d: int, t: int) -> tuple[PellSolution, ...]:
             if (z * z - d) % m_abs:
                 continue
             for g, b in _pqa_hits(d, m_abs, z):
-                norm = g * g - d * b * b
-                if norm == m:
-                    x, y = g, b
-                elif norm == -m:
+                if g * g - d * b * b != m:  # _pqa_hits keeps norms +-m only: this is -m
                     neg = _negative_unit(d)
                     if neg is None:
                         continue
-                    x, y = _mul_unit(g, b, d, neg)
-                else:
-                    continue
-                reps.add(_canonical_rep(d, t, f * x, f * y))
+                    g, b = _mul_unit(g, b, d, neg)
+                reps.add(_canonical_rep(d, t, f * g, f * b))
     return tuple(PellSolution(a, b) for a, b in sorted(reps))
 
 

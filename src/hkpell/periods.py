@@ -230,7 +230,6 @@ def excluded_discriminants(m: int, n: int, gamma: int) -> tuple[int, ...]:
 # brute-force coordinate oracle
 
 
-@lru_cache(maxsize=None)
 def _coprime_products(bound: int) -> frozenset[int]:
     """Products x*y over coprime pairs with |x|, |y| <= bound (0 included)."""
     vals = {0}

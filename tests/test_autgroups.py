@@ -4,6 +4,7 @@ import pytest
 
 from hkpell import pell
 from hkpell.arith import is_square
+from hkpell.cones import mov_ray_sm
 from hkpell.autgroups import (EQUAL_INFINITE, FINITE_AUT_INFINITE_BIR,
                               FINITE_BOTH, INFINITE_CYCLIC,
                               INFINITE_DIHEDRAL, TRIVIAL, Z2, GroupTag,
@@ -31,6 +32,34 @@ def test_bir_s2():
     assert bir_s2(7) == (TRIVIAL, TRIVIAL)
     assert bir_s2(1) == (Z2, Z2)
     assert bir_s2(2) == (Z2, Z2)
+
+
+def _bir_s2_asking_twice(e):
+    """aut_s2 and bir_s2 as they were: Aut asks both equations, and Bir asks
+    them again unless Aut is Z/2."""
+    neg, five = _solvable(1, e, -1), _solvable(1, 4 * e, 5)
+    aut = Z2 if e == 1 or (neg and not five) else TRIVIAL
+    if aut == Z2:
+        return Z2, Z2
+    if e == 5 or (e > 1 and e % 5 != 0 and neg and five):
+        return TRIVIAL, Z2
+    return TRIVIAL, TRIVIAL
+
+
+def test_bir_s2_asks_each_equation_once(monkeypatch):
+    asked = []
+
+    def generalized_min(e1, e2, t, solve=pell.generalized_min):
+        asked.append((e1, e2, t))
+        return solve(e1, e2, t)
+
+    for e in range(1, 3000):
+        expected = _bir_s2_asking_twice(e)
+        monkeypatch.setattr(pell, "generalized_min", generalized_min)
+        assert (bir_s2(e), aut_s2(e)) == (expected, expected[0]), e
+        monkeypatch.undo()
+        assert len(asked) == 2 * len(set(asked)), e  # each once per call
+        asked.clear()
 
 
 def test_bir_s2_coherence():
@@ -120,11 +149,34 @@ def _bir_sm_conditions_hold(e, m):
 def test_bir_sm_matches_its_four_conditions():
     for e in range(2, 61):
         for m in range(3, 31):
-            if m == e or (e, m) == (5, 3) or m in (e - 1, e + 1, e + 2, e + 3):
+            if m == e or (e, m) == (5, 3):
                 continue
             expected = unknown("necessary conditions hold") if _bir_sm_conditions_hold(e, m) \
                 else TRIVIAL
             assert bir_sm(e, m) == expected, (e, m)
+
+
+def _bir_sm_with_shortcuts(e, m):
+    """bir_sm as it was: m in {e-1, e+1, e+2, e+3} answered before the
+    conditions, and (d) testing b1 for parity."""
+    p = m - 1
+    if m == e or (e, m) == (5, 3):
+        return Z2
+    if m in (e - 1, e + 1, e + 2, e + 3) or gcd(e, p) != 1:
+        return TRIVIAL
+    ray, case = mov_ray_sm(e, m)
+    if case != "congruence":
+        return TRIVIAL
+    a1, b1 = ray.c_l, ray.c_delta // e
+    if a1 % (2 * e) not in (1, 2 * e - 1) or b1 % 2:
+        return TRIVIAL
+    return unknown("necessary conditions hold")
+
+
+def test_bir_sm_needs_no_shortcut_cells():
+    for e in range(2, 151):
+        for m in range(3, 41):
+            assert bir_sm(e, m) == _bir_sm_with_shortcuts(e, m), (e, m)
 
 
 def test_case_b_reciprocity_exclusion():

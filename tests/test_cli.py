@@ -117,6 +117,8 @@ _OUT_OF_DOMAIN = [
     (["cone", "s2", "--e", "5", "--e-to", "7"], 2),
     (["cone", "s2", "--e", "0"], 1),
     (["cone", "sm", "--e", "0", "--m", "3"], 1),
+    (["cone", "fourfold", "--n", "-5", "--e-prime", "5"], 1),
+    (["aut", "fourfold", "--n", "-1", "--e-prime", "5"], 1),
 ]
 
 

@@ -1,14 +1,17 @@
 from fractions import Fraction
+from itertools import islice, takewhile
 from math import isqrt
 
 import pytest
 
-from hkpell.arith import is_square
+from hkpell import cones, pell
+from hkpell.arith import ConeError, is_square
 from hkpell.cones import (BadCongruence, ConeReport, DivisorClass,
                           ExtremalSlope, UnsupportedM, fourfold_cones,
                           hilb_embedding_status, k_very_ample,
                           moduli_embedding_status, mov_ray_sm, mov_slope_s2,
                           nef_ray_sm_special, nef_slope_s2, walls_s2, walls_sm)
+from hkpell.pell import fundamental_solution, generalized_min
 from hkpell.rrinv import h0_polarized
 
 F = Fraction
@@ -136,6 +139,30 @@ def test_nef_ray_sm_special_matches_the_walls():
     assert cases == 50
 
 
+def _mov_ray_sm_squaring_twice(e, m):
+    """mov_ray_sm's congruence case as it was: the unit is tried, squared and
+    tried again, with a ConeError if neither has a = +-1 mod m-1."""
+    p = m - 1
+    a, b = fundamental_solution(e * p)
+    for _ in range(2):
+        if a % p in (1 % p, (-1) % p):
+            return DivisorClass(a, e * b), "congruence"
+        a, b = a * a + e * p * b * b, 2 * a * b
+    raise ConeError(f"no unit of a^2 - {e * p}b^2 = 1 has a = +-1 mod {p}")
+
+
+def test_mov_ray_sm_squares_the_unit_at_most_once():
+    squared = 0
+    for e in range(1, 121):
+        for m in range(2, 41):
+            ray, case = mov_ray_sm(e, m)
+            if case != "congruence":
+                continue
+            assert (ray, case) == _mov_ray_sm_squaring_twice(e, m), (e, m)
+            squared += ray.c_l != fundamental_solution(e * (m - 1)).a
+    assert squared == 947  # the squaring branch stays live
+
+
 def test_walls_sm_examples():
     assert walls_sm(5, 3).interior_walls == (F(10, 7), F(20, 13))
     # degree-6 Hilbert cube: the residual involution makes exactly one wall
@@ -182,8 +209,19 @@ def test_no_flopping_constraint_has_a_mov_boundary_type():
 
 
 def test_walls_sm_matches_s2():
-    for e in range(1, 120):
-        assert walls_sm(e, 2).interior_walls == walls_s2(e).interior_walls, e
+    # the paper's S^[2] rule: the nef slope is 2e*b/a for the minimal solution of
+    # a^2 - 4e*b^2 = 5, or mov when there is none; mov is sqrt(e) for square e,
+    # and e*b1/a1 for the unit (a1, b1) of a^2 - e*b^2 = 1 otherwise
+    for e in range(1, 1500):
+        if is_square(e):
+            mov = ExtremalSlope.rational(isqrt(e))
+        else:
+            a1, b1 = fundamental_solution(e)
+            mov = ExtremalSlope.rational(F(e * b1, a1))
+        five = generalized_min(1, 4 * e, 5)
+        nef = mov if five is None else ExtremalSlope.rational(F(2 * e * five.b, five.a))
+        rep = walls_sm(e, 2)
+        assert (rep.mov_slope, rep.nef_slope) == (mov, nef), e
 
 
 def test_walls_sm_inside_cone():
@@ -214,6 +252,8 @@ def test_fourfold_cones():
 
     with pytest.raises(BadCongruence):
         fourfold_cones(2, 5)
+    with pytest.raises(ValueError, match="n=-5"):  # -5 = 3 mod 4
+        fourfold_cones(-5, 5)
 
 
 def test_fourfold_rational_mov_has_at_most_one_wall_pair():
@@ -230,6 +270,35 @@ def test_fourfold_rational_mov_has_at_most_one_wall_pair():
                 assert rep.interior_walls == (rep.nef_slope.value,), (n, ep)
                 pairs += 1
     assert pairs == 41
+
+
+def _walls_bounded_by_x(a, b, sx, sy, t, mov, prefix=None, keep=None):
+    """cones._walls as it was: a rational mov bounds x by the root of
+    slope^2 = mov^2 (plus 2), and the slopes past mov are filtered out."""
+    sols = pell.positive_solutions(a * sx * sx, b * sy * sy, t)
+    mu2 = mov.squared()
+    if mov.is_rational and not is_square(a * b):
+        if a <= mu2 * b:
+            raise ConeError(f"movable slope^2 {mu2} is not below {a}/{b}")
+        bound = mu2 * b * -t / (a * sx * sx * (a - mu2 * b))
+        x_max = isqrt(bound.numerator // bound.denominator) + 2
+        sols = takewhile(lambda sol: sol.a <= x_max, sols)
+    slopes = (F(a * sx * x, b * sy * y) for x, y in sols if keep is None or keep(x, y))
+    inside = (w for w in slopes if w * w < mu2)
+    return tuple(islice(inside, prefix) if mov.is_sqrt else inside)
+
+
+def _wall_reports():
+    reports = [walls_sm(e, m) for m in (2, 3, 4) for e in range(1, 120)]
+    reports += [fourfold_cones(n, ep, prefix) for n in range(3, 32, 4)
+                for ep in range(2, 61) for prefix in (0, 1, 8)]
+    return reports
+
+
+def test_walls_stop_at_the_first_slope_past_mov(monkeypatch):
+    reports = _wall_reports()
+    monkeypatch.setattr(cones, "_walls", _walls_bounded_by_x)
+    assert reports == _wall_reports()
 
 
 def test_fourfold_prefix_zero_keeps_nef():

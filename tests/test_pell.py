@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkpell.arith import is_square
+from hkpell.arith import is_square, square_divisors
 from hkpell.pell import (ExcludedDegenerateCase, PellEquation, PellError, PellSolution,
                          PerfectSquareInput, Solvability, Unsolvable,
                          WrongEquation, compose_to_unit, fundamental_solution,
                          generalized_min, generalized_solutions, is_solvable,
                          min_positive_solution, positive_solutions, same_class,
                          solution_classes, solutions_in_order, solvability)
-from hkpell.pell import _negative_unit, _pqa_hits
+from hkpell.pell import _canonical_rep, _class_reps, _mul_unit, _negative_unit, _pqa_hits
 
 C = PellEquation.classical
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -253,6 +253,44 @@ def test_classes_match_sympy():
             assert r.a > 0 and r.b > 0 and not (below[0] > 0 and below[1] > 0), (d, t, r)
             conj = i if c.conjugate_of is None else c.conjugate_of
             assert homes(PellSolution(r.a, -r.b)) == [conj], (d, t, r)
+
+
+def _class_reps_testing_each_norm(d, t):
+    """pell._class_reps as it was: each PQa hit is tested for norm m, then
+    for norm -m, and skipped as neither."""
+    reps = set()
+    for f in square_divisors(t):
+        m = t // (f * f)
+        if abs(m) == 1:
+            unit = fundamental_solution(d) if m == 1 else _negative_unit(d)
+            if unit is not None:
+                reps.add(_canonical_rep(d, t, f * unit.a, f * unit.b))
+            continue
+        for z in range(abs(m)):
+            if (z * z - d) % abs(m):
+                continue
+            for g, b in _pqa_hits(d, abs(m), z):
+                norm = g * g - d * b * b
+                if norm == m:
+                    x, y = g, b
+                elif norm == -m:
+                    neg = _negative_unit(d)
+                    if neg is None:
+                        continue
+                    x, y = _mul_unit(g, b, d, neg)
+                else:
+                    continue
+                reps.add(_canonical_rep(d, t, f * x, f * y))
+    return tuple(PellSolution(a, b) for a, b in sorted(reps))
+
+
+def test_class_reps_need_no_third_norm_branch():
+    for d in range(2, 200):
+        if is_square(d):
+            continue
+        for t in [*range(-30, 31), 49, -49, 100, -100, 144, 360]:
+            if t:
+                assert _class_reps(d, t) == _class_reps_testing_each_norm(d, t), (d, t)
 
 
 def test_class_count_law():
