@@ -3,6 +3,7 @@ the package."""
 
 from __future__ import annotations
 
+from functools import total_ordering
 from math import gcd, isqrt
 
 
@@ -54,6 +55,7 @@ class Record:
         return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
 
+@total_ordering
 class OrderedRecord(Record):
     """A Record ordered by its field values, within one class."""
 
@@ -62,21 +64,6 @@ class OrderedRecord(Record):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self._values < other._values
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values <= other._values
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values > other._values
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values >= other._values
         return NotImplemented
 
 
@@ -149,11 +136,6 @@ def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def omega(n: int) -> int:
-    """Number of distinct prime divisors."""
-    return len(prime_factors(n))
-
-
 def v_p(n: int, p: int) -> int:
     """p-adic valuation of n != 0, for p >= 2."""
     if n == 0:
@@ -219,13 +201,6 @@ def binomial_poly(x: int, k: int) -> int:
     if r:
         raise ArithmeticError(f"falling factorial of {x} of length {k} is not divisible by {k}!")
     return q
-
-
-def gcd_all(*values: int) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ class GroupTag(Record):
         return {
             "trivial": "1",
             "z2": "Z/2",
-            "z2xz2": "(Z/2)^2",
             "infinite_cyclic": "Z",
             "infinite_dihedral": "Z x| Z/2",
             "unknown": "?",
@@ -40,12 +39,11 @@ class GroupTag(Record):
 
     @property
     def is_finite(self) -> bool:
-        return self.kind in ("trivial", "z2", "z2xz2")
+        return self.kind in ("trivial", "z2")
 
 
 TRIVIAL = GroupTag("trivial")
 Z2 = GroupTag("z2")
-Z2XZ2 = GroupTag("z2xz2")
 INFINITE_CYCLIC = GroupTag("infinite_cyclic")
 INFINITE_DIHEDRAL = GroupTag("infinite_dihedral")
 

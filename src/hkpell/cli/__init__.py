@@ -3,7 +3,7 @@
 Every command prints a deterministic envelope: command name, parameters,
 result payload, and the identifiers of any built-in reference table the
 invocation reproduces.  Rationals render as "p/q", irrational slopes as
-"sqrt(p/q)", groups as one of 1, Z/2, (Z/2)^2, Z, Z x| Z/2, ?.
+"sqrt(p/q)", groups as one of 1, Z/2, Z, Z x| Z/2, ?.
 
 Exit codes: 0 on success, 1 on a domain error (the error type is printed)
 or when the reader closes stdout first, 2 on a usage error.

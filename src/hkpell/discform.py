@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 # BadCongruence is bound here for lattice and periods, which re-export it
-from .arith import BadCongruence, DomainError, Record, check_polarization, prime_factors
+from .arith import BadCongruence, DomainError, Record, check_polarization
 
 
 class UnsupportedParameters(DomainError):
@@ -139,20 +139,11 @@ class DiscGroup(Record):
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
-        """Orders rewritten so that each divides the next."""
-        primary: dict[int, list[int]] = {}
-        for d in self.orders:
-            for p, e in prime_factors(d):
-                primary.setdefault(p, []).append(p ** e)
-        slots: list[int] = []
-        for p, powers in primary.items():
-            powers.sort(reverse=True)
-            for i, q in enumerate(powers):
-                if i < len(slots):
-                    slots[i] *= q
-                else:
-                    slots.append(q)
-        return tuple(sorted(slots))
+        """Orders rewritten so that each divides the next: the Smith form of
+        the diagonal matrix of the orders, without its units."""
+        k = len(self.orders)
+        diag = [[d if i == j else 0 for j in range(k)] for i, d in enumerate(self.orders)]
+        return tuple(abs(f) for f in smith_normal_form(diag)[0] if abs(f) != 1)
 
     def elements(self):
         return itertools.product(*(range(d) for d in self.orders))

@@ -11,10 +11,10 @@ the discriminant class.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
-from .arith import (DomainError, Record, check_polarization, gcd_all, is_square_mod, omega,
-                    prime_factors, v_p)
+from .arith import DomainError, Record, check_polarization, is_square_mod, prime_factors, v_p
 # the discriminant-form engine and the polarized tail's domain errors, bound
 # here too so that lattice keeps its names
 from .discform import (BadCongruence, DiscGroup, UnsupportedParameters,  # noqa: F401
@@ -156,14 +156,14 @@ class LatticeVector(Record):
 
     @property
     def is_primitive(self) -> bool:
-        return gcd_all(*self.coords) == 1
+        return gcd(*self.coords) == 1
 
 
 def divisibility(v: LatticeVector) -> int:
     """Positive generator of the pairing ideal v . Lambda."""
     if all(c == 0 for c in v.coords):
         raise ZeroVector("divisibility of the zero vector is undefined")
-    return gcd_all(*v.pairings())
+    return gcd(*v.pairings())
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +211,17 @@ def exists_primitive_vector(spec: LatticeSpec, key: OrbitKey) -> bool:
 
     In a lattice containing two orthogonal hyperbolic planes this holds
     exactly when the discriminant group has an element of the stated order
-    whose quadratic value matches square/order^2 modulo 2.
+    whose quadratic value matches square/order^2 modulo 2.  Only the order-s
+    torsion is read: the multiples of d/gcd(d, s) in each factor Z/d, keyed
+    as in DiscGroup.index.
     """
     if spec.u_block_count() < 2:
         raise NoDoubleU("existence test requires two hyperbolic planes")
-    by_q = disc_group_of(spec).index().get(key.star_order, {})
-    return residue(key.square, key.star_order) in by_q
+    dg, s = disc_group_of(spec), key.star_order
+    want = residue(key.square, s)
+    torsion = product(*(range(0, d, d // gcd(d, s)) for d in dg.orders))
+    return any(dg.element_order(el) == s and int(dg.qbar(el) * (s * s)) == want
+               for el in torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +272,7 @@ def monodromy_index(m: int) -> int:
     """Index of the monodromy group inside the positivity-preserving isometries."""
     if m < 2:
         raise ValueError("m must be at least 2")
-    return 2 ** max(omega(m - 1) - 1, 0)
+    return 2 ** max(len(prime_factors(m - 1)) - 1, 0)
 
 
 class ComponentCount(Record):
@@ -318,29 +323,18 @@ def moduli_component_count(m: int, n: int, gamma: int) -> ComponentCount:
 
 
 def strange_dual_params(m: int, n: int, gamma: int) -> tuple[int, int, int]:
-    """The dual parameter triple (n+1, m-1, gamma), with the lattice symmetry verified."""
-    source = polarized_orthogonal(m, n, gamma)
-    dual = (n + 1, m - 1, gamma)
-    target = polarized_orthogonal(*dual)
-    if gamma == 1:
-        if sorted(b.gram for b in source.blocks) != sorted(b.gram for b in target.blocks):
-            raise LatticeError("block sums fail to match under the symmetry")
-        return dual
-    # gamma = 2: the substitution (x, y) -> (-x, 2x + y) carries one Gram
-    # block to the other
-    b1 = source.blocks[-1].gram
-    b2 = target.blocks[-1].gram
-    s = ((-1, 0), (2, 1))
-    carried = tuple(
-        tuple(
-            sum(s[k][i] * b1[k][l] * s[l][j] for k in range(2) for l in range(2))
-            for j in range(2)
-        )
-        for i in range(2)
-    )
-    if carried != b2:
-        raise LatticeError("Gram blocks fail to match under the base change")
-    return dual
+    """The dual parameter triple (n + 1, m - 1, gamma), whose polarized
+    orthogonal is isometric to that of (m, n, gamma).
+
+    With p = m - 1 the dual swaps n and p.  For gamma = 1 both tails are
+    I1(-2n) + I1(-2p), up to order.  For gamma = 2, with c = (n + p)/2, the
+    base change (x, y) -> (-x, 2x + y) carries ((-2p, -p), (-p, -c)) to
+    ((-2n, -n), (-n, -c)), as -2p + 4p - 4c = -2n and p - 2c = -n.  The dual
+    is in the domain whenever (m, n, gamma) is: m' = n + 1 >= 2,
+    n' = m - 1 >= 1 and n' + m' = n + m.
+    """
+    polarized_tail(m, n, gamma)  # domain check
+    return n + 1, m - 1, gamma
 
 
 def polarization_determined(m: int, n: int, gamma: int) -> bool:

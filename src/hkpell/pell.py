@@ -221,16 +221,19 @@ def _canonical_rep(d: int, t: int, x: int, y: int) -> tuple[int, int]:
 # PQa machinery: class representatives of a^2 - d*b^2 = t for nonsquare d
 
 
-def _pqa_hits(d: int, q0: int, z: int) -> list[tuple[int, int]]:
-    """(G, B) pairs with G^2 - d*B^2 = +-q0 from the expansion of (z+sqrt(d))/q0.
+def _pqa_hits(d: int, m: int, z: int) -> list[tuple[int, int]]:
+    """(G, B) pairs with G^2 - d*B^2 = m from the expansion of (z+sqrt(d))/|m|.
 
-    Runs through the preperiod plus two full periods of the continued-fraction
-    expansion, which is enough to see the fundamental solution of every class
-    attached to the residue z (z^2 must be congruent to d mod q0).  The
-    expansion of a quadratic irrational is eventually periodic, so some state
-    is seen a third time and the loop ends.
+    The PQa algorithm (Matthews, "The Diophantine equation x^2 - Dy^2 = N,
+    D > 0", Expo. Math. 18 (2000)): with Q_0 = |m| dividing z^2 - d,
+    G_{i-1}^2 - d*B_{i-1}^2 = (-1)^i * Q_0 * Q_i, so the steps with |Q_i| = 1
+    are the hits of norm +-m.  The run goes through the preperiod plus two
+    full periods, enough to see the fundamental solution of every class
+    attached to the residue z; the expansion of a quadratic irrational is
+    eventually periodic, so some state is seen a third time and it ends.
     """
-    if q0 <= 0 or (z * z - d) % q0:
+    q0 = abs(m)
+    if q0 == 0 or (z * z - d) % q0:
         raise PellError(f"PQa needs q0 > 0 dividing z^2 - d, got q0={q0}, z={z}, d={d}")
     s = isqrt(d)
     p_cur, q_cur = z, q0
@@ -253,7 +256,8 @@ def _pqa_hits(d: int, q0: int, z: int) -> list[tuple[int, int]]:
             if abs(norm) != q0:
                 raise PellError(f"PQa convergent of {g_i.bit_length()} and {b_i.bit_length()} "
                                 f"bits has a norm of {norm.bit_length()} bits, not +-{q0}")
-            hits.append((g_i, b_i))
+            if norm == m:
+                hits.append((g_i, b_i))
         g_prev2, g_prev = g_prev, g_i
         b_prev2, b_prev = b_prev, b_i
         p_cur, q_cur = p_next, q_next
@@ -264,6 +268,17 @@ def _class_reps(d: int, t: int) -> tuple[PellSolution, ...]:
     """Minimal positive representatives of all solution classes of a^2 - d*b^2 = t.
 
     d must not be a perfect square.  Sorted by increasing a.
+
+    For t/f^2 = m with |m| > 1 the PQa hits of norm m suffice.  After the
+    first hit the complete quotient is +-(P_i + sqrt(d)), so the run enters
+    the period l of sqrt(d): Q returns to +-1 once per period, and
+    consecutive hits differ by +-w^(+-1), w the unit of norm (-1)^l of that
+    period (checked on every run with d < 400, |m| <= 60).  The run stops at
+    a state's third visit, so once it sees one hit it sees two.  If eta, the
+    unit of norm -1, exists, l is odd and w = eta: a hit h of norm -m has a
+    neighbouring hit +-h*eta^(+-1) of norm m, in the class of h*eta, as
+    h*eta^-1 = h*eta*eps^-1.  Else no unit carries norm -m to m, and every
+    hit has the sign of the first.
     """
     if is_square(d):
         raise PerfectSquareInput(f"{d} is a perfect square")
@@ -280,12 +295,7 @@ def _class_reps(d: int, t: int) -> tuple[PellSolution, ...]:
         for z in range(m_abs):
             if (z * z - d) % m_abs:
                 continue
-            for g, b in _pqa_hits(d, m_abs, z):
-                if g * g - d * b * b != m:  # _pqa_hits keeps norms +-m only: this is -m
-                    neg = _negative_unit(d)
-                    if neg is None:
-                        continue
-                    g, b = _mul_unit(g, b, d, neg)
+            for g, b in _pqa_hits(d, m, z):
                 reps.add(_canonical_rep(d, t, f * g, f * b))
     return tuple(PellSolution(a, b) for a, b in sorted(reps))
 

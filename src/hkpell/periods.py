@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional
 
-from .arith import (DomainError, OrderedRecord, Record, gcd_all, is_prime, is_square_mod,
+from .arith import (DomainError, OrderedRecord, Record, is_prime, is_square_mod,
                     is_squarefree, v_p, wall_types)
 # the wall constraints and their domain error, bound here too so that periods
 # keeps their names
@@ -86,8 +86,8 @@ class _Model(Record):
 
     def _ambient_div_coords(self, a: int, b: int, c: int) -> int:
         if self.gamma == 1:
-            return gcd_all(a, 2 * self.p * b, c)
-        return gcd_all(self.p * a, b, c)
+            return gcd(a, 2 * self.p * b, c)
+        return gcd(self.p * a, b, c)
 
     def tail_square(self, a: int, b: int) -> int:
         t = self.tail
@@ -266,9 +266,9 @@ def coordinate_oracle(m: int, n: int, gamma: int, bound: int,
             base = model.tail_square(a, b)
             pr1, pr2 = model.tail_pairings(a, b)
             for c in range(bound + 1):
-                if gcd_all(a, b, c) != 1:
+                if gcd(a, b, c) != 1:
                     continue
-                s = gcd_all(pr1, pr2, c)
+                s = gcd(pr1, pr2, c)
                 star = stars[(Fraction(a, s) % 1, Fraction(b, s) % 1)]
                 amb = model._ambient_div_coords(a, b, c)
                 if c == 0:

@@ -212,4 +212,4 @@ def test_finite_groups_are_small():
         for ep in range(2, 20):
             for g in fourfold_groups(n, ep):
                 if g.is_finite:
-                    assert g.kind in ("trivial", "z2", "z2xz2")
+                    assert g.kind in ("trivial", "z2")

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -129,6 +130,22 @@ def test_out_of_domain_exit_code(args, code):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# large inputs answered from a small part of the discriminant group, with
+# their time budget in seconds
+_LARGE_INPUT = [
+    (["lattice", "orbit", "--m", "100000", "--n", "100000", "--gamma", "1",
+      "--square", "-2", "--div", "2"], 1.0),
+]
+
+
+@pytest.mark.parametrize("args,budget", _LARGE_INPUT)
+def test_large_input_within_budget(args, budget, capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(args, capsys)
+    assert time.perf_counter() - start < budget
+    assert code == 0, err
 
 
 def test_closed_stdout_exits_1_without_traceback():
@@ -415,10 +432,10 @@ ENVELOPES = pathlib.Path(__file__).parent / "envelopes.json"
 
 def _envelope_argvs():
     """Every command of _EVERY_COMMAND under each --format, and every argv of
-    test_out_of_domain_exit_code."""
+    test_out_of_domain_exit_code and test_large_input_within_budget."""
     leaves = [[*path, *args.split()] for path, args in _EVERY_COMMAND.items()]
     return ([["--format", f, *argv] for argv in leaves for f in ("json", "text", "csv")]
-            + [argv for argv, _ in _OUT_OF_DOMAIN])
+            + [argv for argv, _ in _OUT_OF_DOMAIN] + [argv for argv, _ in _LARGE_INPUT])
 
 
 def _envelope(argv):

@@ -1,12 +1,14 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from hkpell import periods
+from hkpell.arith import divisors, prime_factors
 from hkpell.autgroups import very_general_bir
-from hkpell.discform import block_sum, polarized_tail
+from hkpell.discform import block_sum, polarized_tail, residue
 from hkpell.lattice import (E8_MINUS, U, BadCongruence, ComponentCount, DiscGroup, _det,
                             LatticeSpec, NoDoubleU, UnsupportedParameters,
                             NotPrimitive, OrbitKey, ZeroVector, disc_group,
@@ -119,6 +121,48 @@ def test_disc_group_order_law():
                     continue
                 d = disc_group(m, n, gamma)
                 assert d.order == (2 * n) * (2 * m - 2) // gamma ** 2
+
+
+def _invariant_factors_by_primary_parts(orders):
+    """DiscGroup.invariant_factors as it was: the prime-power parts of the
+    orders, merged largest first."""
+    primary = {}
+    for d in orders:
+        for p, e in prime_factors(d):
+            primary.setdefault(p, []).append(p ** e)
+    slots = []
+    for p, powers in primary.items():
+        powers.sort(reverse=True)
+        for i, q in enumerate(powers):
+            if i < len(slots):
+                slots[i] *= q
+            else:
+                slots.append(q)
+    return tuple(sorted(slots))
+
+
+def test_invariant_factors_match_the_primary_decomposition():
+    rng = random.Random(19)
+    tuples = [(), *((a,) for a in range(2, 40)), *itertools.product(range(2, 40), repeat=2)]
+    tuples += [tuple(rng.randint(2, 5000) for _ in range(rng.randint(1, 4))) for _ in range(300)]
+    for orders in tuples:
+        expected = _invariant_factors_by_primary_parts(orders)
+        assert DiscGroup(orders, (), ()).invariant_factors == expected, orders
+
+
+def test_invariant_factors_are_a_divisor_chain_of_the_same_group():
+    for m in range(2, 31):
+        for n in range(1, 31):
+            for gamma in (1, 2) if (n + m) % 4 == 1 else (1,):
+                dg = disc_group(m, n, gamma)
+                f = dg.invariant_factors
+                assert all(b % a == 0 for a, b in zip(f, f[1:])), (m, n, gamma)
+                assert math.prod(f) == dg.order, (m, n, gamma)
+                # equal multisets of element orders: for every k as many
+                # elements have order dividing k, and Z/d has gcd(k, d)
+                for k in divisors(dg.order):
+                    assert (math.prod(math.gcd(k, d) for d in dg.orders)
+                            == math.prod(math.gcd(k, d) for d in f)), (m, n, gamma, k)
 
 
 def test_disc_group_matches_coordinates():
@@ -261,6 +305,20 @@ def test_exists_primitive_vector_matches_the_coordinate_oracle():
     assert checked > 1500
 
 
+def test_exists_primitive_vector_reads_the_torsion_as_the_index_does():
+    # exists_primitive_vector as it was: a lookup in the index of the whole group
+    for m in range(2, 5):
+        for n in range(1, 5):
+            for gamma in (1, 2) if (n + m) % 4 == 1 else (1,):
+                spec = polarized_orthogonal(m, n, gamma)
+                index = disc_group_of(spec).index()
+                for s in range(1, 2 * (m + n)):
+                    for square in range(-4 * (m + n), 3, 2):
+                        expected = residue(square, s) in index.get(s, {})
+                        got = exists_primitive_vector(spec, OrbitKey(square, s))
+                        assert got == expected, (m, n, gamma, square, s)
+
+
 def test_monodromy_index():
     assert monodromy_index(2) == 1
     assert monodromy_index(7) == 2   # 6 = 2*3
@@ -281,15 +339,35 @@ def test_moduli_component_count():
         moduli_component_count(2, 1, 3)
 
 
+def _isometric_tails(source, target):
+    """strange_dual_params' check as it was: the polarized orthogonals have
+    the same blocks up to order (gamma = 1), or the base change
+    (x, y) -> (-x, 2x + y) carries the source's tail block to the target's
+    (gamma = 2)."""
+    b1 = [b.gram for b in polarized_orthogonal(*source).blocks]
+    b2 = [b.gram for b in polarized_orthogonal(*target).blocks]
+    if source[2] == 1:
+        return sorted(b1) == sorted(b2)
+    s, g = ((-1, 0), (2, 1)), b1[-1]
+    carried = tuple(tuple(sum(s[k][i] * g[k][l] * s[l][j] for k in range(2) for l in range(2))
+                          for j in range(2)) for i in range(2))
+    return b1[:-1] == b2[:-1] and carried == b2[-1]
+
+
 def test_strange_duality():
     assert strange_dual_params(2, 3, 2) == (4, 1, 2)
     assert strange_dual_params(2, 11, 2) == (12, 1, 2)
     assert strange_dual_params(5, 4, 1) == (5, 4, 1)  # fixed point
-    for m, n, gamma in [(2, 3, 2), (2, 11, 2), (3, 4, 1), (6, 7, 2), (4, 9, 2)]:
-        if gamma == 2 and (n + m) % 4 != 1:
-            continue
-        m2, n2, g2 = strange_dual_params(m, n, gamma)
-        assert strange_dual_params(m2, n2, g2) == (m, n, gamma)
+    for m in range(2, 61):
+        for n in range(1, 61):
+            for gamma in (1, 2):
+                if gamma == 2 and (n + m) % 4 != 1:
+                    with pytest.raises(BadCongruence):
+                        strange_dual_params(m, n, gamma)
+                    continue
+                dual = strange_dual_params(m, n, gamma)
+                assert _isometric_tails((m, n, gamma), dual), (m, n, gamma)
+                assert strange_dual_params(*dual) == (m, n, gamma), (m, n, gamma)
 
 
 def test_polarization_determined():

@@ -255,9 +255,33 @@ def test_classes_match_sympy():
             assert homes(PellSolution(r.a, -r.b)) == [conj], (d, t, r)
 
 
-def _class_reps_testing_each_norm(d, t):
-    """pell._class_reps as it was: each PQa hit is tested for norm m, then
-    for norm -m, and skipped as neither."""
+def _pqa_hits_of_both_norms(d, q0, z):
+    """pell._pqa_hits as it was: every hit of norm +-q0, whichever the sign."""
+    s = isqrt(d)
+    p_cur, q_cur = z, q0
+    g_prev2, g_prev = -z, q0
+    b_prev2, b_prev = 1, 0
+    hits, seen = [], {}
+    while True:
+        state = (p_cur, q_cur)
+        seen[state] = seen.get(state, 0) + 1
+        if seen[state] >= 3:
+            return hits
+        a_i = (p_cur + s) // q_cur if q_cur > 0 else (p_cur + s + 1) // q_cur
+        g_i = a_i * g_prev + g_prev2
+        b_i = a_i * b_prev + b_prev2
+        p_next = a_i * q_cur - p_cur
+        q_next = (d - p_next * p_next) // q_cur
+        if abs(q_next) == 1:
+            hits.append((g_i, b_i))
+        g_prev2, g_prev = g_prev, g_i
+        b_prev2, b_prev = b_prev, b_i
+        p_cur, q_cur = p_next, q_next
+
+
+def _class_reps_with_negative_norm_branch(d, t):
+    """pell._class_reps as it was: a PQa hit of norm -m is carried to norm m
+    by the unit of norm -1, when there is one."""
     reps = set()
     for f in square_divisors(t):
         m = t // (f * f)
@@ -269,28 +293,29 @@ def _class_reps_testing_each_norm(d, t):
         for z in range(abs(m)):
             if (z * z - d) % abs(m):
                 continue
-            for g, b in _pqa_hits(d, abs(m), z):
-                norm = g * g - d * b * b
-                if norm == m:
-                    x, y = g, b
-                elif norm == -m:
+            for g, b in _pqa_hits_of_both_norms(d, abs(m), z):
+                if g * g - d * b * b != m:
                     neg = _negative_unit(d)
                     if neg is None:
                         continue
-                    x, y = _mul_unit(g, b, d, neg)
-                else:
-                    continue
-                reps.add(_canonical_rep(d, t, f * x, f * y))
+                    g, b = _mul_unit(g, b, d, neg)
+                reps.add(_canonical_rep(d, t, f * g, f * b))
     return tuple(PellSolution(a, b) for a, b in sorted(reps))
 
 
 def test_class_reps_need_no_third_norm_branch():
+    # the hits of norm m alone give every class that the hits of norm -m,
+    # carried by eta, gave before (the argument is in _class_reps)
     for d in range(2, 200):
         if is_square(d):
             continue
         for t in [*range(-30, 31), 49, -49, 100, -100, 144, 360]:
             if t:
-                assert _class_reps(d, t) == _class_reps_testing_each_norm(d, t), (d, t)
+                assert _class_reps(d, t) == _class_reps_with_negative_norm_branch(d, t), (d, t)
+    # runs that meet both signs keep the asked one
+    for d, m, z in [(13, 12, 1), (13, -12, 1), (5, 4, 1), (5, -4, 1), (2, 7, 3), (2, -7, 3)]:
+        hits = _pqa_hits(d, m, z)
+        assert hits and all(g * g - d * b * b == m for g, b in hits), (d, m, z)
 
 
 def test_class_count_law():

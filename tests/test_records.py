@@ -139,8 +139,10 @@ def test_ordered_records_sort_by_field_tuple(cls):
     assert [tuple(getattr(o, n) for n in cls.__slots__) for o in sorted(objs)] == sorted(fields)
     a, b = cls(*sorted(fields)[0]), cls(*sorted(fields)[1])
     assert a < b and a <= b and b > a and b >= a and a <= cls(*sorted(fields)[0])
-    with pytest.raises(TypeError):
-        a < _twin(cls)(*sorted(fields)[1])
+    twin = _twin(cls)(*sorted(fields)[1])
+    for compare in (lambda: a < twin, lambda: a <= twin, lambda: a > twin, lambda: a >= twin):
+        with pytest.raises(TypeError):
+            compare()
 
 
 def test_unordered_records_refuse_order():
