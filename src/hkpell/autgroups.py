@@ -67,11 +67,6 @@ def aut_k3_rank1(two_e: int) -> GroupTag:
     return Z2 if two_e == 2 else TRIVIAL
 
 
-def aut_s2(e: int) -> GroupTag:
-    """Biregular automorphisms of the Hilbert square of a degree-2e K3 generator."""
-    return bir_s2(e)[0]
-
-
 def bir_s2(e: int) -> tuple[GroupTag, GroupTag]:
     """(Aut, Bir) of the Hilbert square of a degree-2e K3 generator, asking
     a^2 - e*b^2 = -1 and a^2 - 4e*b^2 = 5 at most once each."""

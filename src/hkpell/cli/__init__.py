@@ -114,7 +114,7 @@ _COMMANDS = {
               "stream": ("pell.stream", "d t count=5")}),
     "cone": ("nef/movable cone slopes and walls",
              {"s2": ("cones.s2", "e? e-from? e-to?", "cones.s2_rows"),
-              "sm": ("cones.sm", "e m"), "walls": ("cones.sm", "e m"),
+              "sm": ("cones.sm", "e m"),
               "fourfold": ("cones.fourfold", "n e-prime prefix=8")}),
     "chi": ("Euler characteristic of a line bundle", ("rrinv.chi", "series m q")),
     "fujiki": ("Fujiki constant of a series", ("rrinv.fujiki", "series m")),

@@ -143,16 +143,6 @@ def walls_s2(e: int) -> ConeReport:
     return walls_sm(e, 2)
 
 
-def mov_slope_s2(e: int) -> ExtremalSlope:
-    """Slope of the second extremal ray of the movable cone of a Hilbert square."""
-    return walls_s2(e).mov_slope
-
-
-def nef_slope_s2(e: int) -> ExtremalSlope:
-    """Slope of the second extremal ray of the nef cone of a Hilbert square."""
-    return walls_s2(e).nef_slope
-
-
 def mov_ray_sm(e: int, m: int) -> tuple[DivisorClass, str]:
     """Generator of the second extremal ray of the movable cone, with its case tag.
 
@@ -162,8 +152,10 @@ def mov_ray_sm(e: int, m: int) -> tuple[DivisorClass, str]:
     a = +-1 mod m-1: the fundamental unit, or else its square, whose first
     coordinate always is 1 mod m-1.
     """
-    if e < 1 or m < 2:
-        raise ValueError("need e >= 1 and m >= 2")
+    if e < 1:
+        raise ValueError(f"e must be positive, got e={e}")
+    if m < 2:
+        raise ValueError(f"m must be at least 2, got m={m}")
     p = m - 1
     if is_square(e * p):
         return DivisorClass(p, isqrt(e * p)), "isotropic"

@@ -13,29 +13,43 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
-# BadCongruence is bound here for lattice and periods, which re-export it
-from .arith import BadCongruence, DomainError, Record, check_polarization
+from .arith import DomainError, Record, check_polarization
 
 
 class UnsupportedParameters(DomainError):
     """A divisibility gamma other than 1 or 2, which the model does not cover."""
 
 
-def _diagonalize(a, u, v):
-    """Reduce a to diagonal form in place, tracking row ops in u, col ops in v."""
+def smith_normal_form(m):
+    """(d, u, v) with u*m*v = diag(d), u and v unimodular; d_i divides d_{i+1}.
+
+    One pivot loop (Cohen, GTM 138, Sec. 2.4.4).  For each t, the smallest
+    nonzero entry of the block a[t:, t:] becomes the pivot p at (t, t), and
+    Euclidean steps clear row t and column t.  While an entry of the block
+    is no multiple of p, its column is added to column t and the step
+    repeats.  It ends: the steps keep g, the gcd of the block's entries, and
+    stop once p divides them all, that is once |p| = g.  A column addition
+    is made only when |p| > g, so each one shrinks the pivot to the proper
+    divisor g of p: |p| never grows, as p is the block's smallest entry, and
+    it falls whenever a step leaves a remainder.  A block with no nonzero
+    entry ends the loop, so the zeros of d come last.
+    """
+    a = [list(row) for row in m]
     n = len(a)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def row_op(i, j, c):  # row_i += c * row_j
-        for k in range(n):
-            a[i][k] += c * a[j][k]
-            u[i][k] += c * u[j][k]
+    def add_row(i, j, c):  # row_i += c * row_j, in a and u
+        if c:
+            for mat in (a, u):
+                mat[i] = [x + c * y for x, y in zip(mat[i], mat[j])]
 
-    def col_op(i, j, c):  # col_i += c * col_j
-        for k in range(n):
-            a[k][i] += c * a[k][j]
-            v[k][i] += c * v[k][j]
+    def add_col(i, j, c):  # col_i += c * col_j, in a and v
+        if c:
+            for row in a + v:
+                row[i] += c * row[j]
 
     for t in range(n):
         while True:
@@ -44,60 +58,21 @@ def _diagonalize(a, u, v):
             if not entries:
                 break
             _, pi, pj = min(entries)
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-                u[t], u[pi] = u[pi], u[t]
-            if pj != t:
-                for mat in (a, v):
-                    for row in mat:
-                        row[t], row[pj] = row[pj], row[t]
-            done = True
-            for i in range(t + 1, n):
-                q = a[i][t] // a[t][t]
-                if q:
-                    row_op(i, t, -q)
-                if a[i][t]:
-                    done = False
-            for j in range(t + 1, n):
-                q = a[t][j] // a[t][t]
-                if q:
-                    col_op(j, t, -q)
-                if a[t][j]:
-                    done = False
-            if done:
+            a[t], a[pi] = a[pi], a[t]
+            u[t], u[pi] = u[pi], u[t]
+            for row in a + v:
+                row[t], row[pj] = row[pj], row[t]
+            p = a[t][t]
+            for k in range(t + 1, n):
+                add_row(k, t, -(a[k][t] // p))
+                add_col(k, t, -(a[t][k] // p))
+            if any(a[k][t] or a[t][k] for k in range(t + 1, n)):
+                continue
+            bad = [j for i in range(t + 1, n) for j in range(t + 1, n) if a[i][j] % p]
+            if not bad:
                 break
-
-
-def smith_normal_form(m):
-    """(d, u, v) with u*m*v = diag(d), u and v unimodular; d_i divides d_{i+1}."""
-    a = [list(row) for row in m]
-    n = len(a)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-    _diagonalize(a, u, v)
-    # enforce the divisibility chain: pull an offending entry into an earlier
-    # column and re-reduce (each pass shrinks the earlier pivot to a gcd)
-    while True:
-        fixed = True
-        for t in range(n - 1):
-            dt, dn = a[t][t], a[t + 1][t + 1]
-            if dt == 0 and dn != 0:
-                for mat in (a, v):
-                    for row in mat:
-                        row[t], row[t + 1] = row[t + 1], row[t]
-                a[t], a[t + 1] = a[t + 1], a[t]
-                u[t], u[t + 1] = u[t + 1], u[t]
-                fixed = False
-            elif dt and dn % dt:
-                for k in range(n):
-                    a[k][t] += a[k][t + 1]
-                    v[k][t] += v[k][t + 1]
-                _diagonalize(a, u, v)
-                fixed = False
-        if fixed:
-            break
-    d = [a[i][i] for i in range(n)]
-    return d, u, v
+            add_col(t, bad[0], 1)
+    return [a[i][i] for i in range(n)], u, v
 
 
 def mod2(x: Fraction | int) -> Fraction:
@@ -132,10 +107,7 @@ class DiscGroup(Record):
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
+        return prod(self.orders)
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -149,11 +121,7 @@ class DiscGroup(Record):
         return itertools.product(*(range(d) for d in self.orders))
 
     def element_order(self, el) -> int:
-        out = 1
-        for c, d in zip(el, self.orders):
-            k = d // gcd(c, d)
-            out = out * k // gcd(out, k)
-        return out
+        return lcm(*[d // gcd(c, d) for c, d in zip(el, self.orders)])
 
     def qbar(self, el) -> Fraction:
         total = Fraction(0)

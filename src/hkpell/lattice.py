@@ -12,14 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 from .arith import DomainError, Record, check_polarization, is_square_mod, prime_factors, v_p
-# the discriminant-form engine and the polarized tail's domain errors, bound
-# here too so that lattice keeps its names
-from .discform import (BadCongruence, DiscGroup, UnsupportedParameters,  # noqa: F401
-                       block_sum, disc_group_of_gram, mod1, mod2, polarized_tail, residue,
-                       smith_normal_form)
+from .discform import DiscGroup, block_sum, disc_group_of_gram, polarized_tail, residue
 
 
 class LatticeError(DomainError):
@@ -123,10 +119,7 @@ class LatticeSpec(Record):
 
     @property
     def det(self) -> int:
-        out = 1
-        for b in self.blocks:
-            out *= b.det
-        return out
+        return prod(b.det for b in self.blocks)
 
     def gram(self) -> tuple[tuple[int, ...], ...]:
         return block_sum(*(b.gram for b in self.blocks))

@@ -431,11 +431,6 @@ def solvability(eq: PellEquation) -> Solvability:
     return Solvability(pos or b_zero or a_zero, pos)
 
 
-def is_solvable(eq: PellEquation) -> bool:
-    """True when the equation has any integer solution (a = 0 or b = 0 admitted)."""
-    return solvability(eq).any_solution
-
-
 # ---------------------------------------------------------------------------
 # solution classes of the classical equation
 

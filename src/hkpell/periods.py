@@ -21,12 +21,8 @@ from typing import Optional
 
 from .arith import (DomainError, OrderedRecord, Record, is_prime, is_square_mod,
                     is_squarefree, v_p, wall_types)
-# the wall constraints and their domain error, bound here too so that periods
-# keeps their names
-from .arith import NonPrimePower, wall_constraints  # noqa: F401
-# the model's domain errors, bound here too so that periods keeps their names
-from .discform import (BadCongruence, UnsupportedParameters, block_sum,  # noqa: F401
-                       disc_group_of_gram, polarized_tail, residue)
+from .discform import (UnsupportedParameters, block_sum, disc_group_of_gram, polarized_tail,
+                       residue)
 
 
 class PeriodsError(DomainError):
@@ -130,7 +126,7 @@ def _key(m: int, n: int, gamma: int, kappa_sq: int, s: int, star) -> HeegnerKey:
 
 def heegner_nonempty_m2(n: int, gamma: int, e: int) -> bool:
     """Whether the discriminant-2e Heegner locus is nonempty for square-2n data."""
-    if e < 1:
+    if n < 1 or e < 1:
         raise ValueError("need n >= 1 and e >= 1")
     polarized_tail(2, n, gamma)  # the domain check
     if gamma == 1:
@@ -153,7 +149,7 @@ def _classes_for_discriminant(n: int, gamma: int, e: int):
 
 def heegner_components_m2(n: int, gamma: int, e: int) -> ComponentReport:
     """Component count (when the classification applies) with component keys."""
-    if e < 1:
+    if n < 1 or e < 1:
         raise ValueError("need n >= 1 and e >= 1")
     classes = _classes_for_discriminant(n, gamma, e)
     keys = tuple(sorted(_key(2, n, gamma, k2, s, star) for s, star, k2 in classes))
@@ -181,10 +177,6 @@ def excluded_heegner_m2_report(n: int, gamma: int) -> ExclusionReport:
     """
     keys = excluded_heegner(2, n, gamma)
     return ExclusionReport(keys, uncertain_m2(n, keys))
-
-
-def excluded_heegner_m2(n: int, gamma: int) -> tuple[HeegnerKey, ...]:
-    return excluded_heegner_m2_report(n, gamma).keys
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +211,6 @@ def excluded_heegner(m: int, n: int, gamma: int) -> tuple[HeegnerKey, ...]:
             if any(amb % div == 0 for div in divs):
                 keys.add(_key(m, n, gamma, prim_sq, s, star))
     return tuple(sorted(keys))
-
-
-def excluded_discriminants(m: int, n: int, gamma: int) -> tuple[int, ...]:
-    """Sorted distinct d values of the excluded components."""
-    return tuple(sorted({k.d for k in excluded_heegner(m, n, gamma)}))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +289,7 @@ def hilbert_square_points(n: int, e: int) -> tuple[tuple[int, int, int], ...]:
 
     if n < 1 or e < 1:
         raise ValueError("need n >= 1 and e >= 1")
-    nu_sq = cones.nef_slope_s2(e).squared()
+    nu_sq = cones.walls_s2(e).nef_slope.squared()
     out = []
     # a^2/b^2 = e - n/b^2 grows along the stream, which is finite for square e
     for a, b in pell.positive_solutions(1, e, -n):
@@ -333,6 +320,8 @@ def nl_family(n: int, gamma: int, a_max: int) -> tuple[int, ...]:
     gamma = 1: e = a^2 + n for 1 <= a <= a_max, excluding (n, a) = (1, 2);
     gamma = 2: e = a^2 + a + (n+1)/4 for 0 <= a <= a_max, excluding (3, 1).
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got n={n}")
     if a_max < 0:
         raise ValueError("a_max must be nonnegative")
     polarized_tail(2, n, gamma)  # the domain check

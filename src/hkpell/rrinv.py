@@ -42,14 +42,6 @@ def chi(data: RiemannRochInput) -> int:
     return (data.m + 1) * binomial_poly(half + data.m, data.m)
 
 
-def chi_hilb(m: int, q: int) -> int:
-    return chi(RiemannRochInput(HILB_K3, m, q))
-
-
-def chi_kummer(m: int, q: int) -> int:
-    return chi(RiemannRochInput(KUMMER, m, q))
-
-
 def h0_polarized(m: int, n: int) -> int:
     """Section count of a square-2n polarization on a 2m-fold of Hilbert type."""
     if m < 2 or n < 1:

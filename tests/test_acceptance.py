@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 from math import gcd, isqrt
 
-from hkpell import autgroups, cones, pell, periods, rrinv
+from hkpell import arith, autgroups, cones, pell, periods, rrinv
 from hkpell.arith import is_square
 
 F = Fraction
@@ -43,7 +43,8 @@ def test_criterion_1_s2_cone_table():
         got5 = pell.min_positive_solution(pell.PellEquation.classical(4 * e, 5))
         assert (None if got1 is None else (got1.a, got1.b)) == p1, e
         assert (None if got5 is None else (got5.a, got5.b)) == p5, e
-        mv, nf = cones.mov_slope_s2(e), cones.nef_slope_s2(e)
+        rep = cones.walls_s2(e)
+        mv, nf = rep.mov_slope, rep.nef_slope
         assert mv.is_rational and mv.value == mov, e
         if nef is None:
             assert nf == mv, e
@@ -84,18 +85,20 @@ def test_criterion_3_automorphism_table():
 
 def test_criterion_4_period_image_lists():
     t0 = time.time()
-    assert periods.excluded_discriminants(4, 1, 2) == (2, 6, 8)
-    assert periods.excluded_discriminants(8, 1, 2) == (2, 4, 8, 14, 16, 18, 22, 32)
-    assert periods.excluded_discriminants(12, 1, 2) == (
-        2, 6, 8, 10, 18, 22, 24, 28, 30, 32, 40, 50, 54, 72)
+    def discriminants(m):
+        return sorted({k.d for k in periods.excluded_heegner(m, 1, 2)})
 
-    keys11 = periods.excluded_heegner_m2(1, 1)
+    assert discriminants(4) == [2, 6, 8]
+    assert discriminants(8) == [2, 4, 8, 14, 16, 18, 22, 32]
+    assert discriminants(12) == [2, 6, 8, 10, 18, 22, 24, 28, 30, 32, 40, 50, 54, 72]
+
+    keys11 = periods.excluded_heegner(2, 1, 1)
     assert sorted((k.d, k.kappa_prim_sq, k.s) for k in keys11) == [
         (2, -2, 2), (2, -2, 2), (8, -2, 1), (10, -10, 2)]
     assert len([k for k in keys11 if k.d == 2]) == 2  # both components
 
-    assert [(k.d, k.s) for k in periods.excluded_heegner_m2(3, 2)] == [(6, 1)]
-    assert [(k.d, k.s) for k in periods.excluded_heegner_m2(11, 2)] == [(22, 1)]
+    assert [(k.d, k.s) for k in periods.excluded_heegner(2, 3, 2)] == [(6, 1)]
+    assert [(k.d, k.s) for k in periods.excluded_heegner(2, 11, 2)] == [(22, 1)]
     _report(4, "period-image exclusion lists (m = 4, 8, 12 and m = 2 families)", t0, 5)
 
 
@@ -104,7 +107,7 @@ def test_criterion_5_oracle_equivalence():
     for (m, n, gamma) in [(2, 1, 1), (2, 3, 2), (2, 11, 2), (4, 1, 2)]:
         p = m - 1
         squares = set()
-        for wc in periods.wall_constraints(m):
+        for wc in arith.wall_constraints(m):
             b = 1
             while b * b <= abs(wc.kappa_sq):
                 if wc.kappa_sq % (b * b) == 0 and (wc.kappa_sq // (b * b)) % 2 == 0:
@@ -121,7 +124,7 @@ def test_criterion_5_oracle_equivalence():
                 wc.kappa_sq % k2 == 0
                 and is_square(wc.kappa_sq // k2)
                 and (isqrt(wc.kappa_sq // k2) * amb) % (2 * p) == 0
-                for wc in periods.wall_constraints(m)
+                for wc in arith.wall_constraints(m)
             )
             if qualifies:
                 assert periods._key(m, n, gamma, k2, s, star) in analytic, \
@@ -131,10 +134,13 @@ def test_criterion_5_oracle_equivalence():
 
 def test_criterion_6_riemann_roch():
     t0 = time.time()
-    assert rrinv.chi_hilb(2, 6) == 15
-    assert rrinv.chi_hilb(2, 22) == 91
-    assert rrinv.chi_hilb(4, 2) == 15
-    assert rrinv.chi_hilb(3, 4) == 20
+    def chi(m, q):
+        return rrinv.chi(rrinv.RiemannRochInput(rrinv.HILB_K3, m, q))
+
+    assert chi(2, 6) == 15
+    assert chi(2, 22) == 91
+    assert chi(4, 2) == 15
+    assert chi(3, 4) == 20
     for m in range(2, 41):
         for n in range(1, 41):
             assert rrinv.h0_polarized(m, n) == rrinv.h0_polarized(n + 1, m - 1)
@@ -207,14 +213,15 @@ def test_criterion_7_property_suites():
     # (iii) nef-slope floor bound for e <= 2000 (e = 1 has slope 2/3 < 1, and
     # e = 5 touches the floor; the sqrt-equality holds exactly at squares)
     for e in range(2, 2001):
-        nu = cones.nef_slope_s2(e)
+        nu = cones.walls_s2(e).nef_slope
         fl = isqrt(e)
         assert nu.squared() >= fl * fl, e
         assert (nu.squared() == e) == is_square(e), e
 
     # (iv) nef <= mov everywhere sampled
     for e in range(1, 501):
-        assert cones.nef_slope_s2(e) <= cones.mov_slope_s2(e), e
+        rep = cones.walls_s2(e)
+        assert rep.nef_slope <= rep.mov_slope, e
     for n in range(3, 52, 4):
         for ep in range(2, 51):
             rep = cones.fourfold_cones(n, ep, prefix=1)

@@ -8,7 +8,7 @@ from hkpell.cones import mov_ray_sm
 from hkpell.autgroups import (EQUAL_INFINITE, FINITE_AUT_INFINITE_BIR,
                               FINITE_BOTH, INFINITE_CYCLIC,
                               INFINITE_DIHEDRAL, TRIVIAL, Z2, GroupTag,
-                              InconsistentFlags, aut_k3_rank1, aut_s2, bir_s2,
+                              InconsistentFlags, aut_k3_rank1, bir_s2,
                               bir_sm, fourfold_groups, rank2_trichotomy, unknown,
                               very_general_bir)
 
@@ -20,10 +20,10 @@ def test_aut_k3_rank1():
 
 
 def test_aut_s2():
-    assert aut_s2(2) == Z2   # the residual involution is biregular here
-    assert aut_s2(5) == TRIVIAL
-    assert aut_s2(3) == TRIVIAL
-    assert aut_s2(1) == Z2
+    assert bir_s2(2)[0] == Z2   # the residual involution is biregular here
+    assert bir_s2(5)[0] == TRIVIAL
+    assert bir_s2(3)[0] == TRIVIAL
+    assert bir_s2(1)[0] == Z2
 
 
 def test_bir_s2():
@@ -35,8 +35,8 @@ def test_bir_s2():
 
 
 def _bir_s2_asking_twice(e):
-    """aut_s2 and bir_s2 as they were: Aut asks both equations, and Bir asks
-    them again unless Aut is Z/2."""
+    """Aut and Bir of the Hilbert square as they once were computed: Aut asks
+    both equations, and Bir asks them again unless Aut is Z/2."""
     neg, five = _solvable(1, e, -1), _solvable(1, 4 * e, 5)
     aut = Z2 if e == 1 or (neg and not five) else TRIVIAL
     if aut == Z2:
@@ -56,9 +56,9 @@ def test_bir_s2_asks_each_equation_once(monkeypatch):
     for e in range(1, 3000):
         expected = _bir_s2_asking_twice(e)
         monkeypatch.setattr(pell, "generalized_min", generalized_min)
-        assert (bir_s2(e), aut_s2(e)) == (expected, expected[0]), e
+        assert bir_s2(e) == expected, e
         monkeypatch.undo()
-        assert len(asked) == 2 * len(set(asked)), e  # each once per call
+        assert len(asked) == len(set(asked)), e  # each once
         asked.clear()
 
 
@@ -69,7 +69,6 @@ def test_bir_s2_coherence():
             assert bir == Z2, e
         if bir == TRIVIAL:
             assert aut == TRIVIAL, e
-        assert aut_s2(e) == aut
 
 
 def test_bir_sm():

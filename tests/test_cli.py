@@ -120,6 +120,8 @@ _OUT_OF_DOMAIN = [
     (["cone", "sm", "--e", "0", "--m", "3"], 1),
     (["cone", "fourfold", "--n", "-5", "--e-prime", "5"], 1),
     (["aut", "fourfold", "--n", "-1", "--e-prime", "5"], 1),
+    (["heegner", "nonempty", "--n", "0", "--gamma", "1", "--e", "1"], 1),
+    (["heegner", "components", "--n", "0", "--gamma", "1", "--e", "1"], 1),
 ]
 
 
@@ -392,7 +394,6 @@ _EVERY_COMMAND = {
     ("pell", "stream"): "--d 7 --t 1",
     ("cone", "s2"): "--e 5",
     ("cone", "sm"): "--e 5 --m 3",
-    ("cone", "walls"): "--e 5 --m 4",
     ("cone", "fourfold"): "--n 3 --e-prime 2",
     ("chi",): "--m 2 --q 6",
     ("fujiki",): "--series Kummer --m 2",
@@ -478,6 +479,58 @@ def test_package_names_resolve():
     exec("from hkpell import *", namespace)
     assert {name for name in namespace if not name.startswith("__")} == set(hkpell.__all__)
     assert set(hkpell.__all__) <= set(dir(hkpell))
+
+
+def _library_only() -> list[str]:
+    """The public functions of the layers with a handler module
+    hkpell.cli.<layer> that no handler reaches: a static scan that starts
+    from every function of the handler modules and follows, transitively,
+    each name they use to every module-level function, class or assignment
+    of that name in the package (a class reached reaches all its methods)."""
+    import ast
+
+    package = pathlib.Path(hkpell.__file__).parent
+
+    def definitions(path):
+        out = {}
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out[node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out.update((n.id, node) for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name))
+        return out
+
+    modules = {path.stem: definitions(path) for path in package.glob("*.py")}
+    layers = sorted(path.stem for path in (package / "cli").glob("[!_]*.py"))
+    todo = [node for layer in layers
+            for node in definitions(package / "cli" / f"{layer}.py").values()
+            if isinstance(node, ast.FunctionDef)]
+    reached, seen = set(), set()
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        for n in ast.walk(node):
+            name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+            for module, defs in modules.items():
+                if name in defs:
+                    reached.add((module, name))
+                    todo.append(defs[name])
+    return sorted(f"{layer}.{name}" for layer in layers
+                  for name, node in modules[layer].items()
+                  if isinstance(node, ast.FunctionDef) and not name.startswith("_")
+                  and (layer, name) not in reached)
+
+
+def test_readme_library_only_list_is_the_static_scan():
+    import re
+
+    readme = (pathlib.Path(SRC).parent / "README.md").read_text()
+    section = readme.split("Library only:", 1)[1].split("\n## ", 1)[0]
+    assert sorted(re.findall(r"`(\w+\.\w+)`", section)) == _library_only()
 
 
 def test_series_choices_match_rrinv():

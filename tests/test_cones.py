@@ -9,8 +9,8 @@ from hkpell.arith import ConeError, is_square
 from hkpell.cones import (BadCongruence, ConeReport, DivisorClass,
                           ExtremalSlope, UnsupportedM, fourfold_cones,
                           hilb_embedding_status, k_very_ample,
-                          moduli_embedding_status, mov_ray_sm, mov_slope_s2,
-                          nef_ray_sm_special, nef_slope_s2, walls_s2, walls_sm)
+                          moduli_embedding_status, mov_ray_sm,
+                          nef_ray_sm_special, walls_s2, walls_sm)
 from hkpell.pell import fundamental_solution, generalized_min
 from hkpell.rrinv import h0_polarized
 
@@ -34,8 +34,8 @@ NEF_TABLE = ["2/3", "=", "=", "=", "2", "=", "=", "=", "=", "=", "22/7", "=", "=
 
 def test_s2_slope_table():
     for e in range(1, 14):
-        mov = mov_slope_s2(e)
-        nef = nef_slope_s2(e)
+        rep = walls_s2(e)
+        mov, nef = rep.mov_slope, rep.nef_slope
         assert mov.is_rational
         assert mov.value == F(MOV_TABLE[e - 1])
         if NEF_TABLE[e - 1] == "=":
@@ -101,7 +101,12 @@ def test_mov_ray_sm_cases():
     # m = 2 always reduces to the degree-table slope
     for e in range(1, 120):
         ray, _ = mov_ray_sm(e, 2)
-        assert ExtremalSlope.sqrt_of(F(ray.c_delta ** 2, ray.c_l ** 2)) == mov_slope_s2(e), e
+        assert ExtremalSlope.sqrt_of(F(ray.c_delta ** 2, ray.c_l ** 2)) == walls_s2(e).mov_slope, e
+    # each bound names the one value that breaks it
+    with pytest.raises(ValueError, match="^e must be positive, got e=0$"):
+        mov_ray_sm(0, 3)
+    with pytest.raises(ValueError, match="^m must be at least 2, got m=1$"):
+        mov_ray_sm(5, 1)
 
 
 def test_mov_ray_square():
@@ -322,11 +327,11 @@ def test_nef_floor_bound():
     # isotropic slope sqrt(e) exactly at perfect squares (e = 5 touches the
     # floor without being a square: nu_5 = 2)
     for e in range(2, 300):
-        nu = nef_slope_s2(e)
+        nu = walls_s2(e).nef_slope
         fl = isqrt(e)
         assert nu.squared() >= fl * fl, e
         assert (nu.squared() == e) == is_square(e), e
-    assert nef_slope_s2(5) == ExtremalSlope.rational(2)
+    assert walls_s2(5).nef_slope == ExtremalSlope.rational(2)
 
 
 def test_k_very_ample():

@@ -6,20 +6,19 @@ from fractions import Fraction
 import pytest
 
 from hkpell import periods
-from hkpell.arith import divisors, prime_factors
+from hkpell.arith import BadCongruence, divisors, prime_factors
 from hkpell.autgroups import very_general_bir
-from hkpell.discform import block_sum, polarized_tail, residue
-from hkpell.lattice import (E8_MINUS, U, BadCongruence, ComponentCount, DiscGroup, _det,
-                            LatticeSpec, NoDoubleU, UnsupportedParameters,
-                            NotPrimitive, OrbitKey, ZeroVector, disc_group,
+from hkpell.discform import (UnsupportedParameters, block_sum, mod2, polarized_tail, residue,
+                             smith_normal_form)
+from hkpell.lattice import (E8_MINUS, U, ComponentCount, DiscGroup, _det,
+                            LatticeSpec, NoDoubleU, NotPrimitive, OrbitKey, ZeroVector, disc_group,
                             disc_group_of, divisibility,
                             exists_primitive_vector, extended_k3_lattice,
                             heegner_finiteness_bound, hilbert_scheme_lattice,
-                            k3_lattice, k3_polarized_orthogonal, mod2,
+                            k3_lattice, k3_polarized_orthogonal,
                             moduli_component_count, monodromy_index,
                             orbit_key, polarization_determined,
-                            polarized_orthogonal, smith_normal_form,
-                            strange_dual_params)
+                            polarized_orthogonal, strange_dual_params)
 from hkpell.periods import coordinate_oracle
 
 
@@ -217,19 +216,89 @@ def test_block_sum():
     assert block_sum(((2,),), ((0, 1), (1, 0))) == ((2, 0, 0), (0, 0, 1), (0, 1, 0))
 
 
+def _two_pass_smith_form(m):
+    """The Smith form as first written, the reference for the one-loop form:
+    diagonalize, then repair the divisor chain by adding a column to the one
+    before it and diagonalizing again."""
+    a = [list(row) for row in m]
+    n = len(a)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def diagonalize():
+        for t in range(n):
+            while True:
+                entries = [(abs(a[i][j]), i, j)
+                           for i in range(t, n) for j in range(t, n) if a[i][j]]
+                if not entries:
+                    break
+                _, pi, pj = min(entries)
+                a[t], a[pi] = a[pi], a[t]
+                u[t], u[pi] = u[pi], u[t]
+                for row in a + v:
+                    row[t], row[pj] = row[pj], row[t]
+                done = True
+                for i in range(t + 1, n):
+                    q = a[i][t] // a[t][t]
+                    for k in range(n):
+                        a[i][k] -= q * a[t][k]
+                        u[i][k] -= q * u[t][k]
+                    done = done and not a[i][t]
+                for j in range(t + 1, n):
+                    q = a[t][j] // a[t][t]
+                    for row in a + v:
+                        row[j] -= q * row[t]
+                    done = done and not a[t][j]
+                if done:
+                    break
+
+    diagonalize()
+    fixed = False
+    while not fixed:
+        fixed = True
+        for t in range(n - 1):
+            dt, dn = a[t][t], a[t + 1][t + 1]
+            if dt == 0 and dn != 0:
+                for row in a + v:
+                    row[t], row[t + 1] = row[t + 1], row[t]
+                a[t], a[t + 1] = a[t + 1], a[t]
+                u[t], u[t + 1] = u[t + 1], u[t]
+                fixed = False
+            elif dt and dn % dt:
+                for row in a + v:
+                    row[t] += row[t + 1]
+                diagonalize()
+                fixed = False
+    return [a[i][i] for i in range(n)], u, v
+
+
+def test_smith_normal_form_matches_the_two_pass_form():
+    # the same (d, u, v) on every 1x1 and 2x2 matrix with entries in [-12, 12]
+    # and on every divisibility-2 tail block with m, n < 200
+    small = range(-12, 13)
+    mats = itertools.chain(
+        (((x,),) for x in small),
+        (((a, b), (c, d)) for a, b, c, d in itertools.product(small, repeat=4)),
+        (polarized_tail(m, n, 2)[0] for m in range(2, 200) for n in range(1, 200)
+         if (n + m) % 4 == 1))
+    for mat in mats:
+        assert smith_normal_form(mat) == _two_pass_smith_form(mat), mat
+
+
 def test_smith_normal_form():
-    import random
     rng = random.Random(11)
     fixed = [((8, 4), (4, 6)), ((-2, -1), (-1, -2)), ((6, 3), (3, 2)),
              ((4, 0), (0, 9)), ((-6, -3), (-3, -4)),
-             ((-2, 0, -4), (0, -2, -5), (-4, -5, -8))]
+             ((-2, 0, -4), (0, -2, -5), (-4, -5, -8)), ((0, 0), (0, 5))]
     randoms = []
-    for _ in range(400):
-        n = rng.choice((1, 2, 2, 3))
+    for _ in range(1000):
+        n = rng.choice((1, 2, 3, 3, 4, 4))
         randoms.append(tuple(tuple(rng.randint(-9, 9) for _ in range(n))
                              for _ in range(n)))
     for mat in fixed + randoms:
         d, u, v = smith_normal_form(mat)
+        # the invariant factors are unique up to sign
+        assert [abs(x) for x in d] == [abs(x) for x in _two_pass_smith_form(mat)[0]], mat
         n = len(mat)
         prod = [[sum(u[i][k] * mat[k][l] * v[l][j] for k in range(n) for l in range(n))
                  for j in range(n)] for i in range(n)]

@@ -17,7 +17,7 @@ from hkpell.arith import is_square, square_divisors
 from hkpell.pell import (ExcludedDegenerateCase, PellEquation, PellError, PellSolution,
                          PerfectSquareInput, Solvability, Unsolvable,
                          WrongEquation, compose_to_unit, fundamental_solution,
-                         generalized_min, generalized_solutions, is_solvable,
+                         generalized_min, generalized_solutions,
                          min_positive_solution, positive_solutions, same_class,
                          solution_classes, solutions_in_order, solvability)
 from hkpell.pell import _canonical_rep, _class_reps, _mul_unit, _negative_unit, _pqa_hits
@@ -178,8 +178,8 @@ def test_min_positive_brute_sweep():
 
 
 def test_solvability_flags():
-    assert is_solvable(C(12, 5)) is False
-    assert is_solvable(C(44, 5)) is True
+    assert solvability(C(12, 5)).any_solution is False
+    assert solvability(C(44, 5)).any_solution is True
     rep = solvability(PellEquation(1, 1, 1))
     assert rep.any_solution and not rep.with_positive_b
     rep = solvability(C(20, 5))

@@ -6,14 +6,11 @@ from math import gcd, isqrt
 import pytest
 
 from hkpell import cones, periods
-from hkpell.arith import is_squarefree, v_p
-from hkpell.periods import (BadCongruence, HeegnerKey, NonPrimePower, _key, _model,
-                            _realizable_classes, coordinate_oracle,
-                            excluded_discriminants, excluded_heegner,
-                            excluded_heegner_m2, excluded_heegner_m2_report,
+from hkpell.arith import BadCongruence, NonPrimePower, is_squarefree, v_p, wall_constraints
+from hkpell.periods import (HeegnerKey, _key, _model, _realizable_classes, coordinate_oracle,
+                            excluded_heegner, excluded_heegner_m2_report,
                             heegner_components_m2, heegner_nonempty_m2,
-                            hilbert_square_point, hilbert_square_points, nl_family,
-                            wall_constraints)
+                            hilbert_square_point, hilbert_square_points, nl_family)
 
 
 def test_nonempty_m2():
@@ -131,14 +128,14 @@ def test_components_prime_pattern():
 
 
 def test_excluded_m2_golden():
-    keys = excluded_heegner_m2(1, 1)
+    keys = excluded_heegner(2, 1, 1)
     by_d = sorted((k.d, k.kappa_prim_sq, k.s) for k in keys)
     assert by_d == [(2, -2, 2), (2, -2, 2), (8, -2, 1), (10, -10, 2)]
 
-    keys = excluded_heegner_m2(3, 2)
+    keys = excluded_heegner(2, 3, 2)
     assert [(k.d, k.kappa_prim_sq, k.s) for k in keys] == [(6, -2, 1)]
 
-    keys = excluded_heegner_m2(11, 2)
+    keys = excluded_heegner(2, 11, 2)
     assert [(k.d, k.kappa_prim_sq, k.s) for k in keys] == [(22, -2, 1)]
 
 
@@ -148,7 +145,7 @@ def test_excluded_m2_closed_form_shape_gamma1():
     # of d = 10n, and the d = 2n/5 family exactly for n = 5^(2a+1) n'' with
     # n'' = +-1 mod 5
     for n in range(1, 61):
-        keys = excluded_heegner_m2(n, 1)
+        keys = excluded_heegner(2, n, 1)
         count_2n = sum(1 for k in keys if k.d == 2 * n and k.kappa_prim_sq == -2)
         expect = 1 + (1 if n % 4 in (0, 1) else 0)
         assert count_2n == expect, n
@@ -168,7 +165,7 @@ def test_excluded_m2_closed_form_shape_gamma1():
 
 def test_excluded_m2_gamma2():
     for n in range(3, 60, 4):
-        keys = excluded_heegner_m2(n, 2)
+        keys = excluded_heegner(2, n, 2)
         assert [(k.d, k.kappa_prim_sq, k.s) for k in keys] == [(2 * n, -2, 1)], n
 
 
@@ -177,7 +174,7 @@ def test_nonemptiness_coherence():
         for gamma in (1, 2):
             if gamma == 2 and n % 4 != 3:
                 continue
-            for k in excluded_heegner_m2(n, gamma):
+            for k in excluded_heegner(2, n, gamma):
                 assert k.d % 2 == 0
                 assert heegner_nonempty_m2(n, gamma, k.d // 2), (n, gamma, k)
 
@@ -254,22 +251,17 @@ def test_excluded_asks_each_primitive_square_once(m, monkeypatch):
 
 
 def test_excluded_discriminants_exercises():
-    assert excluded_discriminants(4, 1, 2) == (2, 6, 8)
-    assert excluded_discriminants(8, 1, 2) == (2, 4, 8, 14, 16, 18, 22, 32)
-    assert excluded_discriminants(12, 1, 2) == (
-        2, 6, 8, 10, 18, 22, 24, 28, 30, 32, 40, 50, 54, 72)
+    def discriminants(m):
+        return sorted({k.d for k in excluded_heegner(m, 1, 2)})
+
+    assert discriminants(4) == [2, 6, 8]
+    assert discriminants(8) == [2, 4, 8, 14, 16, 18, 22, 32]
+    assert discriminants(12) == [2, 6, 8, 10, 18, 22, 24, 28, 30, 32, 40, 50, 54, 72]
 
 
 def test_excluded_occurring_pairs_m4():
     pairs = {(k.kappa_prim_sq, k.s) for k in excluded_heegner(4, 1, 2)}
     assert pairs == {(-2, 1), (-6, 3), (-24, 3)}
-
-
-def test_general_equals_m2_closed_form():
-    for n in range(1, 31):
-        assert set(excluded_heegner(2, n, 1)) == set(excluded_heegner_m2(n, 1)), n
-        if n % 4 == 3:
-            assert set(excluded_heegner(2, n, 2)) == set(excluded_heegner_m2(n, 2)), n
 
 
 def test_finiteness_bound():
@@ -326,8 +318,11 @@ def test_oracle_realizes_star_classes():
 
 
 def test_bad_congruence_is_shared():
-    from hkpell import cones, periods
-    assert periods.BadCongruence is cones.BadCongruence
+    # the cone and period layers raise the one arith.BadCongruence
+    for call in (lambda: cones.fourfold_cones(5, 5), lambda: periods.excluded_heegner(2, 2, 2)):
+        with pytest.raises(BadCongruence) as exc:
+            call()
+        assert exc.type is BadCongruence
 
 
 def test_hilbert_square_points():
@@ -347,7 +342,7 @@ def test_hilbert_square_identities():
                 # b*L - a*delta has square 2n and divisibility gamma
                 assert 2 * e * b * b - 2 * a * a == 2 * n
                 assert gcd(b, 2 * a) == gamma
-                nu = cones.nef_slope_s2(e)
+                nu = cones.walls_s2(e).nef_slope
                 assert Fraction(a, b) ** 2 < nu.squared() or \
                     (nu.squared() == e and Fraction(a, b) ** 2 < e)
 
@@ -356,7 +351,7 @@ def _hilbert_square_points_by_b_scan(n, e, b_max):
     """hilbert_square_points by a scan over b <= b_max, or None when the
     admissible b may exceed b_max: a^2/b^2 = e - n/b^2 < nu^2 needs
     b^2 < n/(e - nu^2), and for e = r^2, n = (rb - a)(rb + a) needs b <= n."""
-    nu_sq = cones.nef_slope_s2(e).squared()
+    nu_sq = cones.walls_s2(e).nef_slope.squared()
     if (nu_sq == e and n > b_max) or (nu_sq < e and (e - nu_sq) * b_max * b_max < n):
         return None
     out = []
@@ -404,7 +399,7 @@ def test_nl_family_slope_inequality():
             e = a * a + n if gamma == 1 else a * a + a + (n + 1) // 4
             if e not in emitted:
                 continue
-            nu = cones.nef_slope_s2(e)
+            nu = cones.walls_s2(e).nef_slope
             bound = Fraction(a) if gamma == 1 else a + Fraction(1, 2)
             assert bound * bound < nu.squared(), (n, gamma, a, e)
 

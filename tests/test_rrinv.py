@@ -3,9 +3,16 @@ from fractions import Fraction
 import pytest
 
 from hkpell.rrinv import (HILB_K3, KUMMER, OddSquare, RiemannRochInput, betti2,
-                          chi, chi_hilb, chi_kummer, fujiki_constant,
-                          h0_polarized, moduli_dimension,
+                          chi, fujiki_constant, h0_polarized, moduli_dimension,
                           top_self_intersection)
+
+
+def chi_hilb(m, q):
+    return chi(RiemannRochInput(HILB_K3, m, q))
+
+
+def chi_kummer(m, q):
+    return chi(RiemannRochInput(KUMMER, m, q))
 
 
 def test_chi_golden():
