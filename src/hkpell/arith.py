@@ -1,8 +1,7 @@
 """Small exact-integer helpers and the immutable record base shared across
 the package."""
 
-from __future__ import annotations
-
+from collections.abc import Iterator
 from functools import total_ordering
 from math import gcd, isqrt
 
@@ -154,33 +153,42 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in prime_factors(abs(n)))
 
 
-def divisors(n: int) -> tuple[int, ...]:
-    """Positive divisors of n != 0, ascending."""
+def _power_divisors(n: int, power: int) -> tuple[int, ...]:
+    """All f >= 1 with f**power dividing n != 0, ascending: the products of
+    p**k over the prime powers p**e of n, k <= e // power."""
     if n == 0:
         raise ValueError("divisors needs n != 0")
-    n = abs(n)
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return tuple(small + large[::-1])
+    out = [1]
+    for p, e in prime_factors(abs(n)):
+        out = [f * p ** k for f in out for k in range(e // power + 1)]
+    return tuple(sorted(out))
+
+
+def divisors(n: int) -> tuple[int, ...]:
+    """Positive divisors of n != 0, ascending."""
+    return _power_divisors(n, 1)
 
 
 def square_divisors(n: int) -> tuple[int, ...]:
-    """All f >= 1 with f*f dividing n != 0."""
-    return tuple(f for f in divisors(abs(n)) if abs(n) % (f * f) == 0 and f * f <= abs(n))
+    """All f >= 1 with f*f dividing n != 0, ascending."""
+    return _power_divisors(n, 2)
+
+
+def sqrt_mod(a: int, n: int) -> Iterator[int]:
+    """Every z in [0, n) with z*z = a (mod n), ascending, for n >= 1.
+
+    The roots are found by scanning all n residues, so the time is O(n); a
+    faster algorithm must keep this contract.
+    """
+    if n < 1:
+        raise ValueError(f"sqrt_mod needs n >= 1, got n = {n}")
+    a %= n
+    return (z for z in range(n) if not (z * z - a) % n)
 
 
 def is_square_mod(a: int, n: int) -> bool:
     """Whether a is congruent to a square modulo n (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"is_square_mod needs n >= 1, got n = {n}")
-    a %= n
-    return any((k * k - a) % n == 0 for k in range(n))
+    return next(sqrt_mod(a, n), None) is not None
 
 
 def binomial_poly(x: int, k: int) -> int:

@@ -6,8 +6,6 @@ intersection form diag(2n, -2e').  Answers are group tags; Unknown records
 which side of a necessary-versus-sufficient gap the parameters landed on.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 from . import pell

@@ -19,8 +19,6 @@ handlers call, which loads that layer.  This core holds what every
 invocation needs.
 """
 
-from __future__ import annotations
-
 import argparse
 import importlib
 import json
@@ -172,17 +170,6 @@ def _named(argv) -> tuple[str | None, str | None]:
     return command, None
 
 
-def _add_subparsers(parser: argparse.ArgumentParser, dest: str, names, named):
-    """The subparsers action for `names`, and the names to add to it: only
-    `named` when argv names one."""
-    # usage lines and errors call a subparsers action by its metavar or,
-    # without one, by its dest or the names it holds; the metavar gives a
-    # one-name action the usage and errors of the full one
-    metavar = "{" + ",".join(names) + "}" if named else None
-    action = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
-    return action, [named] if named else list(names)
-
-
 def build_parser(argv=()) -> argparse.ArgumentParser:
     """The parser for argv.  It holds only the command and subcommand that
     argv names, and every one where argv names none (as for --help, a bad
@@ -195,17 +182,24 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
                     "automorphism groups, Heegner divisors, period-map images.")
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     command, subcommand = _named(argv)
-    commands, names = _add_subparsers(parser, "cmd", _COMMANDS, command)
-    for name in names:
+    commands = parser.add_subparsers(dest="cmd", required=True)
+    for name in [command] if command else _COMMANDS:
         help_text, leaves = _COMMANDS[name]
         p = commands.add_parser(name, help=help_text)
         if isinstance(leaves, dict):
-            subcommands, sub_names = _add_subparsers(p, f"{name}_cmd", leaves, subcommand)
-            for sub_name in sub_names:
+            subcommands = p.add_subparsers(dest=f"{name}_cmd", required=True)
+            for sub_name in [subcommand] if subcommand else leaves:
                 _add_leaf(subcommands.add_parser(sub_name), f"{name} {sub_name}",
                           leaves[sub_name])
         else:
             _add_leaf(p, name, leaves)
+    # the usage that Python 3.10-3.12 print for the full parser at 80
+    # columns, pinned so that it lists every command whatever argv names and
+    # reads the same on 3.13, which wraps it elsewhere, and at any width.
+    # Set only now: add_subparsers derives each command's prog from it
+    indent = "\n" + " " * len("usage: hkpell ")
+    parser.usage = ("%(prog)s [-h] [--format {json,csv,text}]"
+                    + indent + "{" + ",".join(_COMMANDS) + "}" + indent + "...")
     return parser
 
 

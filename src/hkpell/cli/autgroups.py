@@ -1,7 +1,5 @@
 """The aut command and the aut-n3 table."""
 
-from __future__ import annotations
-
 from .. import autgroups
 
 

@@ -1,7 +1,5 @@
 """The cone command and the s2-cones and s2-walls tables."""
 
-from __future__ import annotations
-
 from .. import cones, pell
 from . import UsageError, _frac
 

@@ -1,7 +1,5 @@
 """The lattice command."""
 
-from __future__ import annotations
-
 from .. import lattice
 from . import _frac
 

@@ -1,7 +1,5 @@
 """The pell command."""
 
-from __future__ import annotations
-
 from .. import pell
 
 

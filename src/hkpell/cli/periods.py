@@ -1,8 +1,6 @@
 """The period-map commands (heegner, period-image, oracle, nl-family,
 hilb-square) and the period-image tables."""
 
-from __future__ import annotations
-
 from .. import periods
 
 

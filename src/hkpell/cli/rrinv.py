@@ -1,7 +1,5 @@
 """The chi and fujiki commands."""
 
-from __future__ import annotations
-
 from .. import rrinv
 from . import _frac
 

@@ -10,12 +10,9 @@ cone; the ray bounding the nef cone is one of them whenever the nef and
 movable cones differ.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import islice, takewhile
 from math import gcd, isqrt
-from typing import Optional
 
 from . import pell
 from .arith import BadCongruence, ConeError, Record, binomial_poly, is_square, wall_types
@@ -104,7 +101,7 @@ class ConeReport(Record):
 
 
 def _walls(a: int, b: int, sx: int, sy: int, t: int, mov: ExtremalSlope,
-           prefix: Optional[int] = None, keep=None) -> tuple[Fraction, ...]:
+           prefix: int | None = None, keep=None) -> tuple[Fraction, ...]:
     """Walls cut by the classes sx*x*X - sy*y*Y of square 2t < 0, by increasing slope.
 
     X, Y is a basis with Picard form diag(2a, -2b), and the class orthogonal
@@ -169,7 +166,7 @@ def mov_ray_sm(e: int, m: int) -> tuple[DivisorClass, str]:
     return DivisorClass(a, e * b), "congruence"
 
 
-def nef_ray_sm_special(e: int, m: int) -> Optional[tuple[DivisorClass, bool]]:
+def nef_ray_sm_special(e: int, m: int) -> tuple[DivisorClass, bool] | None:
     """The second nef ray in the two regimes where it is known in closed form.
 
     Returns (class, nef_equals_mov) for m >= (e+3)/2 or e = (m-1)b^2 with

@@ -9,8 +9,6 @@ It knows nothing of block lattices, so period-map code that needs only
 discriminant groups loads this module and not lattice.
 """
 
-from __future__ import annotations
-
 import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod

@@ -8,8 +8,6 @@ are classified by the square together with the order and quadratic value of
 the discriminant class.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod

@@ -16,15 +16,14 @@ The minimum, the first n solutions and all solutions below a bound are read
 from one lazy stream, positive_solutions.
 """
 
-from __future__ import annotations
-
 import heapq
+from collections.abc import Iterator
 from functools import lru_cache
 from math import isqrt
 from itertools import islice
-from typing import Iterator, Optional
 
-from .arith import DomainError, OrderedRecord, Record, divisors, is_square, square_divisors
+from .arith import (DomainError, OrderedRecord, Record, divisors, is_square, sqrt_mod,
+                    square_divisors)
 
 
 class PellError(DomainError):
@@ -157,7 +156,7 @@ def fundamental_solution(d: int) -> PellSolution:
     return PellSolution(p, q)
 
 
-def _negative_unit(d: int) -> Optional[PellSolution]:
+def _negative_unit(d: int) -> PellSolution | None:
     """Minimal positive solution of a^2 - d*b^2 = -1, or None.
 
     Such a solution eta exists exactly when the period of sqrt(d) is odd, and
@@ -285,16 +284,13 @@ def _class_reps(d: int, t: int) -> tuple[PellSolution, ...]:
     reps: set[tuple[int, int]] = set()
     for f in square_divisors(t):
         m = t // (f * f)
-        m_abs = abs(m)
-        if m_abs == 1:
+        if abs(m) == 1:
             # the units of norm m form one class, led by the fundamental one
             unit = fundamental_solution(d) if m == 1 else _negative_unit(d)
             if unit is not None:
                 reps.add(_canonical_rep(d, t, f * unit.a, f * unit.b))
             continue
-        for z in range(m_abs):
-            if (z * z - d) % m_abs:
-                continue
+        for z in sqrt_mod(d, abs(m)):
             for g, b in _pqa_hits(d, m, z):
                 reps.add(_canonical_rep(d, t, f * g, f * b))
     return tuple(PellSolution(a, b) for a, b in sorted(reps))
@@ -395,12 +391,12 @@ def positive_solutions(e1: int, e2: int, t: int) -> Iterator[PellSolution]:
             heapq.heapreplace(heap, (e1 * nxt.a, i, nxt))
 
 
-def min_positive_solution(eq: PellEquation) -> Optional[PellSolution]:
+def min_positive_solution(eq: PellEquation) -> PellSolution | None:
     """Minimal positive solution (a > 0, b > 0, minimal a), or None."""
     return next(positive_solutions(eq.e1, eq.e2, eq.t), None)
 
 
-def generalized_min(e1: int, e2: int, t: int) -> Optional[PellSolution]:
+def generalized_min(e1: int, e2: int, t: int) -> PellSolution | None:
     """Minimal positive solution of e1*a^2 - e2*b^2 = t, or None."""
     return next(positive_solutions(e1, e2, t), None)
 

@@ -12,12 +12,9 @@ An independent brute-force enumeration over bounded coordinates
 (coordinate_oracle) cross-checks the analytic route.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Optional
 
 from .arith import (DomainError, OrderedRecord, Record, is_prime, is_square_mod,
                     is_squarefree, v_p, wall_types)
@@ -229,7 +226,7 @@ def _coprime_products(bound: int) -> frozenset[int]:
 
 
 def coordinate_oracle(m: int, n: int, gamma: int, bound: int,
-                      squares: Optional[frozenset] = None) -> frozenset:
+                      squares: frozenset | None = None) -> frozenset:
     """Invariant quadruples (kappa^2, s, +-star, ambient div) realized in a box.
 
     Enumerates kappa = a*t1 + b*t2 + c*w over tail coordinates
@@ -300,7 +297,7 @@ def hilbert_square_points(n: int, e: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def hilbert_square_point(n: int, e: int, gamma: int = 2) -> Optional[tuple[int, int, int]]:
+def hilbert_square_point(n: int, e: int, gamma: int = 2) -> tuple[int, int, int] | None:
     """Minimal admissible (a, b, gamma) with the requested divisibility, or None.
 
     The divisibility-2 flavor (even b) is the default: it is the one carrying

@@ -5,8 +5,6 @@ line bundle, so the binomial coefficients are evaluated through their
 polynomial extension and the formulas stay valid for negative squares.
 """
 
-from __future__ import annotations
-
 from math import factorial
 
 from .arith import Record, binomial_poly
@@ -49,7 +47,7 @@ def h0_polarized(m: int, n: int) -> int:
     return binomial_poly(n + m + 1, m)
 
 
-def fujiki_constant(series: str, m: int) -> Fraction:
+def fujiki_constant(series: str, m: int) -> "Fraction":
     """The constant c with x^(2m) = c * q(x)^m on the series' 2m-folds."""
     # imported here so that chi, which needs no Fraction, loads no fractions
     from fractions import Fraction

@@ -1,8 +1,12 @@
-"""The arith helpers refuse the inputs their docstrings exclude."""
+"""The arith helpers refuse the inputs their docstrings exclude, and the
+root scan and the divisor helpers match independent references."""
+
+import random
 
 import pytest
+from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
-from hkpell.arith import divisors, is_square_mod, square_divisors, v_p
+from hkpell.arith import divisors, is_square_mod, sqrt_mod, square_divisors, v_p
 
 
 @pytest.mark.parametrize("call,bound", [
@@ -11,6 +15,7 @@ from hkpell.arith import divisors, is_square_mod, square_divisors, v_p
     (lambda: v_p(5, 0), "p >= 2"),
     (lambda: is_square_mod(2, 0), "n >= 1"),
     (lambda: is_square_mod(2, -7), "n >= 1"),
+    (lambda: sqrt_mod(2, 0), "n >= 1"),
     (lambda: divisors(0), "n != 0"),
     (lambda: square_divisors(0), "n != 0"),
 ])
@@ -24,3 +29,51 @@ def test_in_domain_values():
     assert is_square_mod(2, 7) and not is_square_mod(3, 7) and is_square_mod(5, 1)
     assert divisors(-12) == (1, 2, 3, 4, 6, 12)
     assert square_divisors(-72) == (1, 2, 3, 6)
+    assert list(sqrt_mod(4, 32)) == [2, 6, 10, 14, 18, 22, 26, 30]
+    assert list(sqrt_mod(-1, 1)) == [0] and list(sqrt_mod(3, 7)) == []
+
+
+def _roots(a, n):
+    return sorted(sympy_sqrt_mod(a, n, all_roots=True))
+
+
+def test_sqrt_mod_matches_sympy():
+    # every root in ascending order: the contract a faster root finder
+    # (per prime, lifted and recombined) must keep
+    for n in range(1, 301):
+        for a in range(n):
+            roots = _roots(a, n)
+            assert list(sqrt_mod(a, n)) == roots, (a, n)
+            assert is_square_mod(a, n) == bool(roots), (a, n)
+    # larger moduli, log-uniform up to 10**6, each with a square, so that
+    # roots exist, shifted by up to -3n, so that sqrt_mod reduces it
+    rng = random.Random(2000)
+    for _ in range(200):
+        n = round(10 ** rng.uniform(2.5, 6))
+        a = rng.randrange(n) ** 2 - n * rng.randrange(4)
+        assert list(sqrt_mod(a, n)) == _roots(a % n, n), (a, n)
+
+
+def _trial_divisors(n):
+    """Positive divisors of n != 0 by trial division up to sqrt|n|."""
+    n = abs(n)
+    small, large = [], []
+    f = 1
+    while f * f <= n:
+        if n % f == 0:
+            small.append(f)
+            if f != n // f:
+                large.append(n // f)
+        f += 1
+    return tuple(small + large[::-1])
+
+
+def _trial_square_divisors(n):
+    return tuple(f for f in _trial_divisors(n) if abs(n) % (f * f) == 0)
+
+
+def test_divisors_match_trial_division():
+    for n in range(1, 5001):
+        for signed in (n, -n):
+            assert divisors(signed) == _trial_divisors(signed), signed
+            assert square_divisors(signed) == _trial_square_divisors(signed), signed

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import io
 import json
 import os
@@ -602,6 +603,80 @@ def test_one_command_parser_prints_what_the_full_parser_prints():
         assert build_parser(path).format_usage() == full.format_usage(), path
     one = build_parser(["--format", "text", "pell", "min", "--d", "13", "--t", "1"])
     assert [path for path, _ in _subparsers(one)] == [("pell",), ("pell", "min")]
+
+
+def _metavar_parser(command, subcommand, description, usage):
+    """The parser for an argv that names command and subcommand, as it was
+    built before its root usage was pinned: a one-name subparsers action got
+    the full {...} list as its metavar, so that its usage and errors read as
+    the full parser's.  usage, if not None, replaces the root usage."""
+    from hkpell.cli import _COMMANDS, _add_leaf
+
+    def add_subparsers(parser, dest, names, named):
+        metavar = "{" + ",".join(names) + "}" if named else None
+        action = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+        return action, [named] if named else list(names)
+
+    parser = argparse.ArgumentParser(prog="hkpell", description=description)
+    parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    commands, names = add_subparsers(parser, "cmd", _COMMANDS, command)
+    for name in names:
+        help_text, leaves = _COMMANDS[name]
+        p = commands.add_parser(name, help=help_text)
+        if isinstance(leaves, dict):
+            subcommands, sub_names = add_subparsers(p, f"{name}_cmd", leaves, subcommand)
+            for sub_name in sub_names:
+                _add_leaf(subcommands.add_parser(sub_name), f"{name} {sub_name}",
+                          leaves[sub_name])
+        else:
+            _add_leaf(p, name, leaves)
+    parser.usage = usage
+    return parser
+
+
+def _grammar_grid():
+    """Every command and subcommand, each under every --format prefix and
+    --help, followed by nothing, its arguments, --help, a bad value, an
+    unknown option, an extra word or an unknown subcommand."""
+    paths = [()] + sorted({path[:1] for path in _EVERY_COMMAND}) + list(_EVERY_COMMAND)
+    prefixes = ([], ["--format", "csv"], ["--format", "text"], ["--format"], ["--help"])
+    for path in dict.fromkeys(paths):
+        args = _EVERY_COMMAND.get(path, "").split()
+        bad = args[:1] + ["x"] + args[2:] if len(args) > 1 else ["x"]
+        suffixes = ([], args, ["--help"], [*args, "--help"], bad, [*args, "--bogus"],
+                    [*args, "extra"], ["nope"], ["-h", "nope"])
+        for prefix in prefixes:
+            for suffix in suffixes:
+                yield [*prefix, *path, *suffix]
+
+
+def test_pinned_usage_prints_what_the_metavar_parser_printed(monkeypatch):
+    # usage lines wrap at the terminal width; 3.13 wraps the root usage
+    # elsewhere, so there the reference gets the pinned usage and checks the
+    # rest of each message
+    monkeypatch.setenv("COLUMNS", "80")
+    from hkpell.cli import _named
+
+    full = build_parser()
+    usage = full.usage if sys.version_info >= (3, 13) else None
+    # the reference reads argv only through the names it gives
+    reference = functools.lru_cache(maxsize=None)(
+        lambda names: _metavar_parser(*names, full.description, usage))
+    for argv in _grammar_grid():
+        new, old = build_parser(argv), reference(_named(argv))
+        # a handler's UsageError and the csv check print the root usage
+        assert new.format_usage() == old.format_usage(), argv
+        assert _captured(new.parse_args, argv) == _captured(old.parse_args, argv), argv
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse 3.13 wraps the usage elsewhere")
+def test_pinned_usage_is_argparse_rendering(monkeypatch):
+    # a command added to _COMMANDS shows up in both, so they cannot drift
+    monkeypatch.setenv("COLUMNS", "80")
+    full = build_parser()
+    pinned = full.format_usage()
+    full.usage = None
+    assert full.format_usage() == pinned
 
 
 def _mostly(usual, rare, one_in):
