@@ -8,6 +8,10 @@ invocation reproduces.  Rationals render as "p/q", irrational slopes as
 Exit codes: 0 on success, 1 on a domain error (the error type is printed)
 or when the reader closes stdout first, 2 on a usage error.
 
+A launch, `python -m hkpell.cli` or the hkpell script, runs launch(): main,
+then a flush of stdout and stderr, then os._exit, which skips interpreter
+finalization.  In-process callers call main(argv), which returns the code.
+
 Each command or subcommand names the function that returns its result
 from its options, the dict the envelope prints as params; a table command
 names the builder of its csv rows too.  _run alone parses, builds params,
@@ -216,6 +220,25 @@ def main(argv=None) -> int:
     finally:
         if limited:
             sys.set_int_max_str_digits(limit)
+
+
+def launch() -> None:
+    """Run main on the process's argv and end the process with its exit
+    code.  Once stdout and stderr are flushed nothing is left to write, so
+    os._exit skips finalization: module teardown and the freeing of all
+    that the interpreter loaded.  If a flush fails, the interpreter's own
+    exit retries it and reports the failure, as without this launcher."""
+    try:
+        code = main()
+    except SystemExit as exc:  # a usage error or --help, from argparse
+        code = exc.code
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the fd was closed at start
+                stream.flush()
+    except OSError:
+        raise SystemExit(code)
+    os._exit(code)
 
 
 def _run(argv) -> int:

@@ -1,2 +1,2 @@
-from . import main
-raise SystemExit(main())
+from . import launch
+launch()

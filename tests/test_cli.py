@@ -165,6 +165,69 @@ def test_closed_stdout_exits_1_without_traceback():
     assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr, proc.stderr
 
 
+def test_failed_flush_exits_as_the_interpreter_does():
+    # --help leaves its text in stdout's buffer; with the reader gone the
+    # launcher's flush fails, and the interpreter's own exit reports it
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hkpell.cli", "--help"], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120 and "Traceback" not in proc.stderr, proc.stderr
+
+
+# argvs whose launches must print what main prints in-process: outputs past
+# a 64 KiB pipe buffer (the oracle's is about 100 KB), a domain error, a
+# usage error and --help
+_LAUNCHED = [
+    ["oracle", "--m", "2", "--n", "3", "--gamma", "1", "--bound", "5"],
+    ["pell", "fundamental", "--d", "1000000007"],
+    ["--format", "csv", "cone", "s2", "--e-from", "1", "--e-to", "13"],
+    ["--format", "text", "aut", "s2", "--e", "7"],
+    ["reproduce", "period-image-m4"],
+    ["pell", "fundamental", "--d", "4"],
+    ["pell", "min", "--d", "13"],
+    ["--help"],
+]
+
+
+def test_launch_prints_what_main_prints(tmp_path, monkeypatch):
+    # the launcher flushes, then ends the process with os._exit: every byte
+    # must reach a pipe and a regular file alike, with main's exit code.
+    # Without PYTHONUNBUFFERED, which would hide a missing flush, stdout is
+    # block-buffered as a launch from a shell has it
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    codes, sizes = set(), []
+    for argv in _LAUNCHED:
+        code, out, err = _captured(main, argv)
+        codes.add(code)
+        sizes.append(len(out))
+        expected = (code, out.encode(), err.encode())
+        cmd = [sys.executable, "-m", "hkpell.cli", *argv]
+        proc = subprocess.run(cmd, capture_output=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+        with open(tmp_path / "stdout", "w+b") as file:
+            proc = subprocess.run(cmd, stdout=file, stderr=subprocess.PIPE, env=env)
+            file.seek(0)
+            assert (proc.returncode, file.read(), proc.stderr) == expected, argv
+    assert codes == {0, 1, 2} and max(sizes) > 1 << 16
+
+
+def test_launch_with_stderr_closed_exits_0():
+    # with fd 2 closed at start sys.stderr is None, which the launcher's
+    # flush skips, as the interpreter's own exit does
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m hkpell.cli pell min --d 13 --t 1 2>&-',
+                           sys.executable], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0 and json.loads(proc.stdout)["result"] == {"a": 649, "b": 180}
+
+
 def test_fundamental_prints_unit_past_str_digit_limit():
     # the unit of d = 10**9 + 7 has about 6400 digits, past the default 4300
     d = 1000000007
@@ -360,23 +423,54 @@ _AS_MAIN = """
 import io, json, os, runpy, sys
 from contextlib import redirect_stdout
 
+import hkpell.cli as core
+
+def _exit(code):  # os._exit would end the process before the module list prints
+    raise SystemExit(code)
+
+def main(argv=None):
+    returned.append(core_main(argv))
+    return returned[-1]
+
+returned, core_main, core.main, os._exit = [], core.main, main, _exit
 sys.argv = ["hkpell", *sys.argv[1:]]
 with redirect_stdout(io.StringIO()):
     try:
         runpy.run_module("hkpell.cli", run_name="__main__", alter_sys=True)  # as -m does
     except SystemExit as exc:
         assert exc.code == 0, exc.code
-        tb = exc.__traceback__
-while tb.tb_next:
+        code, tb = exc.code, exc.__traceback__
+frames = []
+while tb:
+    frames.append(tb.tb_frame)
     tb = tb.tb_next
-# the exit came from the shim, which ran the main of the one loaded core
-shim, core = tb.tb_frame.f_globals, sys.modules["hkpell.cli"]
-assert shim["__name__"] == "__main__" and shim["main"] is core.main
+# the exit came from the shim, which ran the launcher of the one loaded core,
+# and the launcher exited with the code that main returned
+shim_frame, launcher, exit_ = frames[-3:]
+assert exit_.f_code is _exit.__code__ and launcher.f_code is core.launch.__code__
+shim = shim_frame.f_globals
+assert shim["__name__"] == "__main__" and shim["launch"] is core.launch
 assert shim["__file__"].endswith(os.path.join("cli", "__main__.py")), shim["__file__"]
+assert returned == [code], (returned, code)
 assert [m for m in list(sys.modules.values())
         if getattr(m, "__file__", None) == core.__file__] == [core]
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("hkpell"))))
 """
+
+
+def test_console_script_runs_the_launcher_the_shim_runs():
+    # `hkpell ...` and `python -m hkpell.cli ...` exit the same way
+    import ast
+    import re
+
+    pyproject = (pathlib.Path(SRC).parent / "pyproject.toml").read_text()
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target = re.fullmatch(r'hkpell = "hkpell\.cli:(\w+)"', scripts.strip())
+    shim = ast.parse((pathlib.Path(hkpell.__file__).parent / "cli" / "__main__.py").read_text())
+    calls = [node.func.id for node in ast.walk(shim) if isinstance(node, ast.Call)]
+    imports = [(node.module, node.level, [a.name for a in node.names])
+               for node in ast.walk(shim) if isinstance(node, ast.ImportFrom)]
+    assert target and calls == [target[1]] and imports == [(None, 1, calls)], (scripts, calls)
 
 
 def _modules_loaded_as_main(argv):
