@@ -6,11 +6,11 @@ invocation reproduces.  Rationals render as "p/q", irrational slopes as
 "sqrt(p/q)", groups as one of 1, Z/2, Z, Z x| Z/2, ?.
 
 Exit codes: 0 on success, 1 on a domain error (the error type is printed)
-or when the reader closes stdout first, 2 on a usage error.
+or when stdout cannot take the output, 2 on a usage error.
 
-A launch, `python -m hkpell.cli` or the hkpell script, runs launch(): main,
-then a flush of stdout and stderr, then os._exit, which skips interpreter
-finalization.  In-process callers call main(argv), which returns the code.
+A launch (`python -m hkpell.cli`, the hkpell script) ends in launch() alone,
+which handles a failed stdout; in-process callers call main(argv), which
+returns the code and, like print, raises a failed stdout write.
 
 Each command or subcommand names the function that returns its result
 from its options, the dict the envelope prints as params; a table command
@@ -223,21 +223,29 @@ def main(argv=None) -> int:
 
 
 def launch() -> None:
-    """Run main on the process's argv and end the process with its exit
-    code.  Once stdout and stderr are flushed nothing is left to write, so
-    os._exit skips finalization: module teardown and the freeing of all
-    that the interpreter loaded.  If a flush fails, the interpreter's own
-    exit retries it and reports the failure, as without this launcher."""
+    """Run main on the process's argv, flush stdout and stderr, and end the
+    process with main's code by os._exit, which skips finalization.  Here
+    alone a stdout that cannot take the output, in main's write or the
+    flush, exits 1 without a traceback: quietly once the reader is gone,
+    else with one JSON error line on stderr, as a domain error has."""
     try:
-        code = main()
-    except SystemExit as exc:  # a usage error or --help, from argparse
-        code = exc.code
-    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # a usage error or --help, from argparse
+            code = exc.code
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:  # None when the fd was closed at start
                 stream.flush()
-    except OSError:
-        raise SystemExit(code)
+    except BrokenPipeError:  # the reader is gone and wants nothing more
+        code = 1
+    except (AttributeError, OSError) as exc:
+        if sys.stdout is None:  # fd 1 closed at start: _run wrote to None
+            exc = OSError("stdout is closed")
+        elif isinstance(exc, AttributeError):
+            raise  # a fault of the program, not of stdout
+        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        print(json.dumps(payload, sort_keys=True), file=sys.stderr, flush=True)
+        code = 1
     os._exit(code)
 
 
@@ -271,13 +279,5 @@ def _run(argv) -> int:
                     "provenance": provenance}
         text = json.dumps(envelope if args.format == "json" else result,
                           sort_keys=True, indent=2) + "\n"
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout; point it at devnull so that the flush at
-        # exit raises no second BrokenPipeError (the SIGPIPE note in the
-        # docs of the signal module)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+    sys.stdout.write(text)
     return 0

@@ -15,7 +15,7 @@ from itertools import islice, takewhile
 from math import gcd, isqrt
 
 from . import pell
-from .arith import BadCongruence, ConeError, Record, binomial_poly, is_square, wall_types
+from .arith import BadCongruence, ConeError, Record, is_square, wall_types
 
 
 class UnsupportedM(ConeError):
@@ -72,9 +72,6 @@ class DivisorClass(Record):
 
     def square(self, e: int, m: int) -> int:
         return 2 * e * self.c_l ** 2 - 2 * (m - 1) * self.c_delta ** 2
-
-    def is_primitive(self) -> bool:
-        return gcd(self.c_l, self.c_delta) == 1
 
     def slope(self) -> Fraction:
         return Fraction(self.c_delta, self.c_l)
@@ -270,11 +267,12 @@ def hilb_embedding_status(a: int, e: int, m: int) -> tuple[bool, bool]:
 
 def moduli_embedding_status(m: int, n: int, gamma: int) -> tuple[bool, bool, int]:
     """(base-point-free, very ample, ambient dimension) for a general polarization."""
-    from .discform import polarized_tail  # only here: cone commands do not load discform
+    from .discform import polarized_tail  # only here: no cone command loads discform
+    from .rrinv import h0_polarized  # nor rrinv
 
     polarized_tail(m, n, gamma)  # the domain check
     if gamma == 1:
         bpf, va = n >= m - 1, n >= m + 1
     else:
         bpf, va = n >= m + 3, n >= m + 5
-    return bpf, va, binomial_poly(n + m + 1, m) - 1
+    return bpf, va, h0_polarized(m, n) - 1

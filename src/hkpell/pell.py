@@ -112,7 +112,7 @@ class Solvability(Record):
 # fundamental unit and exact sign tests in Z[sqrt(d)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # over twice the 988 units of a degree_sweep pass
 def fundamental_solution(d: int) -> PellSolution:
     """Minimal positive solution of a^2 - d*b^2 = 1, via half a period.
 
@@ -262,7 +262,7 @@ def _pqa_hits(d: int, m: int, z: int) -> list[tuple[int, int]]:
         p_cur, q_cur = p_next, q_next
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)  # over twice the 2572 searches of a degree_sweep pass
 def _class_reps(d: int, t: int) -> tuple[PellSolution, ...]:
     """Minimal positive representatives of all solution classes of a^2 - d*b^2 = t.
 

@@ -91,7 +91,7 @@ class _Model(Record):
         return t[0][0] * a + t[0][1] * b, t[1][0] * a + t[1][1] * b
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # over twice the 101 models of a period_ladder pass
 def _model(m: int, n: int, gamma: int) -> _Model:
     blocks = polarized_tail(m, n, gamma)
     return _Model(m, n, gamma, block_sum(*blocks), *disc_group_of_gram(*blocks))

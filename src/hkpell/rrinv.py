@@ -44,7 +44,7 @@ def h0_polarized(m: int, n: int) -> int:
     """Section count of a square-2n polarization on a 2m-fold of Hilbert type."""
     if m < 2 or n < 1:
         raise ValueError("need m >= 2 and n >= 1")
-    return binomial_poly(n + m + 1, m)
+    return chi(RiemannRochInput(HILB_K3, m, 2 * n))
 
 
 def fujiki_constant(series: str, m: int) -> "Fraction":

@@ -165,19 +165,76 @@ def test_closed_stdout_exits_1_without_traceback():
     assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr, proc.stderr
 
 
-def test_failed_flush_exits_as_the_interpreter_does():
-    # --help leaves its text in stdout's buffer; with the reader gone the
-    # launcher's flush fails, and the interpreter's own exit reports it
+def _launch(argv, redirect="", **streams):
+    """`python -m hkpell.cli <argv> <redirect>` run by the shell, with stdout
+    block-buffered as a launch from a shell has it (PYTHONUNBUFFERED would
+    hide a missing flush)."""
     env = {**os.environ, "PYTHONPATH": SRC}
     env.pop("PYTHONUNBUFFERED", None)
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    return subprocess.run(["sh", "-c", f'exec "$0" -m hkpell.cli {argv} {redirect}',
+                           sys.executable], env=env, **streams)
+
+
+def test_gone_reader_exits_1_quietly():
+    # --help leaves its text in stdout's buffer, so the launcher's flush
+    # meets the gone reader; the oracle's ~110 KB overflow the buffer, so
+    # the write inside main does
+    for argv in ("--help", "oracle --m 2 --n 3 --gamma 1 --bound 5"):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _launch(argv, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b""), argv
+
+
+_NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@pytest.mark.parametrize("argv, redirect", [
+    ("pell fundamental --d 13", ">&-"),  # closed at start: sys.stdout is None
+    pytest.param("pell fundamental --d 13", "> /dev/full", marks=_NO_DEV_FULL),  # ENOSPC
+    pytest.param("--help", "> /dev/full", marks=_NO_DEV_FULL),  # ENOSPC at the flush
+])
+def test_stdout_that_takes_nothing_exits_1_with_one_error_line(argv, redirect):
+    proc = _launch(argv, redirect, capture_output=True)
+    lines = proc.stderr.decode().splitlines()
+    assert proc.returncode == 1 and len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"]["type"] == "OSError", lines
+
+
+def test_closed_stdout_keeps_usage_errors_and_help():
+    # argparse writes --help to stderr when sys.stdout is None
+    usage, help_ = (_launch(argv, ">&-", capture_output=True)
+                    for argv in ("cone s2 --e-from 1", "--help"))
+    assert usage.returncode == 2 and b"usage: hkpell" in usage.stderr, usage.stderr
+    assert help_.returncode == 0 and help_.stderr.startswith(b"usage: hkpell"), help_.stderr
+    assert b"positional arguments" in help_.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_main_raises_a_failed_stdout_write_and_leaves_fds_alone(monkeypatch):
+    # as print does: no fd of the caller's is replaced, and none is left open
+    class Gone(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return 1
+
+    saved = os.dup(1)  # fd 1 comes back even if main replaces it
     try:
-        proc = subprocess.run([sys.executable, "-m", "hkpell.cli", "--help"], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, env=env)
+        fds, stat = set(os.listdir("/proc/self/fd")), os.fstat(1)
+        monkeypatch.setattr(sys, "stdout", Gone())
+        with pytest.raises(BrokenPipeError):
+            main(["pell", "fundamental", "--d", "13"])
+        after = os.fstat(1)
+        assert (after.st_dev, after.st_ino) == (stat.st_dev, stat.st_ino)
+        assert set(os.listdir("/proc/self/fd")) == fds
     finally:
-        os.close(write_end)
-    assert proc.returncode == 120 and "Traceback" not in proc.stderr, proc.stderr
+        os.dup2(saved, 1)
+        os.close(saved)
 
 
 # argvs whose launches must print what main prints in-process: outputs past
@@ -416,7 +473,7 @@ assert loaded("hkpell.cones", "hkpell.pell") == {"hkpell.cones", "hkpell.pell"}
             assert "hkpell.discform" in modules and "hkpell.lattice" not in modules, path
         if path[0] == "cone":
             # wall types come from arith's wall constraints
-            assert not {"hkpell.discform", "hkpell.periods"} & set(modules), path
+            assert not {"hkpell.discform", "hkpell.periods", "hkpell.rrinv"} & set(modules), path
 
 
 _AS_MAIN = """

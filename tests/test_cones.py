@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import islice, takewhile
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 
@@ -12,7 +12,6 @@ from hkpell.cones import (BadCongruence, ConeReport, DivisorClass,
                           moduli_embedding_status, mov_ray_sm,
                           nef_ray_sm_special, walls_s2, walls_sm)
 from hkpell.pell import fundamental_solution, generalized_min
-from hkpell.rrinv import h0_polarized
 
 F = Fraction
 
@@ -361,7 +360,7 @@ def test_moduli_embedding_status():
     for m in range(2, 12):
         for n in range(1, 12):
             bpf, va, dim = moduli_embedding_status(m, n, 1)
-            assert dim + 1 == h0_polarized(m, n)
+            assert dim + 1 == comb(n + m + 1, m)
 
 
 def test_moduli_embedding_status_checks_its_domain():

@@ -47,6 +47,14 @@ def test_fundamental_golden():
     assert fundamental_solution(61) == PellSolution(1766319049, 226153980)
 
 
+def test_caches_are_bounded():
+    # a long-running caller must not grow them without limit
+    from hkpell.periods import _model
+
+    for cache in (fundamental_solution, _class_reps, _model):
+        assert cache.cache_info().maxsize is not None, cache
+
+
 def test_fundamental_square_input():
     with pytest.raises(PerfectSquareInput):
         fundamental_solution(4)

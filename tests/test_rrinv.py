@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -32,7 +33,7 @@ def test_h0_polarized():
     for m in range(2, 41):
         for n in range(1, 41):
             assert h0_polarized(m, n) == h0_polarized(n + 1, m - 1)
-            assert h0_polarized(m, n) == chi_hilb(m, 2 * n)
+            assert h0_polarized(m, n) == comb(n + m + 1, m)
 
 
 def test_fujiki():
