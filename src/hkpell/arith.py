@@ -3,7 +3,7 @@ the package."""
 
 from collections.abc import Iterator
 from functools import total_ordering
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt
 
 
 class Record:
@@ -202,10 +202,7 @@ def binomial_poly(x: int, k: int) -> int:
     num = 1
     for i in range(k):
         num *= x - i
-    den = 1
-    for i in range(2, k + 1):
-        den *= i
-    q, r = divmod(num, den)
+    q, r = divmod(num, factorial(k))
     if r:
         raise ArithmeticError(f"falling factorial of {x} of length {k} is not divisible by {k}!")
     return q

@@ -1,9 +1,9 @@
 """The discriminant-form engine: Smith normal form, finite quadratic groups
 with their Q/2Z-valued quadratic form held exactly as Fractions, the
-discriminant group of an orthogonal sum of even Gram blocks, the
-(order, integer q-bar) index of its classes that decides realizability, and
-the one model of the polarized orthogonal's tail with its (m, n, gamma)
-domain.
+discriminant group of an orthogonal sum of even Gram blocks, the one query
+for the classes that the primitive vectors of a given square and
+divisibility map to (DiscGroup.realizing), and the one model of the
+polarized orthogonal's tail with its (m, n, gamma) domain.
 
 It knows nothing of block lattices, so period-map code that needs only
 discriminant groups loads this module and not lattice.
@@ -73,26 +73,6 @@ def smith_normal_form(m):
     return [a[i][i] for i in range(n)], u, v
 
 
-def mod2(x: Fraction | int) -> Fraction:
-    """Canonical representative of x in Q/2Z, inside [0, 2)."""
-    return Fraction(x) % 2
-
-
-def mod1(x: Fraction | int) -> Fraction:
-    """Canonical representative of x in Q/Z, inside [0, 1)."""
-    return Fraction(x) % 1
-
-
-def residue(square: Fraction | int, order: int) -> Fraction | int:
-    """square modulo 2 * order^2: the integer q-bar, q-bar * order^2, of the
-    classes of the given order that carry the primitive vectors of that square.
-
-    Such a class has q-bar = square/order^2 modulo 2.  In an even lattice the
-    integer q-bar of every class is even, so an odd square matches none.
-    """
-    return square % (2 * order * order)
-
-
 class DiscGroup(Record):
     """Finite quadratic group as a product of cyclic groups.
 
@@ -115,8 +95,11 @@ class DiscGroup(Record):
         diag = [[d if i == j else 0 for j in range(k)] for i, d in enumerate(self.orders)]
         return tuple(abs(f) for f in smith_normal_form(diag)[0] if abs(f) != 1)
 
-    def elements(self):
-        return itertools.product(*(range(d) for d in self.orders))
+    def elements(self, t: int = 0):
+        """The t-torsion, in lexicographic order: the multiples of
+        d/gcd(d, t) in each factor Z/d.  gcd(d, 0) = d, so t = 0 gives the
+        whole group."""
+        return itertools.product(*(range(0, d, d // gcd(d, t)) for d in self.orders))
 
     def element_order(self, el) -> int:
         return lcm(*[d // gcd(c, d) for c, d in zip(el, self.orders)])
@@ -127,7 +110,7 @@ class DiscGroup(Record):
             total += c * c * self.gen_q[i]
             for j in range(i + 1, len(el)):
                 total += 2 * c * el[j] * self.gen_pair[i][j]
-        return mod2(total)
+        return total % 2
 
     def negate(self, el) -> tuple[int, ...]:
         return tuple((-c) % d for c, d in zip(el, self.orders))
@@ -136,26 +119,28 @@ class DiscGroup(Record):
         """The lexicographically smaller of +-el."""
         return min(tuple(el), self.negate(el))
 
-    def classes(self):
-        """(order, el) once for each pair +-el, el normalized; the order and the
-        quadratic value are the same on both members."""
-        # elements() runs in lexicographic order, so the first member met of
-        # each pair is its normalized one
-        for el in self.elements():
-            if el <= self.negate(el):
-                yield self.element_order(el), el
+    def realizing(self, square: int, s: int = 0):
+        """(order, el) for each normalized class el that the primitive vectors
+        of the given square and divisibility order map to: q-bar(el) * order^2
+        = square modulo 2 * order^2 (Eichler's criterion; Nikulin, Izv. 1979,
+        Sec. 1).  With s > 0 only the s-torsion is read and only classes of
+        order s are kept; s = 0 reads the whole group and keeps every order.
 
-    def index(self) -> dict[int, dict[int, list[tuple[int, ...]]]]:
-        """The normalized classes by order s, then by integer q-bar: q-bar * s^2,
-        an integer for the discriminant form of an even lattice.
-
-        index()[s].get(residue(square, s), ()) are the classes of order s
-        that the primitive vectors of that square and divisibility s map to.
+        q-bar * order^2 is an integer, even for the discriminant form of an
+        even lattice, so an odd square is realized by no class.  The order and
+        q-bar are the same on el and -el.
         """
-        out: dict[int, dict[int, list[tuple[int, ...]]]] = {}
-        for s, el in self.classes():
-            out.setdefault(s, {}).setdefault(int(self.qbar(el) * (s * s)), []).append(el)
-        return out
+        # the s-torsion is closed under negation, so each pair +-el is met
+        # at its normalized member
+        for el in self.elements(s):
+            if el > self.negate(el):
+                continue
+            order = self.element_order(el)
+            if s and order != s:
+                continue
+            s2 = order * order
+            if self.qbar(el) * s2 == square % (2 * s2):
+                yield order, el
 
 
 def block_sum(*grams) -> tuple[tuple[int, ...], ...]:
@@ -197,8 +182,8 @@ def disc_group_of_gram(*blocks) -> tuple[DiscGroup, tuple[tuple[Fraction, ...], 
     def b_of(x, y):
         return sum(x[i] * g[i][j] * y[j] for i in range(n) for j in range(n))
 
-    gen_q = tuple(mod2(b_of(x, x)) for x in vecs)
-    gen_pair = tuple(tuple(mod1(b_of(x, y)) for y in vecs) for x in vecs)
+    gen_q = tuple(b_of(x, x) % 2 for x in vecs)
+    gen_pair = tuple(tuple(b_of(x, y) % 1 for y in vecs) for x in vecs)
     return DiscGroup(tuple(orders), gen_q, gen_pair), tuple(vecs)
 
 

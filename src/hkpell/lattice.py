@@ -9,11 +9,10 @@ the discriminant class.
 """
 
 from fractions import Fraction
-from itertools import product
 from math import gcd, prod
 
 from .arith import DomainError, Record, check_polarization, is_square_mod, prime_factors, v_p
-from .discform import DiscGroup, block_sum, disc_group_of_gram, polarized_tail, residue
+from .discform import DiscGroup, block_sum, disc_group_of_gram, polarized_tail
 
 
 class LatticeError(DomainError):
@@ -181,10 +180,10 @@ class OrbitKey(Record):
     def __init__(self, square: int, star_order: int, star_q: Fraction | None = None):
         if star_order < 1:
             raise ValueError("star_order must be positive")
-        expected = residue(square, star_order)
+        expected = Fraction(square, star_order ** 2) % 2
         if star_q is None:
-            star_q = Fraction(expected, star_order ** 2)
-        elif residue(star_q * star_order ** 2, star_order) != expected:
+            star_q = expected
+        elif star_q % 2 != expected:
             raise ValueError("star_q must be square/star_order^2 modulo 2")
         super().__init__(square, star_order, star_q)
 
@@ -202,17 +201,12 @@ def exists_primitive_vector(spec: LatticeSpec, key: OrbitKey) -> bool:
 
     In a lattice containing two orthogonal hyperbolic planes this holds
     exactly when the discriminant group has an element of the stated order
-    whose quadratic value matches square/order^2 modulo 2.  Only the order-s
-    torsion is read: the multiples of d/gcd(d, s) in each factor Z/d, keyed
-    as in DiscGroup.index.
+    whose quadratic value matches square/order^2 modulo 2: a class that
+    DiscGroup.realizing yields, reading only the order-s torsion.
     """
     if spec.u_block_count() < 2:
         raise NoDoubleU("existence test requires two hyperbolic planes")
-    dg, s = disc_group_of(spec), key.star_order
-    want = residue(key.square, s)
-    torsion = product(*(range(0, d, d // gcd(d, s)) for d in dg.orders))
-    return any(dg.element_order(el) == s and int(dg.qbar(el) * (s * s)) == want
-               for el in torsion)
+    return any(disc_group_of(spec).realizing(key.square, key.star_order))
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,7 @@ def solution_classes(d: int, t: int) -> list[SolutionClass]:
 
 def same_class(d: int, t: int, s1: PellSolution, s2: PellSolution) -> bool:
     """Whether two solutions are associated (differ by a unit, up to sign)."""
+    PellEquation.classical(d, t)  # domain check
     for s in (s1, s2):
         if s.a * s.a - d * s.b * s.b != t:
             raise WrongEquation(f"{s} does not solve a^2-{d}b^2={t}")

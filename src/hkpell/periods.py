@@ -14,12 +14,11 @@ An independent brute-force enumeration over bounded coordinates
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from .arith import (DomainError, OrderedRecord, Record, is_prime, is_square_mod,
+from .arith import (DomainError, OrderedRecord, Record, divisors, is_prime, is_square_mod,
                     is_squarefree, v_p, wall_types)
-from .discform import (UnsupportedParameters, block_sum, disc_group_of_gram, polarized_tail,
-                       residue)
+from .discform import UnsupportedParameters, block_sum, disc_group_of_gram, polarized_tail
 
 
 class PeriodsError(DomainError):
@@ -105,9 +104,7 @@ def _realizable_classes(m: int, n: int, gamma: int, kappa_sq: int):
     divisibility is then the order of star.
     """
     model = _model(m, n, gamma)
-    return [(s, star, model.ambient_div(star, s))
-            for s, by_q in model.disc.index().items()
-            for star in by_q.get(residue(kappa_sq, s), ())]
+    return [(s, star, model.ambient_div(star, s)) for s, star in model.disc.realizing(kappa_sq)]
 
 
 def _key(m: int, n: int, gamma: int, kappa_sq: int, s: int, star) -> HeegnerKey:
@@ -136,11 +133,11 @@ def _classes_for_discriminant(n: int, gamma: int, e: int):
     model = _model(2, n, gamma)
     disc = model.disc.order
     out = []
-    for s, by_q in model.disc.index().items():
+    for s in divisors(lcm(*model.disc.orders)):
         num = 2 * e * s * s
         if num % disc == 0:
             kappa_sq = -(num // disc)
-            out.extend((s, star, kappa_sq) for star in by_q.get(residue(kappa_sq, s), ()))
+            out.extend((s, star, kappa_sq) for _, star in model.disc.realizing(kappa_sq, s))
     return out
 
 

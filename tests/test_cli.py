@@ -685,6 +685,27 @@ def test_readme_library_only_list_is_the_static_scan():
     assert sorted(re.findall(r"`(\w+\.\w+)`", section)) == _library_only()
 
 
+def test_package_imports_only_the_stdlib():
+    # every import in the package, cli included, is hkpell itself or a
+    # standard-library module
+    import ast
+
+    seen = set()
+    for path in sorted(pathlib.Path(hkpell.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "hkpell" or top in sys.stdlib_module_names, (path.name, name)
+                seen.add(top)
+    assert {"fractions", "math", "argparse", "json"} <= seen
+
+
 def test_series_choices_match_rrinv():
     from hkpell import rrinv
 

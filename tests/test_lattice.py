@@ -8,8 +8,7 @@ import pytest
 from hkpell import periods
 from hkpell.arith import BadCongruence, divisors, prime_factors
 from hkpell.autgroups import very_general_bir
-from hkpell.discform import (UnsupportedParameters, block_sum, mod2, polarized_tail, residue,
-                             smith_normal_form)
+from hkpell.discform import UnsupportedParameters, block_sum, polarized_tail, smith_normal_form
 from hkpell.lattice import (E8_MINUS, U, ComponentCount, DiscGroup, _det,
                             LatticeSpec, NoDoubleU, NotPrimitive, OrbitKey, ZeroVector, disc_group,
                             disc_group_of, divisibility,
@@ -55,10 +54,66 @@ def test_det_matches_leibniz():
     assert _det(E8_MINUS.gram) == _leibniz(E8_MINUS.gram) == 1
 
 
+def _parent_index(dg):
+    """DiscGroup.classes() and DiscGroup.index() as they were: the normalized
+    classes of the whole group by order s, then by integer q-bar, q-bar * s^2."""
+    out = {}
+    for el in itertools.product(*(range(d) for d in dg.orders)):
+        if el <= dg.negate(el):
+            s = dg.element_order(el)
+            out.setdefault(s, {}).setdefault(int(dg.qbar(el) * (s * s)), []).append(el)
+    return out
+
+
+def _parent_residue(square, order):
+    """discform.residue as it was: the key of the index that the primitive
+    vectors of that square and divisibility order map to."""
+    return square % (2 * order * order)
+
+
+def _small_disc_groups(ms=range(2, 13)):
+    return [disc_group(m, n, gamma) for m in ms for n in range(1, 13)
+            for gamma in ((1, 2) if (n + m) % 4 == 1 else (1,))]
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_realizing_matches_the_index(m):
+    # every key (s, q) of every group with n <= 12, asked with its s and with s = 0
+    for dg in _small_disc_groups((m,)):
+        index = _parent_index(dg)
+        union = set()
+        for s, by_q in index.items():
+            for q, els in by_q.items():
+                got = list(dg.realizing(q - 2 * s * s, s))  # another square, same key
+                assert got == [(s, el) for el in els], (dg, s, q)
+                union.update(got)
+            assert not any(dg.realizing(1 - 2 * s * s, s)), (dg, s)  # an odd square
+        assert union == {(s, el) for s, by_q in index.items() for els in by_q.values()
+                         for el in els}
+        # with s = 0 a square asks one key of each order at once: these squares
+        # ask every key, and an odd one asks none
+        squares, asked = [1], set()
+        for s, q in sorted(((s, q) for s, by_q in index.items() for q in by_q), reverse=True):
+            if (s, q) not in asked:
+                squares.append(q)
+                asked.update((t, _parent_residue(q, t)) for t in index)
+        for square in squares:
+            want = [(s, el) for s, by_q in index.items()
+                    for el in by_q.get(_parent_residue(square, s), ())]
+            assert sorted(dg.realizing(square)) == sorted(want), (dg, square)
+
+
 @pytest.mark.parametrize("dg", [disc_group(2, 1, 1), disc_group(5, 3, 1), disc_group(2, 3, 2),
                                 disc_group(3, 2, 2), disc_group(5, 8, 2)])
 def test_classes_visit_each_pm_pair_once(dg):
-    classes = list(dg.classes())
+    # the integer q-bar of a class of order s lies in [0, 2s^2), so these
+    # squares reach every class
+    exponent = math.lcm(*dg.orders)
+    per_square = [list(dg.realizing(square)) for square in range(2 * exponent ** 2)]
+    for found in per_square:
+        pairs = [frozenset({el, dg.negate(el)}) for _, el in found]
+        assert len(set(pairs)) == len(pairs)
+    classes = {c for found in per_square for c in found}
     pairs = [frozenset({el, dg.negate(el)}) for _, el in classes]
     assert len(set(pairs)) == len(pairs)
     assert set(pairs) == {frozenset({el, dg.negate(el)}) for el in dg.elements()}
@@ -68,6 +123,15 @@ def test_classes_visit_each_pm_pair_once(dg):
         assert el == dg.normalize(el) == dg.normalize(dg.negate(el))
         assert order == dg.element_order(el) == dg.element_order(dg.negate(el))
         assert dg.qbar(el) == dg.qbar(dg.negate(el))
+
+
+def test_elements_enumerate_the_torsion():
+    for dg in _small_disc_groups():
+        everything = list(itertools.product(*(range(d) for d in dg.orders)))
+        assert list(dg.elements()) == everything
+        for t in divisors(math.lcm(*dg.orders)):
+            want = [el for el in everything if t % dg.element_order(el) == 0]
+            assert list(dg.elements(t)) == want, (dg, t)
 
 
 def test_divisibility_examples():
@@ -97,16 +161,16 @@ def test_polarized_orthogonal_shapes():
 def test_disc_group_examples():
     d = disc_group(2, 1, 1)
     assert d.orders == (2, 2)
-    assert d.gen_q == (mod2(Fraction(-1, 2)), mod2(Fraction(-1, 2)))
+    assert d.gen_q == (Fraction(-1, 2) % 2, Fraction(-1, 2) % 2)
 
     d = disc_group(2, 3, 2)
     assert d.orders == (3,)
-    assert d.gen_q == (mod2(Fraction(-2, 3)),)
+    assert d.gen_q == (Fraction(-2, 3) % 2,)
 
     # the Smith-form generators of the tail block ((-4, -2), (-2, -2))
     d = disc_group(3, 2, 2)
     assert d.orders == (2, 2)
-    assert d.gen_q == (mod2(Fraction(-1, 2)), mod2(Fraction(-1)))
+    assert d.gen_q == (Fraction(-1, 2) % 2, Fraction(-1) % 2)
 
     # unequal 2-adic valuations: abstract type (2, 16)
     assert disc_group(5, 8, 2).invariant_factors == (2, 16)
@@ -320,12 +384,12 @@ def test_orbit_keys():
     m4 = hilbert_scheme_lattice(4)
     key = orbit_key(m4.vector([0] * 22 + [1]))
     assert (key.square, key.star_order) == (-6, 6)
-    assert key.star_q == mod2(Fraction(-1, 6))
+    assert key.star_q == Fraction(-1, 6) % 2
 
     w = k3_polarized_orthogonal(6).vector([0] * 20 + [1])
     key = orbit_key(w)
     assert (key.square, key.star_order) == (-12, 12)
-    assert key.star_q == mod2(Fraction(-1, 12))
+    assert key.star_q == Fraction(-1, 12) % 2
 
     with pytest.raises(NotPrimitive):
         orbit_key(k3.vector([2, 2] + [0] * 20))
@@ -344,8 +408,8 @@ def test_orbit_key_block_permutation():
 
 
 def test_exists_primitive_vector():
-    root_div1 = OrbitKey(-2, 1, mod2(Fraction(-2)))
-    root_div2 = OrbitKey(-2, 2, mod2(Fraction(-1, 2)))
+    root_div1 = OrbitKey(-2, 1, Fraction(-2) % 2)
+    root_div2 = OrbitKey(-2, 2, Fraction(-1, 2) % 2)
     unreduced = OrbitKey(-2, 2, Fraction(-1, 2))  # the same key, star_q kept as given
     assert unreduced.star_q == Fraction(-1, 2)
     for e in range(1, 20):
@@ -355,7 +419,7 @@ def test_exists_primitive_vector():
         assert exists_primitive_vector(spec, unreduced) == (e % 4 == 1), e
     uu = LatticeSpec((U, U))
     assert exists_primitive_vector(uu, root_div1)
-    assert not exists_primitive_vector(uu, OrbitKey(-2, 3, mod2(Fraction(-2, 9))))
+    assert not exists_primitive_vector(uu, OrbitKey(-2, 3, Fraction(-2, 9) % 2))
 
 
 def test_exists_primitive_vector_matches_the_coordinate_oracle():
@@ -380,10 +444,10 @@ def test_exists_primitive_vector_reads_the_torsion_as_the_index_does():
         for n in range(1, 5):
             for gamma in (1, 2) if (n + m) % 4 == 1 else (1,):
                 spec = polarized_orthogonal(m, n, gamma)
-                index = disc_group_of(spec).index()
+                index = _parent_index(disc_group_of(spec))
                 for s in range(1, 2 * (m + n)):
                     for square in range(-4 * (m + n), 3, 2):
-                        expected = residue(square, s) in index.get(s, {})
+                        expected = _parent_residue(square, s) in index.get(s, {})
                         got = exists_primitive_vector(spec, OrbitKey(square, s))
                         assert got == expected, (m, n, gamma, square, s)
 

@@ -139,6 +139,12 @@ def test_domain_errors():
         solutions_in_order(-5, 1, 3)
     with pytest.raises(ValueError, match="nonzero"):
         solutions_in_order(13, 0, 3)
+    with pytest.raises(ValueError, match="nonzero"):
+        same_class(5, 0, PellSolution(0, 0), PellSolution(0, 0))
+    with pytest.raises(ValueError, match="positive"):
+        same_class(-5, 1, PellSolution(1, 0), PellSolution(1, 0))
+    with pytest.raises(ValueError, match="positive"):
+        same_class(0, 1, PellSolution(1, 0), PellSolution(-1, 0))
 
 
 @given(st.integers(min_value=2, max_value=4000))
