@@ -81,17 +81,39 @@ class BadCongruence(ConeError):
     pass
 
 
+def polarization_classes(m: int, n: int, gamma: int) -> tuple[int, ...]:
+    """The k in [0, gamma) prime to gamma with n + (m-1)k^2 = 0 (mod gamma^2):
+    the discriminant classes of the square-2n, divisibility-gamma primitive
+    classes h in the lattice of K3^[m] type, for gamma dividing 2n and 2m - 2.
+
+    The discriminant group D = Z/2(m-1) is generated by l/2(m-1), of q-bar
+    -1/2(m-1) mod 2, where l spans the I1(-2(m-1)) block.  As h is primitive,
+    h/gamma lies in the dual and its class has order gamma in D, so it is
+    k * 2(m-1)/gamma times l/2(m-1) for some k prime to gamma, defined mod
+    gamma.  Its q-bar, -2(m-1)k^2/gamma^2, must equal h^2/gamma^2 = 2n/gamma^2
+    mod 2, which is the congruence.  By Eichler's criterion each such k is
+    realized (Gritsenko-Hulek-Sankaran, Compositio 2010, sec. 3), and by
+    Markman's monodromy theorem the components of the moduli space are these
+    k up to sign (Apostolov, Ann. Inst. Fourier 2014).  gamma = 1 gives
+    k = 0 alone, and gamma = 2 gives k = 1 exactly when n + m = 1 (mod 4).
+    """
+    return tuple(k for k in range(gamma)
+                 if gcd(k, gamma) == 1 and not (n + (m - 1) * k * k) % (gamma * gamma))
+
+
 def check_polarization(m: int, n: int, gamma: int) -> None:
     """ValueError unless m >= 2, n >= 1, gamma >= 1 and gamma divides both
     2n and 2m - 2, as for a square-2n, divisibility-gamma polarization of
-    K3^[m] type; BadCongruence for gamma = 2 off n + m = 1 (mod 4), where no
-    such polarization exists."""
+    K3^[m] type; BadCongruence when polarization_classes finds no class, so
+    that no such polarization exists (for gamma = 2: off n + m = 1 mod 4)."""
     if m < 2 or n < 1 or gamma < 1:
         raise ValueError("need m >= 2, n >= 1, gamma >= 1")
     if (2 * n) % gamma or (2 * m - 2) % gamma:
         raise ValueError("gamma must divide both 2n and 2m-2")
-    if gamma == 2 and (n + m) % 4 != 1:
-        raise BadCongruence("divisibility 2 requires n + m = 1 (mod 4)")
+    if not polarization_classes(m, n, gamma):
+        rule = ("n + m = 1 (mod 4)" if gamma == 2 else
+                f"n + (m-1)k^2 = 0 (mod {gamma * gamma}) for some k prime to {gamma}")
+        raise BadCongruence(f"divisibility {gamma} requires {rule}")
 
 
 def is_square(n: int) -> bool:

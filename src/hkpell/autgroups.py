@@ -9,7 +9,7 @@ which side of a necessary-versus-sufficient gap the parameters landed on.
 from math import gcd
 
 from . import pell
-from .arith import DomainError, Record, check_polarization, is_square_mod
+from .arith import DomainError, Record, check_polarization
 
 
 class AutError(DomainError):
@@ -144,9 +144,8 @@ def fourfold_groups(n: int, e_prime: int) -> tuple[GroupTag, GroupTag]:
 def very_general_bir(m: int, n: int, gamma: int) -> GroupTag:
     """Birational automorphisms of a very general polarized 2m-fold of Hilbert type."""
     check_polarization(m, n, gamma)
-    if n == 1:
-        return Z2
-    if n == m - 1 == gamma and is_square_mod(-1 % (m - 1), m - 1):
+    # n = m - 1 = gamma passes the check only where -1 is a square mod m - 1
+    if n == 1 or n == m - 1 == gamma:
         return Z2
     return TRIVIAL
 

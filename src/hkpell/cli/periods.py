@@ -23,12 +23,13 @@ def heegner_components(params: dict) -> dict:
 
 def period_image(params: dict) -> dict:
     """The excluded components; for m = 2 also those of unsettled multiplicity."""
-    keys = periods.excluded_heegner(**params)
-    res = {"excluded_d": sorted({k.d for k in keys}),
-           "components": [_key_payload(k) for k in keys]}
     if params["m"] == 2:
-        res["uncertain"] = [_key_payload(k) for k in periods.uncertain_m2(params["n"], keys)]
-    return res
+        rep = periods.excluded_heegner_m2_report(params["n"], params["gamma"])
+        keys, uncertain = rep.keys, {"uncertain": [_key_payload(k) for k in rep.uncertain]}
+    else:
+        keys, uncertain = periods.excluded_heegner(**params), {}
+    return {"excluded_d": sorted({k.d for k in keys}),
+            "components": [_key_payload(k) for k in keys], **uncertain}
 
 
 def oracle(params: dict) -> list[dict]:

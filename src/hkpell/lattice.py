@@ -11,7 +11,7 @@ the discriminant class.
 from fractions import Fraction
 from math import gcd, prod
 
-from .arith import DomainError, Record, check_polarization, is_square_mod, prime_factors, v_p
+from .arith import DomainError, Record, check_polarization, polarization_classes, prime_factors
 from .discform import DiscGroup, block_sum, disc_group_of_gram, polarized_tail
 
 
@@ -260,51 +260,12 @@ def monodromy_index(m: int) -> int:
     return 2 ** max(len(prime_factors(m - 1)) - 1, 0)
 
 
-class ComponentCount(Record):
-    __slots__ = ("count", "note")
-
-    def __init__(self, count: int | None, note: str = ""):
-        super().__init__(count, note)
-
-
-def moduli_component_count(m: int, n: int, gamma: int) -> ComponentCount:
-    """Number of irreducible components of the polarized moduli space.
-
-    Returns count None when the parameters fall outside the tabulated cases.
-    """
+def moduli_component_count(m: int, n: int, gamma: int) -> int:
+    """Number of irreducible components of the polarized moduli space: the
+    classes of arith.polarization_classes up to sign.  k and -k are distinct
+    classes unless gamma <= 2, where there is at most one."""
     check_polarization(m, n, gamma)
-    p = m - 1
-    if gamma <= 2:
-        return ComponentCount(1)
-    if gamma == 3 and p % 9 == 0 and n % 9 == 0:
-        return ComponentCount(1)
-    caveat = "tabulated case; source flags possible redundant hypotheses"
-    if gamma == 4:
-        if v_p(p, 2) == 2 and v_p(n, 2) == 2 and (n + m) % 16 == 1:
-            return ComponentCount(1, caveat)
-        if v_p(p, 2) == 3 and v_p(n, 2) == 3:
-            return ComponentCount(1, caveat)
-        if p % 16 == 0 and n % 16 == 0:
-            return ComponentCount(1, caveat)
-        return ComponentCount(None)
-    fac = prime_factors(gamma)
-    if len(fac) == 1:
-        q, a = fac[0]
-        if q % 2 == 1 and v_p(p, q) == a and v_p(n, q) == a:
-            unit = (p // gamma) * pow(n // gamma, -1, gamma) % gamma
-            if is_square_mod(-unit % gamma, gamma):
-                return ComponentCount(1, caveat)
-        if q == 2 and a >= 2 and v_p(p, 2) == a - 1 and v_p(n, 2) == a - 1:
-            mod = 2 ** (a + 1)
-            unit = (p >> (a - 1)) * pow(n >> (a - 1), -1, mod) % mod
-            if is_square_mod(-unit % mod, mod):
-                return ComponentCount(1, caveat)
-    if all(q % 2 == 1 and e == 1 for q, e in fac) and len(fac) >= 1:
-        if p % gamma == 0 and n % gamma == 0:
-            a, b = p // gamma, n // gamma
-            if gcd(gcd(a, b), gamma) == 1 and is_square_mod(-a * b % n, n):
-                return ComponentCount(2 ** (len(fac) - 1))
-    return ComponentCount(None)
+    return (len(polarization_classes(m, n, gamma)) + 1) // 2
 
 
 def strange_dual_params(m: int, n: int, gamma: int) -> tuple[int, int, int]:

@@ -83,10 +83,6 @@ class PellEquation(Record):
     def classical(cls, e: int, t: int) -> "PellEquation":
         return cls(1, e, t)
 
-    @property
-    def d(self) -> int:
-        return self.e1 * self.e2
-
     def holds(self, a: int, b: int) -> bool:
         return self.e1 * a * a - self.e2 * b * b == self.t
 

@@ -153,24 +153,19 @@ def heegner_components_m2(n: int, gamma: int, e: int) -> ComponentReport:
     return ComponentReport(None, keys, False)
 
 
-def uncertain_m2(n: int, keys) -> tuple[HeegnerKey, ...]:
-    """The keys among an m = 2 excluded list whose number of components is
-    not pinned down: those of square -10 and divisibility 10, when the
-    5-free part of n is not squarefree."""
-    if is_squarefree(n // 5 ** v_p(n, 5)):
-        return ()
-    return tuple(k for k in keys if (k.kappa_prim_sq, k.s) == (-10, 10))
-
-
 def excluded_heegner_m2_report(n: int, gamma: int) -> ExclusionReport:
     """Components missed by the period map on square-2n moduli of fourfolds.
 
     These are excluded_heegner(2, n, gamma): the components cut by square -2
     classes (any divisibility) and by square -10 classes of ambient
-    divisibility 2.
+    divisibility 2.  The uncertain ones, whose number of components is not
+    pinned down, are those of square -10 and divisibility 10, when the
+    5-free part of n is not squarefree.
     """
     keys = excluded_heegner(2, n, gamma)
-    return ExclusionReport(keys, uncertain_m2(n, keys))
+    if is_squarefree(n // 5 ** v_p(n, 5)):
+        return ExclusionReport(keys, ())
+    return ExclusionReport(keys, tuple(k for k in keys if (k.kappa_prim_sq, k.s) == (-10, 10)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 
 from hkpell import pell
-from hkpell.arith import is_square
+from hkpell.arith import BadCongruence, is_square
 from hkpell.cones import mov_ray_sm
 from hkpell.autgroups import (EQUAL_INFINITE, FINITE_AUT_INFINITE_BIR,
                               FINITE_BOTH, INFINITE_CYCLIC,
@@ -195,7 +195,9 @@ def test_very_general_bir():
     assert very_general_bir(3, 2, 2) == Z2
     assert very_general_bir(2, 5, 1) == TRIVIAL
     assert very_general_bir(6, 5, 5) == Z2   # -1 = 4 is a square mod 5
-    assert very_general_bir(4, 3, 3) == TRIVIAL  # -1 is not a square mod 3
+    assert very_general_bir(11, 10, 10) == Z2  # -1 = 9 is a square mod 10
+    with pytest.raises(BadCongruence):  # -1 is not a square mod 3: no polarization
+        very_general_bir(4, 3, 3)
 
 
 def test_trichotomy():

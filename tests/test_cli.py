@@ -706,6 +706,17 @@ def test_package_imports_only_the_stdlib():
     assert {"fractions", "math", "argparse", "json"} <= seen
 
 
+def test_package_has_no_assert_statement():
+    # python -O strips assert statements, and every check that decides
+    # correctness must still run there
+    import ast
+
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(pathlib.Path(hkpell.__file__).parent.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_series_choices_match_rrinv():
     from hkpell import rrinv
 

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from hkpell import periods
-from hkpell.arith import BadCongruence, divisors, prime_factors
+from hkpell.arith import (BadCongruence, check_polarization, divisors, is_square_mod,
+                          prime_factors, v_p)
 from hkpell.autgroups import very_general_bir
 from hkpell.discform import UnsupportedParameters, block_sum, polarized_tail, smith_normal_form
-from hkpell.lattice import (E8_MINUS, U, ComponentCount, DiscGroup, _det,
+from hkpell.lattice import (E8_MINUS, U, DiscGroup, _det,
                             LatticeSpec, NoDoubleU, NotPrimitive, OrbitKey, ZeroVector, disc_group,
                             disc_group_of, divisibility,
                             exists_primitive_vector, extended_k3_lattice,
@@ -459,17 +460,92 @@ def test_monodromy_index():
 
 
 def test_moduli_component_count():
-    assert moduli_component_count(2, 1, 1).count == 1
-    assert moduli_component_count(2, 3, 2).count == 1
-    assert moduli_component_count(10, 9, 3).count == 1
+    assert moduli_component_count(2, 1, 1) == 1
+    assert moduli_component_count(2, 3, 2) == 1
+    assert moduli_component_count(10, 9, 3) == 1
     with pytest.raises(BadCongruence):  # n+m = 6 fails mod-4: no such polarization
         moduli_component_count(4, 2, 2)
     # gamma a product of two distinct odd primes: 2^(r-1) components
     # (m-1 = 11*15, n = 15, and -11 = 4 is a square mod 15)
-    got = moduli_component_count(166, 15, 15)
-    assert got.count == 2
+    assert moduli_component_count(166, 15, 15) == 2
     with pytest.raises(ValueError):
         moduli_component_count(2, 1, 3)
+
+
+def _tabulated_count(m, n, gamma):
+    """moduli_component_count as it was, without its notes: a table of
+    cases, None outside them, and no test of existence past gamma = 2."""
+    p = m - 1
+    if gamma <= 2:
+        return 1
+    if gamma == 3 and p % 9 == 0 and n % 9 == 0:
+        return 1
+    if gamma == 4:
+        if v_p(p, 2) == 2 and v_p(n, 2) == 2 and (n + m) % 16 == 1:
+            return 1
+        if v_p(p, 2) == 3 and v_p(n, 2) == 3:
+            return 1
+        if p % 16 == 0 and n % 16 == 0:
+            return 1
+        return None
+    fac = prime_factors(gamma)
+    if len(fac) == 1:
+        q, a = fac[0]
+        if q % 2 == 1 and v_p(p, q) == a and v_p(n, q) == a:
+            unit = (p // gamma) * pow(n // gamma, -1, gamma) % gamma
+            if is_square_mod(-unit % gamma, gamma):
+                return 1
+        if q == 2 and a >= 2 and v_p(p, 2) == a - 1 and v_p(n, 2) == a - 1:
+            mod = 2 ** (a + 1)
+            unit = (p >> (a - 1)) * pow(n >> (a - 1), -1, mod) % mod
+            if is_square_mod(-unit % mod, mod):
+                return 1
+    if all(q % 2 == 1 and e == 1 for q, e in fac) and len(fac) >= 1:
+        if p % gamma == 0 and n % gamma == 0:
+            a, b = p // gamma, n // gamma
+            if math.gcd(math.gcd(a, b), gamma) == 1 and is_square_mod(-a * b % n, n):
+                return 2 ** (len(fac) - 1)
+    return None
+
+
+def test_polarization_rule_matches_the_discriminant_form_engine():
+    # a square-2n, divisibility-gamma primitive class exists in the lattice
+    # of K3^[m] type exactly when the rule finds a class, and the components
+    # are the classes realizing it up to sign; where the old table gave a
+    # count it agrees
+    tabulated = 0
+    for m in range(2, 41):
+        spec = hilbert_scheme_lattice(m)
+        disc = disc_group_of(spec)
+        for n in range(1, 41):
+            for gamma in divisors(math.gcd(2 * n, 2 * m - 2)):
+                where = (m, n, gamma)
+                if not exists_primitive_vector(spec, OrbitKey(2 * n, gamma)):
+                    with pytest.raises(BadCongruence, match=f"divisibility {gamma} requires"):
+                        check_polarization(m, n, gamma)
+                    continue
+                check_polarization(m, n, gamma)
+                count = moduli_component_count(m, n, gamma)
+                assert count == len(list(disc.realizing(2 * n, gamma))) >= 1, where
+                if (old := _tabulated_count(m, n, gamma)) is not None:
+                    assert count == old, where
+                    tabulated += 1
+    assert tabulated > 1000
+
+
+def test_polarization_rule_keeps_the_old_check_at_gamma_1_and_2():
+    for m in range(2, 201):
+        for n in range(1, 201):
+            check_polarization(m, n, 1)
+            if (n + m) % 4 == 1:
+                check_polarization(m, n, 2)
+            else:
+                with pytest.raises(BadCongruence, match="n \\+ m = 1 \\(mod 4\\)"):
+                    check_polarization(m, n, 2)
+    # the old table gave these empty moduli spaces one component
+    for m, n, gamma in ((4, 54, 3), (10, 3, 3), (26, 5, 5)):
+        with pytest.raises(BadCongruence):
+            moduli_component_count(m, n, gamma)
 
 
 def _isometric_tails(source, target):
@@ -506,7 +582,9 @@ def test_strange_duality():
 def test_polarization_determined():
     assert polarization_determined(4, 5, 1)
     assert polarization_determined(5, 8, 2)
-    assert polarization_determined(16, 15, 15)
+    assert polarization_determined(166, 15, 15)  # gcd(2, 22, 15) = 1
+    with pytest.raises(BadCongruence):  # 1 + k^2 = 0 (mod 15) has no root
+        polarization_determined(16, 15, 15)
     assert not polarization_determined(10, 9, 3)  # gcd(6, 6, 3) = 3
 
 

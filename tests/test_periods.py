@@ -112,6 +112,18 @@ def test_components_m2():
         assert rep.count in (0, 1), e
 
 
+@pytest.mark.parametrize("n,gamma,e", [(9, 1, 1), (9, 1, 10), (15, 1, 4), (15, 2, 1), (15, 2, 6)])
+def test_components_m2_unproven(n, gamma, e):
+    # n neither prime nor squarefree with n | e: the keys come without a count
+    from hkpell.periods import _classes_for_discriminant
+    rep = heegner_components_m2(n, gamma, e)
+    assert rep.count is None and rep.certain is False
+    assert rep.keys
+    assert {(k.s, k.star, k.kappa_prim_sq) for k in rep.keys} == {
+        (s, tuple(star), k2) for s, star, k2 in _classes_for_discriminant(n, gamma, e)}
+    assert all(k.d == 2 * e for k in rep.keys)
+
+
 def test_components_prime_pattern():
     # for odd prime n: two components exactly at e = 1 mod 4 (n = 1 mod 4)
     # or e = 0 mod 4 (n = -1 mod 4), among nonempty loci

@@ -27,7 +27,6 @@ RECORDS = [
     (lattice.LatticeVector, (lattice.LatticeSpec((lattice.U,)), (1, 1))),
     (discform.DiscGroup, ((2,), (Fraction(3, 2),), ((Fraction(3, 4),),))),
     (lattice.OrbitKey, (-2, 2, Fraction(3, 2))),
-    (lattice.ComponentCount, (None, "untabulated")),
     (autgroups.GroupTag, ("unknown", "no witness")),
     (rrinv.RiemannRochInput, (rrinv.KUMMER, 2, 4)),
     (periods.HeegnerKey, (6, -12, 2, (0, 1))),
@@ -46,7 +45,7 @@ def _twin(cls):
 
 def test_every_record_is_listed():
     classes = {cls for cls, _ in RECORDS}
-    assert len(classes) == 21
+    assert len(classes) == 20
     for mod in (pell, cones, discform, lattice, autgroups, rrinv, periods):
         for obj in vars(mod).values():
             if isinstance(obj, type) and issubclass(obj, Record) and obj.__module__ == mod.__name__:
@@ -114,7 +113,6 @@ def test_keyword_arguments_and_defaults():
     rep = cones.ConeReport(mov_slope=mov, nef_slope=mov, interior_walls=(), symmetric=True)
     assert (rep.walls_infinite, rep.symmetric) == (False, True)
     assert autgroups.GroupTag("z2") == autgroups.Z2 and autgroups.Z2.reason == ""
-    assert lattice.ComponentCount(1).note == ""
     assert lattice.OrbitKey(-2, 2).star_q == Fraction(3, 2)  # derived: -2/4 mod 2
     assert pell.PellEquation.classical(13, -4) == pell.PellEquation(e1=1, e2=13, t=-4)
 
