@@ -71,14 +71,18 @@ class DomainError(Exception):
     ConeError, AutError, PeriodsError); the CLI exits 1 on any of them."""
 
 
-# ConeError and BadCongruence live here rather than in cones so that periods
-# can raise BadCongruence without loading cones (and pell behind it)
+# ConeError, BadCongruence and UnsupportedParameters live here, so that every
+# layer raises them without loading cones (and pell behind it) or discform
 class ConeError(DomainError):
     pass
 
 
 class BadCongruence(ConeError):
     pass
+
+
+class UnsupportedParameters(DomainError):
+    """A polarization that exists, but that no model or cited statement covers."""
 
 
 def polarization_classes(m: int, n: int, gamma: int) -> tuple[int, ...]:
@@ -96,24 +100,34 @@ def polarization_classes(m: int, n: int, gamma: int) -> tuple[int, ...]:
     Markman's monodromy theorem the components of the moduli space are these
     k up to sign (Apostolov, Ann. Inst. Fourier 2014).  gamma = 1 gives
     k = 0 alone, and gamma = 2 gives k = 1 exactly when n + m = 1 (mod 4).
+    Mod q^2, q a prime power of gamma, the congruence is 2n/q + (2(m-1)/q)k^2 =
+    0 (mod 2q), of k mod q: the classes are a Chinese remainder of q-scans.
     """
-    return tuple(k for k in range(gamma)
-                 if gcd(k, gamma) == 1 and not (n + (m - 1) * k * k) % (gamma * gamma))
+    classes, modulus = [0], 1
+    for r, e in prime_factors(gamma):
+        q = r ** e
+        a, b = 2 * n // q % (2 * q), (2 * m - 2) // q % (2 * q)
+        roots = [k for k in range(q) if k % r and not (a + b * k * k) % (2 * q)]
+        classes = [c + modulus * ((k - c) * pow(modulus, -1, q) % q) for c in classes
+                   for k in roots]
+        modulus *= q
+    return tuple(sorted(classes))
 
 
-def check_polarization(m: int, n: int, gamma: int) -> None:
-    """ValueError unless m >= 2, n >= 1, gamma >= 1 and gamma divides both
-    2n and 2m - 2, as for a square-2n, divisibility-gamma polarization of
-    K3^[m] type; BadCongruence when polarization_classes finds no class, so
-    that no such polarization exists (for gamma = 2: off n + m = 1 mod 4)."""
+def check_polarization(m: int, n: int, gamma: int) -> tuple[int, ...]:
+    """polarization_classes, after a ValueError unless m >= 2, n >= 1, gamma >= 1
+    and gamma divides both 2n and 2m - 2, as for a square-2n, divisibility-gamma
+    polarization of K3^[m] type; BadCongruence when there is no class, so that
+    no such polarization exists (for gamma = 2: off n + m = 1 mod 4)."""
     if m < 2 or n < 1 or gamma < 1:
         raise ValueError("need m >= 2, n >= 1, gamma >= 1")
     if (2 * n) % gamma or (2 * m - 2) % gamma:
         raise ValueError("gamma must divide both 2n and 2m-2")
-    if not polarization_classes(m, n, gamma):
+    if not (classes := polarization_classes(m, n, gamma)):
         rule = ("n + m = 1 (mod 4)" if gamma == 2 else
                 f"n + (m-1)k^2 = 0 (mod {gamma * gamma}) for some k prime to {gamma}")
         raise BadCongruence(f"divisibility {gamma} requires {rule}")
+    return classes
 
 
 def is_square(n: int) -> bool:

@@ -15,7 +15,8 @@ from itertools import islice, takewhile
 from math import gcd, isqrt
 
 from . import pell
-from .arith import BadCongruence, ConeError, Record, is_square, wall_types
+from .arith import (BadCongruence, ConeError, Record, UnsupportedParameters, check_polarization,
+                    is_square, wall_types)
 
 
 class UnsupportedM(ConeError):
@@ -267,12 +268,11 @@ def hilb_embedding_status(a: int, e: int, m: int) -> tuple[bool, bool]:
 
 def moduli_embedding_status(m: int, n: int, gamma: int) -> tuple[bool, bool, int]:
     """(base-point-free, very ample, ambient dimension) for a general polarization."""
-    from .discform import polarized_tail  # only here: no cone command loads discform
-    from .rrinv import h0_polarized  # nor rrinv
+    from .rrinv import h0_polarized  # only here: no cone command loads rrinv
 
-    polarized_tail(m, n, gamma)  # the domain check
-    if gamma == 1:
-        bpf, va = n >= m - 1, n >= m + 1
-    else:
-        bpf, va = n >= m + 3, n >= m + 5
+    check_polarization(m, n, gamma)
+    if gamma > 2:
+        raise UnsupportedParameters(f"no cited embedding bound at divisibility {gamma} > 2")
+    shift = 4 * (gamma - 1)  # the divisibility-2 bounds are 4 past the others
+    bpf, va = n >= m - 1 + shift, n >= m + 1 + shift
     return bpf, va, h0_polarized(m, n) - 1

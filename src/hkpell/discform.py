@@ -13,11 +13,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .arith import DomainError, Record, check_polarization
-
-
-class UnsupportedParameters(DomainError):
-    """A divisibility gamma other than 1 or 2, which the model does not cover."""
+from .arith import Record, UnsupportedParameters, check_polarization
 
 
 def smith_normal_form(m):
@@ -191,22 +187,32 @@ def disc_group_of_gram(*blocks) -> tuple[DiscGroup, tuple[tuple[Fraction, ...], 
 # the polarized orthogonal
 
 
-def polarized_tail(m: int, n: int, gamma: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Gram blocks of the tail of h^perp = U^2 + E8(-1)^2 + tail, for h of
-    square 2n and divisibility gamma in the lattice of K3^[m] type.
+def tail_basis(m: int, n: int, gamma: int, k: int):
+    """(h, (w1, w2)) on the basis (u, v, ell) of U + I1(-2p), p = m - 1: for a
+    class k of arith.polarization_classes, t = (n + p*k^2)/gamma^2 is an integer,
+    h = gamma*u + gamma*t*v + k*ell is primitive of square 2n and divisibility
+    gamma (which divides 2p), and w1 = -(c*v + ell), c = 2pk/gamma, w2 = u - t*v
+    span its orthogonal: they pair to zero with h, and their Gram matrix
+    ((-2p, -c), (-c, -2t)) has determinant 4pn/gamma^2 = |D| * h^2/gamma^2."""
+    p, t = m - 1, (n + (m - 1) * k * k) // (gamma * gamma)
+    return (gamma, gamma * t, k), ((0, -2 * p * k // gamma, -1), (1, -t, 0))
 
-    With p = m - 1, gamma = 1 gives I1(-2n) + I1(-2p), in the coordinates
-    (u - n*v, ell); gamma = 2, which needs n + m = 1 (mod 4), gives the one
-    block ((-2p, -p), (-p, -(n+m-1)/2)).  The Smith-form generators of these
-    blocks, in this order (n first, then p), are the generators on which the
-    star of a Heegner key and the lattice disc output are written.
-    """
+
+def polarized_tail(m: int, n: int, gamma: int):
+    """(basis, blocks) of the tail of h^perp = U^2 + E8(-1)^2 + tail, h of square
+    2n and divisibility gamma in K3^[m] type: tail_basis of the least class k and
+    its Gram blocks (I1(-2n) + I1(-2p) on (u - n*v, -ell) for k = 0), whose
+    Smith-form generators write Heegner stars and lattice disc.  k and -k give
+    isometric tails; any other class is another component: UnsupportedParameters."""
     if m < 2 or n < 1:
         raise ValueError("need m >= 2 and n >= 1")
-    p = m - 1
-    if gamma == 1:
-        return ((-2 * n,),), ((-2 * p,),)
-    if gamma == 2:
-        check_polarization(m, n, gamma)  # n + m = 1 (mod 4)
-        return (((-2 * p, -p), (-p, -((n + m - 1) // 2))),)
-    raise UnsupportedParameters("gamma must be 1 or 2")
+    classes = check_polarization(m, n, gamma)
+    if len(classes) > 2:
+        raise UnsupportedParameters(f"({m}, {n}, {gamma}) has {len(classes) // 2} moduli "
+                                    "components; the tail is built for one")
+    _, basis = tail_basis(m, n, gamma, classes[0])
+    gram = tuple(tuple(x[0] * y[1] + x[1] * y[0] - 2 * (m - 1) * x[2] * y[2] for y in basis)
+                 for x in basis)
+    if classes[0] == 0:  # the block of n first, then that of p
+        return basis[::-1], (((gram[1][1],),), ((gram[0][0],),))
+    return basis, (gram,)

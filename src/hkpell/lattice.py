@@ -11,7 +11,7 @@ the discriminant class.
 from fractions import Fraction
 from math import gcd, prod
 
-from .arith import DomainError, Record, check_polarization, polarization_classes, prime_factors
+from .arith import DomainError, Record, check_polarization, prime_factors
 from .discform import DiscGroup, block_sum, disc_group_of_gram, polarized_tail
 
 
@@ -239,7 +239,7 @@ def polarized_orthogonal(m: int, n: int, gamma: int) -> LatticeSpec:
     """Orthogonal of a square-2n, divisibility-gamma polarization in K3^[m] type:
     U^2 + E8(-1)^2 + the blocks of discform.polarized_tail, which checks the
     domain."""
-    tail = tuple(gram_block(gram) for gram in polarized_tail(m, n, gamma))
+    tail = tuple(gram_block(gram) for gram in polarized_tail(m, n, gamma)[1])
     return LatticeSpec((U, U, E8_MINUS, E8_MINUS) + tail)
 
 
@@ -264,31 +264,29 @@ def moduli_component_count(m: int, n: int, gamma: int) -> int:
     """Number of irreducible components of the polarized moduli space: the
     classes of arith.polarization_classes up to sign.  k and -k are distinct
     classes unless gamma <= 2, where there is at most one."""
-    check_polarization(m, n, gamma)
-    return (len(polarization_classes(m, n, gamma)) + 1) // 2
+    return (len(check_polarization(m, n, gamma)) + 1) // 2
 
 
 def strange_dual_params(m: int, n: int, gamma: int) -> tuple[int, int, int]:
-    """The dual parameter triple (n + 1, m - 1, gamma), whose polarized
-    orthogonal is isometric to that of (m, n, gamma).
-
-    With p = m - 1 the dual swaps n and p.  For gamma = 1 both tails are
-    I1(-2n) + I1(-2p), up to order.  For gamma = 2, with c = (n + p)/2, the
-    base change (x, y) -> (-x, 2x + y) carries ((-2p, -p), (-p, -c)) to
-    ((-2n, -n), (-n, -c)), as -2p + 4p - 4c = -2n and p - 2c = -n.  The dual
-    is in the domain whenever (m, n, gamma) is: m' = n + 1 >= 2,
-    n' = m - 1 >= 1 and n' + m' = n + m.
-    """
-    polarized_tail(m, n, gamma)  # domain check
+    """The dual triple (n + 1, m - 1, gamma).  With p = m - 1, the tail of a class
+    k (discform.tail_basis) is -2 times f = p*x^2 + c*xy + t*y^2, c = 2pk/gamma,
+    and f(-k, gamma) = n.  A basis (-k, gamma), (a, b) has b = +-k' (mod gamma),
+    k' = 1/k, and cross term 2bn/gamma, so f is isometric to (n, 2nk'/gamma,
+    (p + nk'^2)/gamma^2): the tail of k' for the dual, which is in the domain."""
+    check_polarization(m, n, gamma)
     return n + 1, m - 1, gamma
 
 
 def polarization_determined(m: int, n: int, gamma: int) -> bool:
-    """Whether (square, divisibility) already pins down the polarization orbit."""
-    check_polarization(m, n, gamma)
-    if gamma == 2:
-        return True
-    return gcd(gcd(2 * n // gamma, (2 * m - 2) // gamma), gamma) == 1
+    """Whether O(Lambda), Lambda of K3^[m] type, is transitive on its primitive
+    classes of square 2n and divisibility gamma, told apart by their class k
+    (Eichler).  O(Lambda) maps onto O(D) (Nikulin, Izv. 1979, Thm 1.14.2): the
+    u mod 2(m-1) with u^2 = 1 (mod 4(m-1)), +-1 modulo each prime power of gamma
+    in every combination.  Not monodromy orbits: (166, 15, 15) has 2 components."""
+    classes = check_polarization(m, n, gamma)
+    qs = [r ** e for r, e in prime_factors(gamma)]
+    return all((c - classes[0]) % q == 0 or (c + classes[0]) % q == 0
+               for c in classes for q in qs)
 
 
 def heegner_finiteness_bound(m: int, n: int, gamma: int, d: int) -> int:

@@ -16,9 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import (DomainError, OrderedRecord, Record, divisors, is_prime, is_square_mod,
-                    is_squarefree, v_p, wall_types)
-from .discform import UnsupportedParameters, block_sum, disc_group_of_gram, polarized_tail
+from .arith import (DomainError, OrderedRecord, Record, UnsupportedParameters,
+                    check_polarization, divisors, is_prime, is_square_mod, is_squarefree, v_p,
+                    wall_types)
+from .discform import block_sum, disc_group_of_gram, polarized_tail
 
 
 class PeriodsError(DomainError):
@@ -50,17 +51,10 @@ class ExclusionReport(Record):
 
 
 class _Model(Record):
-    """Non-unimodular tail of the polarized orthogonal, in block coordinates:
-    tail is the block sum of discform.polarized_tail, disc its discriminant
-    group and gen_vecs the generators' lifts to the tail's dual.  The
-    coordinates are (u - n*v, ell) for gamma = 1 and (w1, w2) for gamma = 2.
-    """
+    """The tail of discform.polarized_tail: its basis on (u, v, ell), its Gram
+    matrix, its discriminant group and the generators' lifts to its dual."""
 
-    __slots__ = ("m", "n", "gamma", "tail", "disc", "gen_vecs")
-
-    @property
-    def p(self) -> int:
-        return self.m - 1
+    __slots__ = ("m", "n", "gamma", "basis", "tail", "disc", "gen_vecs")
 
     def dual_of_star(self, star) -> tuple[Fraction, Fraction]:
         x1 = sum((c * v[0] for c, v in zip(star, self.gen_vecs)), Fraction(0))
@@ -77,13 +71,10 @@ class _Model(Record):
         return self._ambient_div_coords(int(a0), int(b0), s)
 
     def _ambient_div_coords(self, a: int, b: int, c: int) -> int:
-        if self.gamma == 1:
-            return gcd(a, 2 * self.p * b, c)
-        return gcd(self.p * a, b, c)
-
-    def tail_square(self, a: int, b: int) -> int:
-        t = self.tail
-        return t[0][0] * a * a + 2 * t[0][1] * a * b + t[1][1] * b * b
+        """Divisibility of a*w1 + b*w2 + c*w, w primitive in another U summand: the
+        gcd of c and the pairings of a*w1 + b*w2 with u, v and ell."""
+        (u1, v1, l1), (u2, v2, l2) = self.basis
+        return gcd(a * v1 + b * v2, a * u1 + b * u2, 2 * (self.m - 1) * (a * l1 + b * l2), c)
 
     def tail_pairings(self, a: int, b: int) -> tuple[int, int]:
         t = self.tail
@@ -92,8 +83,8 @@ class _Model(Record):
 
 @lru_cache(maxsize=256)  # over twice the 101 models of a period_ladder pass
 def _model(m: int, n: int, gamma: int) -> _Model:
-    blocks = polarized_tail(m, n, gamma)
-    return _Model(m, n, gamma, block_sum(*blocks), *disc_group_of_gram(*blocks))
+    basis, blocks = polarized_tail(m, n, gamma)
+    return _Model(m, n, gamma, basis, block_sum(*blocks), *disc_group_of_gram(*blocks))
 
 
 def _realizable_classes(m: int, n: int, gamma: int, kappa_sq: int):
@@ -122,7 +113,7 @@ def heegner_nonempty_m2(n: int, gamma: int, e: int) -> bool:
     """Whether the discriminant-2e Heegner locus is nonempty for square-2n data."""
     if n < 1 or e < 1:
         raise ValueError("need n >= 1 and e >= 1")
-    polarized_tail(2, n, gamma)  # the domain check
+    check_polarization(2, n, gamma)
     if gamma == 1:
         return is_square_mod(e, 4 * n) or is_square_mod(e - n, 4 * n)
     return is_square_mod(e, n)
@@ -191,6 +182,9 @@ def excluded_heegner(m: int, n: int, gamma: int) -> tuple[HeegnerKey, ...]:
     s^2 >= 0 for every lift s; with k' moved into [0, p], (k', s^2/2) is
     itself a constraint, and its g = 2p/amb keeps kappa'.
     """
+    if gamma > 2:
+        check_polarization(m, n, gamma)
+        raise UnsupportedParameters(f"no cited period image at divisibility {gamma} > 2")
     divs_by_square: dict[int, list[int]] = {}
     for wt in wall_types(m):
         divs_by_square.setdefault(wt.kappa_prim_sq, []).append(wt.div)
@@ -239,8 +233,8 @@ def coordinate_oracle(m: int, n: int, gamma: int, bound: int,
     out = set()
     for a in range(-bound, bound + 1):
         for b in range(-bound, bound + 1):
-            base = model.tail_square(a, b)
             pr1, pr2 = model.tail_pairings(a, b)
+            base = a * pr1 + b * pr2
             for c in range(bound + 1):
                 if gcd(a, b, c) != 1:
                     continue
@@ -313,7 +307,7 @@ def nl_family(n: int, gamma: int, a_max: int) -> tuple[int, ...]:
         raise ValueError(f"n must be positive, got n={n}")
     if a_max < 0:
         raise ValueError("a_max must be nonnegative")
-    polarized_tail(2, n, gamma)  # the domain check
+    check_polarization(2, n, gamma)
     if gamma == 1:
         return tuple(sorted({a * a + n for a in range(1, a_max + 1)
                              if (n, a) != (1, 2)}))

@@ -1,12 +1,14 @@
 """The arith helpers refuse the inputs their docstrings exclude, and the
 root scan and the divisor helpers match independent references."""
 
+import math
 import random
 
 import pytest
 from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
-from hkpell.arith import divisors, is_square_mod, sqrt_mod, square_divisors, v_p
+from hkpell.arith import (divisors, is_square_mod, polarization_classes, sqrt_mod,
+                          square_divisors, v_p)
 
 
 @pytest.mark.parametrize("call,bound", [
@@ -77,3 +79,22 @@ def test_divisors_match_trial_division():
         for signed in (n, -n):
             assert divisors(signed) == _trial_divisors(signed), signed
             assert square_divisors(signed) == _trial_square_divisors(signed), signed
+
+
+def _scanned_polarization_classes(m, n, gamma):
+    """polarization_classes as it was: a scan of all gamma residues."""
+    return tuple(k for k in range(gamma)
+                 if math.gcd(k, gamma) == 1 and not (n + (m - 1) * k * k) % (gamma * gamma))
+
+
+def test_polarization_classes_match_the_scan_of_every_residue():
+    # the Chinese remainder over the prime powers of gamma finds the same
+    # classes, in the same order, for every gamma dividing 2n and 2m - 2
+    cells = 0
+    for m in range(2, 61):
+        for n in range(1, 61):
+            for gamma in divisors(math.gcd(2 * n, 2 * m - 2)):
+                assert polarization_classes(m, n, gamma) == \
+                    _scanned_polarization_classes(m, n, gamma), (m, n, gamma)
+                cells += 1
+    assert cells == 9857

@@ -123,6 +123,8 @@ _OUT_OF_DOMAIN = [
     (["aut", "fourfold", "--n", "-1", "--e-prime", "5"], 1),
     (["heegner", "nonempty", "--n", "0", "--gamma", "1", "--e", "1"], 1),
     (["heegner", "components", "--n", "0", "--gamma", "1", "--e", "1"], 1),
+    (["lattice", "disc", "--m", "26", "--n", "25", "--gamma", "5"], 1),
+    (["period-image", "--m", "4", "--n", "6", "--gamma", "3"], 1),
 ]
 
 
@@ -139,6 +141,9 @@ def test_out_of_domain_exit_code(args, code):
 # their time budget in seconds
 _LARGE_INPUT = [
     (["lattice", "orbit", "--m", "100000", "--n", "100000", "--gamma", "1",
+      "--square", "-2", "--div", "2"], 1.0),
+    # gamma = 5^9 = m - 1, n = gamma(gamma - 1): the classes scan 5^9 residues
+    (["lattice", "orbit", "--m", "1953126", "--n", "3814695312500", "--gamma", "1953125",
       "--square", "-2", "--div", "2"], 1.0),
 ]
 
@@ -382,18 +387,38 @@ _POLARIZED = {
 }
 
 
+# the commands of m = 4, with their other arguments
+_POLARIZED_M4 = {
+    ("lattice", "disc"): "", ("lattice", "dual"): "", ("lattice", "orbit"): "--square -2 --div 1",
+    ("oracle",): "--bound 2", ("period-image",): "",
+}
+
+
 @pytest.mark.parametrize("argv,error", [
-    *[([*path, *extra.split(), "--n", "3", "--gamma", "3"], "UnsupportedParameters")
+    # 3 does not divide 2m - 2 = 2
+    *[([*path, *extra.split(), "--n", "3", "--gamma", "3"], "ValueError")
       for path, extra in _POLARIZED.items()],
     *[([*path, *extra.split(), "--n", "2", "--gamma", "2"], "BadCongruence")
       for path, extra in _POLARIZED.items()],
+    # one component (k = +-1): the lattice has a model, the period image no
+    # cited statement
+    *[([*path, "--m", "4", *extra.split(), "--n", "6", "--gamma", "3"],
+       "UnsupportedParameters" if path == ("period-image",) else None)
+      for path, extra in _POLARIZED_M4.items()],
+    # two components (k = +-1 and +-2): no one model; the dual is a formula
+    *[([*path, "--m", "26", *extra.split(), "--n", "25", "--gamma", "5"],
+       None if path == ("lattice", "dual") else "UnsupportedParameters")
+      for path, extra in _POLARIZED_M4.items()],
     (["aut", "fourfold", "--n", "2", "--e-prime", "5"], "BadCongruence"),
     (["cone", "fourfold", "--n", "5", "--e-prime", "5"], "BadCongruence"),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_polarization_domain_errors(argv, error, capsys):
-    code, _, err = run_cli(argv, capsys)
-    assert code == 1
-    assert json.loads(err)["error"]["type"] == error
+    code, out, err = run_cli(argv, capsys)
+    if error is None:
+        assert code == 0 and json.loads(out)["result"], err
+    else:
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == error
 
 
 def test_csv_is_rejected_before_the_command_runs():

@@ -369,6 +369,9 @@ def test_moduli_embedding_status_checks_its_domain():
         moduli_embedding_status(2, 2, 2)
     with pytest.raises(ValueError):
         moduli_embedding_status(1, 3, 1)
-    from hkpell.discform import UnsupportedParameters
-    with pytest.raises(UnsupportedParameters):
+    with pytest.raises(ValueError):  # 3 does not divide 2m - 2 = 2
         moduli_embedding_status(2, 3, 3)
+    # a polarization that exists, but no cited bound covers divisibility 3
+    from hkpell.arith import UnsupportedParameters
+    with pytest.raises(UnsupportedParameters):
+        moduli_embedding_status(4, 6, 3)

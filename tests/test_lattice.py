@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from hkpell import periods
-from hkpell.arith import (BadCongruence, check_polarization, divisors, is_square_mod,
-                          prime_factors, v_p)
+from hkpell.arith import (BadCongruence, UnsupportedParameters, check_polarization, divisors,
+                          is_square_mod, polarization_classes, prime_factors, v_p)
 from hkpell.autgroups import very_general_bir
-from hkpell.discform import UnsupportedParameters, block_sum, polarized_tail, smith_normal_form
+from hkpell.discform import block_sum, polarized_tail, smith_normal_form, tail_basis
 from hkpell.lattice import (E8_MINUS, U, DiscGroup, _det,
                             LatticeSpec, NoDoubleU, NotPrimitive, OrbitKey, ZeroVector, disc_group,
                             disc_group_of, divisibility,
@@ -252,7 +252,7 @@ def test_one_model_of_the_polarized_orthogonal():
     for m in range(2, 31):
         for n in range(1, 31):
             for gamma in (1, 2) if (n + m) % 4 == 1 else (1,):
-                tail = polarized_tail(m, n, gamma)
+                _, tail = polarized_tail(m, n, gamma)
                 spec = polarized_orthogonal(m, n, gamma)
                 assert spec.blocks[:4] == (U, U, E8_MINUS, E8_MINUS)
                 assert tuple(b.gram for b in spec.blocks[4:]) == tail, (m, n, gamma)
@@ -262,18 +262,60 @@ def test_one_model_of_the_polarized_orthogonal():
 
 
 def test_polarized_tail_domain():
-    assert polarized_tail(4, 2, 1) == (((-4,),), ((-6,),))
-    assert polarized_tail(2, 3, 2) == (((-2, -1), (-1, -2)),)
+    assert polarized_tail(4, 2, 1) == (((1, -2, 0), (0, 0, -1)), (((-4,),), ((-6,),)))
+    assert polarized_tail(2, 3, 2) == (((0, -1, -1), (1, -1, 0)), (((-2, -1), (-1, -2)),))
+    # gamma = 3, k = 1: h = 3u + 3v + ell, c = 2, t = 1
+    assert polarized_tail(4, 6, 3) == (((0, -2, -1), (1, -1, 0)), (((-6, -2), (-2, -2)),))
     for m, n in [(1, 1), (2, 0), (0, -3)]:
         with pytest.raises(ValueError, match="m >= 2"):
             polarized_tail(m, n, 1)
     with pytest.raises(BadCongruence, match="n \\+ m = 1"):
         polarized_tail(2, 1, 2)
     for gamma in (0, 3, -1):
-        with pytest.raises(UnsupportedParameters):
+        with pytest.raises(ValueError):
             polarized_tail(2, 3, gamma)
-        with pytest.raises(UnsupportedParameters):
+        with pytest.raises(ValueError):
             strange_dual_params(2, 3, gamma)
+    # the classes k in {1, 2, 3, 4} are two components, of non-isometric tails
+    assert polarization_classes(26, 25, 5) == (1, 2, 3, 4)
+    with pytest.raises(UnsupportedParameters, match="2 moduli components"):
+        polarized_tail(26, 25, 5)
+    assert strange_dual_params(26, 25, 5) == (26, 25, 5)
+
+
+def _parent_tail(m, n, gamma):
+    """polarized_tail's blocks as they were written out for gamma = 1 and 2."""
+    p = m - 1
+    if gamma == 1:
+        return ((-2 * n,),), ((-2 * p,),)
+    return (((-2 * p, -p), (-p, -((n + m - 1) // 2))),)
+
+
+def _pairing(p, x, y):
+    """The pairing of U + I1(-2p) on (u, v, ell) coordinates."""
+    return x[0] * y[1] + x[1] * y[0] - 2 * p * x[2] * y[2]
+
+
+def test_tail_basis_spans_the_orthogonal_of_every_class():
+    # for every (gamma, k): h has square 2n, the basis is orthogonal to it and
+    # of determinant 4pn/gamma^2, that of the whole orthogonal; for gamma <= 2
+    # the blocks are the ones written out before
+    cells = 0
+    for m in range(2, 41):
+        p = m - 1
+        for n in range(1, 41):
+            for gamma in divisors(math.gcd(2 * n, 2 * p)):
+                for k in polarization_classes(m, n, gamma):
+                    h, (w1, w2) = tail_basis(m, n, gamma, k)
+                    where = (m, n, gamma, k)
+                    assert math.gcd(*h) == 1 and _pairing(p, h, h) == 2 * n, where
+                    assert _pairing(p, h, w1) == _pairing(p, h, w2) == 0, where
+                    det = _pairing(p, w1, w1) * _pairing(p, w2, w2) - _pairing(p, w1, w2) ** 2
+                    assert det * gamma * gamma == 4 * p * n, where
+                    cells += 1
+                if gamma <= 2 and polarization_classes(m, n, gamma):
+                    assert polarized_tail(m, n, gamma)[1] == _parent_tail(m, n, gamma)
+    assert cells > 2000
 
 
 def test_block_sum():
@@ -344,7 +386,7 @@ def test_smith_normal_form_matches_the_two_pass_form():
     mats = itertools.chain(
         (((x,),) for x in small),
         (((a, b), (c, d)) for a, b, c, d in itertools.product(small, repeat=4)),
-        (polarized_tail(m, n, 2)[0] for m in range(2, 200) for n in range(1, 200)
+        (polarized_tail(m, n, 2)[1][0] for m in range(2, 200) for n in range(1, 200)
          if (n + m) % 4 == 1))
     for mat in mats:
         assert smith_normal_form(mat) == _two_pass_smith_form(mat), mat
@@ -579,13 +621,60 @@ def test_strange_duality():
                 assert strange_dual_params(*dual) == (m, n, gamma), (m, n, gamma)
 
 
+def test_strange_duality_past_gamma_2():
+    # the dual's classes are the inverses mod gamma, and where there is one
+    # component the two polarized orthogonals have the same discriminant form;
+    # as both are indefinite and hold U + U, they are isometric (Nikulin, Izv.
+    # 1979, Cor. 1.13.3)
+    def histogram(dg):
+        return sorted((dg.element_order(el), dg.qbar(el)) for el in dg.elements())
+
+    compared = 0
+    for m in range(2, 31):
+        for n in range(1, 31):
+            for gamma in divisors(math.gcd(2 * n, 2 * m - 2)):
+                classes = polarization_classes(m, n, gamma)
+                if not classes or gamma < 3:
+                    continue
+                dual = strange_dual_params(m, n, gamma)
+                assert polarization_classes(*dual) == tuple(
+                    sorted(pow(k, -1, gamma) for k in classes)), (m, n, gamma)
+                if len(classes) == 2:
+                    assert histogram(disc_group(m, n, gamma)) == histogram(disc_group(*dual))
+                    compared += 1
+    assert compared > 50
+
+
 def test_polarization_determined():
     assert polarization_determined(4, 5, 1)
     assert polarization_determined(5, 8, 2)
-    assert polarization_determined(166, 15, 15)  # gcd(2, 22, 15) = 1
+    # k in {1, 4, 11, 14}: +-1 mod 3 and +-1 mod 5, one O(Lambda)-orbit, though
+    # the moduli space has the 2 components k up to sign
+    assert polarization_determined(166, 15, 15)
+    assert moduli_component_count(166, 15, 15) == 2
     with pytest.raises(BadCongruence):  # 1 + k^2 = 0 (mod 15) has no root
         polarization_determined(16, 15, 15)
-    assert not polarization_determined(10, 9, 3)  # gcd(6, 6, 3) = 3
+    assert polarization_determined(10, 9, 3)  # k in {1, 2}
+    # k in {1, 2, 3, 4} is 1 or 2 up to sign mod 5
+    assert not polarization_determined(26, 25, 5)
+
+
+def test_polarization_determined_is_the_orbit_of_the_discriminant_isometries():
+    # a brute force over O(D) = {u mod 2p : u^2 = 1 (mod 4p)}, acting on the
+    # classes k mod gamma; the gcd test it replaces was never True off one
+    # orbit, and False on 122 of these cells with one orbit
+    cells = 0
+    for m in range(2, 61):
+        p = m - 1
+        units = [u for u in range(2 * p) if (u * u - 1) % (4 * p) == 0]
+        for n in range(1, 61):
+            for gamma in divisors(math.gcd(2 * n, 2 * p)):
+                classes = polarization_classes(m, n, gamma)
+                if classes:
+                    orbit = {u * classes[0] % gamma for u in units}
+                    assert polarization_determined(m, n, gamma) == (orbit == set(classes))
+                    cells += 1
+    assert cells == 4862
 
 
 def test_heegner_finiteness_bound():

@@ -6,7 +6,8 @@ from math import gcd, isqrt
 import pytest
 
 from hkpell import cones, periods
-from hkpell.arith import BadCongruence, NonPrimePower, is_squarefree, v_p, wall_constraints
+from hkpell.arith import (BadCongruence, NonPrimePower, UnsupportedParameters, divisors,
+                          is_squarefree, polarization_classes, v_p, wall_constraints)
 from hkpell.periods import (HeegnerKey, _key, _model, _realizable_classes, coordinate_oracle,
                             excluded_heegner, excluded_heegner_m2_report,
                             heegner_components_m2, heegner_nonempty_m2,
@@ -317,6 +318,46 @@ def test_oracle_agreement_small():
     _oracle_agrees(2, 1, 1, 8)
     _oracle_agrees(2, 3, 2, 8)
     _oracle_agrees(4, 1, 2, 8)
+
+
+def _parent_ambient_div(m, gamma, a, b, c):
+    """_Model._ambient_div_coords as it was, one branch per divisibility."""
+    if gamma == 1:
+        return gcd(a, 2 * (m - 1) * b, c)
+    return gcd((m - 1) * a, b, c)
+
+
+def test_ambient_divisibility_is_the_parent_branch_at_gamma_1_and_2():
+    for m, n, gamma in _valid_params(range(2, 21), range(1, 21)):
+        model = _model(m, n, gamma)
+        for a in range(-6, 7):
+            for b in range(-6, 7):
+                for c in range(7):
+                    assert model._ambient_div_coords(a, b, c) == \
+                        _parent_ambient_div(m, gamma, a, b, c), (m, n, gamma, a, b, c)
+
+
+def test_oracle_matches_the_analytic_classes_past_gamma_2():
+    # every (m, n, gamma > 2) with m, n <= 20 and one moduli component: the
+    # box of bound 20 realizes exactly the analytic classes of square in
+    # [-40, 0), with their ambient divisibility (bound 16 leaves (19, 18, 6)
+    # one class short)
+    squares = frozenset(range(-40, 0, 2))
+    cells = [(m, n, gamma) for m in range(2, 21) for n in range(1, 21)
+             for gamma in divisors(gcd(2 * n, 2 * m - 2))
+             if gamma > 2 and 0 < len(polarization_classes(m, n, gamma)) <= 2]
+    assert len(cells) == 36
+    for cell in cells:
+        analytic = {(k2, s, star, amb) for k2 in squares
+                    for s, star, amb in _realizable_classes(*cell, k2)}
+        assert coordinate_oracle(*cell, 20, squares) == analytic, cell
+
+
+def test_period_image_is_not_stated_past_gamma_2():
+    with pytest.raises(UnsupportedParameters, match="divisibility 3 > 2"):
+        excluded_heegner(4, 6, 3)
+    with pytest.raises(BadCongruence):  # 1 + 3k^2 = 0 (mod 9) has no root
+        excluded_heegner(4, 3, 3)
 
 
 def test_oracle_realizes_star_classes():

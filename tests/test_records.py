@@ -34,7 +34,7 @@ RECORDS = [
     (arith.WallType, (-10, 2, False)),
     (periods.ComponentReport, (1, (periods.HeegnerKey(6, -12, 2, (0, 1)),), True)),
     (periods.ExclusionReport, ((periods.HeegnerKey(6, -12, 2, (0, 1)),), ())),
-    (periods._Model, (4, 1, 2, ((-6, -3), (-3, -2)), None, ())),
+    (periods._Model, (4, 1, 2, ((0, -3, -1), (1, -1, 0)), ((-6, -3), (-3, -2)), None, ())),
 ]
 
 
