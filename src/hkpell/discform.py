@@ -150,37 +150,37 @@ def block_sum(*grams) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def disc_group_of_gram(*blocks) -> tuple[DiscGroup, tuple[tuple[Fraction, ...], ...]]:
-    """Discriminant group of an orthogonal sum of even Gram blocks, with
-    rational generator lifts.
+def disc_group_of_gram(*blocks) -> tuple[DiscGroup, tuple[tuple, ...]]:
+    """Discriminant group of an orthogonal sum of even Gram blocks, with each
+    generator's Smith data.
 
     Each block gives its Smith-form generators, in block order.  The second
-    value gives each generator as a vector in the sum's dual, expressed in
-    the sum's basis.
+    value gives, for each generator, its order d, Smith row u and Smith column
+    v, in the sum's basis: v/d lifts it to the sum's dual, and a dual vector
+    with pairings y is the class with entries u.y mod d (Nikulin, Izv. 1979,
+    Sec. 1; Cohen, GTM 138, Sec. 2.4.4).  Where the Smith entry is negative,
+    as in the negative definite tail blocks, the row is negated.
     """
     g = block_sum(*blocks)
     n = len(g)
-    orders, vecs = [], []
-    off = 0
+    gens, off = [], 0
     for gram in blocks:
         k = len(gram)
-        d, _, v = smith_normal_form(gram)
-        for i in range(k):
-            di = abs(d[i])
-            if di == 1:
-                continue
-            lift = [Fraction(0)] * n
-            lift[off:off + k] = (Fraction(v[r][i], di) for r in range(k))
-            orders.append(di)
-            vecs.append(tuple(lift))
+        d, u, v = smith_normal_form(gram)
+        before, after = (0,) * off, (0,) * (n - off - k)
+        gens.extend((abs(di), before + tuple(x if di > 0 else -x for x in u[i]) + after,
+                     before + tuple(row[i] for row in v) + after)
+                    for i, di in enumerate(d) if abs(di) != 1)
         off += k
 
     def b_of(x, y):
         return sum(x[i] * g[i][j] * y[j] for i in range(n) for j in range(n))
 
-    gen_q = tuple(b_of(x, x) % 2 for x in vecs)
-    gen_pair = tuple(tuple(b_of(x, y) % 1 for y in vecs) for x in vecs)
-    return DiscGroup(tuple(orders), gen_q, gen_pair), tuple(vecs)
+    orders = tuple(d for d, _, _ in gens)
+    gen_q = tuple(Fraction(b_of(v, v), d * d) % 2 for d, _, v in gens)
+    gen_pair = tuple(tuple(Fraction(b_of(v, w), d * e) % 1 for e, _, w in gens)
+                     for d, _, v in gens)
+    return DiscGroup(orders, gen_q, gen_pair), tuple(gens)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ An independent brute-force enumeration over bounded coordinates
 (coordinate_oracle) cross-checks the analytic route.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -52,23 +51,26 @@ class ExclusionReport(Record):
 
 class _Model(Record):
     """The tail of discform.polarized_tail: its basis on (u, v, ell), its Gram
-    matrix, its discriminant group and the generators' lifts to its dual."""
+    matrix, its discriminant group and the generators' Smith data (d, u, v) of
+    discform.disc_group_of_gram."""
 
-    __slots__ = ("m", "n", "gamma", "basis", "tail", "disc", "gen_vecs")
+    __slots__ = ("m", "n", "gamma", "basis", "tail", "disc", "gens")
 
-    def dual_of_star(self, star) -> tuple[Fraction, Fraction]:
-        x1 = sum((c * v[0] for c, v in zip(star, self.gen_vecs)), Fraction(0))
-        x2 = sum((c * v[1] for c, v in zip(star, self.gen_vecs)), Fraction(0))
-        return x1, x2
+    def star_of(self, y) -> tuple[int, ...]:
+        """The normalized star of the dual vector with tail pairings y: u.y mod d."""
+        el = tuple(sum(x * z for x, z in zip(u, y)) % d for d, u, _ in self.gens)
+        return self.disc.normalize(el)
 
     def ambient_div(self, star, s: int) -> int:
         """Divisibility in the full second-cohomology lattice of the canonical
-        representative of a primitive class with discriminant data (star, s)."""
-        x1, x2 = self.dual_of_star(star)
-        a0, b0 = s * x1, s * x2
-        if a0.denominator != 1 or b0.denominator != 1:
-            raise PeriodsError(f"{s} times the dual of star {tuple(star)} is not integral")
-        return self._ambient_div_coords(int(a0), int(b0), s)
+        representative of a primitive class with discriminant data (star, s):
+        s times star's dual vector is the sum of (s*c/d)*v over the generators."""
+        a = b = 0
+        for c, (d, _, v) in zip(star, self.gens):
+            if s * c % d:
+                raise PeriodsError(f"{s} times the dual of star {tuple(star)} is not integral")
+            a, b = a + s * c // d * v[0], b + s * c // d * v[1]
+        return self._ambient_div_coords(a, b, s)
 
     def _ambient_div_coords(self, a: int, b: int, c: int) -> int:
         """Divisibility of a*w1 + b*w2 + c*w, w primitive in another U summand: the
@@ -225,11 +227,6 @@ def coordinate_oracle(m: int, n: int, gamma: int, bound: int,
         raise ValueError("bound must be nonnegative")
     model = _model(m, n, gamma)
     products = _coprime_products(bound)
-    # the normalized star of each dual class modulo the tail lattice
-    stars = {}
-    for el in model.disc.elements():
-        x1, x2 = model.dual_of_star(el)
-        stars[(x1 % 1, x2 % 1)] = model.disc.normalize(el)
     out = set()
     for a in range(-bound, bound + 1):
         for b in range(-bound, bound + 1):
@@ -239,7 +236,7 @@ def coordinate_oracle(m: int, n: int, gamma: int, bound: int,
                 if gcd(a, b, c) != 1:
                     continue
                 s = gcd(pr1, pr2, c)
-                star = stars[(Fraction(a, s) % 1, Fraction(b, s) % 1)]
+                star = model.star_of((pr1 // s, pr2 // s))
                 amb = model._ambient_div_coords(a, b, c)
                 if c == 0:
                     realized = (base,)
@@ -276,7 +273,7 @@ def hilbert_square_points(n: int, e: int) -> tuple[tuple[int, int, int], ...]:
     out = []
     # a^2/b^2 = e - n/b^2 grows along the stream, which is finite for square e
     for a, b in pell.positive_solutions(1, e, -n):
-        if Fraction(a, b) ** 2 >= nu_sq:
+        if a * a * nu_sq.denominator >= nu_sq.numerator * b * b:
             break
         if gcd(a, b) == 1:
             out.append((a, b, 2 if b % 2 == 0 else 1))

@@ -145,6 +145,8 @@ _LARGE_INPUT = [
     # gamma = 5^9 = m - 1, n = gamma(gamma - 1): the classes scan 5^9 residues
     (["lattice", "orbit", "--m", "1953126", "--n", "3814695312500", "--gamma", "1953125",
       "--square", "-2", "--div", "2"], 1.0),
+    # a discriminant group of order 4 * 10^6: the oracle's cost is its box's
+    (["oracle", "--m", "2", "--n", "1000000", "--gamma", "1", "--bound", "1"], 1.0),
 ]
 
 

@@ -8,6 +8,7 @@ import pytest
 from hkpell import cones, periods
 from hkpell.arith import (BadCongruence, NonPrimePower, UnsupportedParameters, divisors,
                           is_squarefree, polarization_classes, v_p, wall_constraints)
+from hkpell.discform import DiscGroup
 from hkpell.periods import (HeegnerKey, _key, _model, _realizable_classes, coordinate_oracle,
                             excluded_heegner, excluded_heegner_m2_report,
                             heegner_components_m2, heegner_nonempty_m2,
@@ -37,13 +38,20 @@ def test_nonempty_matches_class_enumeration():
                 assert residue == bool(classes), (n, gamma, e)
 
 
+def _dual_of_star(model, star):
+    """star's dual vector on the tail basis, the sum of c*v/d over the
+    generators' Smith data, in Fractions."""
+    return tuple(sum((Fraction(c * v[r], d) for c, (d, _, v) in zip(star, model.gens)),
+                     Fraction(0)) for r in range(2))
+
+
 def _scanned_classes(model):
     """{normalized star: (order, q-bar)} by a plain scan of elements(), with
     order and q-bar read off the star's dual vector in the tail Gram matrix."""
     t = model.tail
     out = {}
     for el in model.disc.elements():
-        x = model.dual_of_star(el)
+        x = _dual_of_star(model, el)
         s = next(k for k in count(1) if all((k * c).denominator == 1 for c in x))
         q = sum(x[i] * t[i][j] * x[j] for i in range(2) for j in range(2)) % 2
         out[min(el, model.disc.negate(el))] = (s, q)
@@ -92,7 +100,29 @@ def test_gamma1_model_generators():
             p = m - 1
             assert model.disc.orders == (2 * n, 2 * p)
             assert model.disc.gen_q == (Fraction(-1, 2 * n) % 2, Fraction(-1, 2 * p) % 2)
-            assert model.gen_vecs == ((Fraction(1, 2 * n), 0), (0, Fraction(1, 2 * p)))
+            assert model.gens == ((2 * n, (-1, 0), (1, 0)), (2 * p, (0, -1), (0, 1)))
+
+
+def test_star_of_pairings_and_ambient_div_match_the_fraction_lift():
+    # the integer Smith data give back what the Fraction lift of each class
+    # gives: its pairings name its star, and s times it its ambient divisibility
+    for m, n, gamma in _valid_params(range(2, 13), range(1, 9)):
+        model = _model(m, n, gamma)
+        t = model.tail
+        for el in model.disc.elements():
+            x = _dual_of_star(model, el)
+            y = [sum(t[i][j] * x[j] for j in range(2)) for i in range(2)]
+            assert all(c.denominator == 1 for c in y)
+            assert model.star_of([int(c) for c in y]) == model.disc.normalize(el), \
+                (m, n, gamma, el)
+            s = model.disc.element_order(el)
+            assert all((s * c).denominator == 1 for c in x)
+            a, b = (int(s * c) for c in x)
+            assert model.ambient_div(el, s) == model._ambient_div_coords(a, b, s), \
+                (m, n, gamma, el)
+            if s > 1:  # the dual of a nonzero class is not integral
+                with pytest.raises(periods.PeriodsError, match="not integral"):
+                    model.ambient_div(el, 1)
 
 
 def test_components_m2():
@@ -351,6 +381,15 @@ def test_oracle_matches_the_analytic_classes_past_gamma_2():
         analytic = {(k2, s, star, amb) for k2 in squares
                     for s, star, amb in _realizable_classes(*cell, k2)}
         assert coordinate_oracle(*cell, 20, squares) == analytic, cell
+
+
+def test_oracle_builds_no_table_of_the_group(monkeypatch):
+    # the group has order 4 * 10^5; each box point names its class itself
+    def whole_group(*_):
+        raise AssertionError("coordinate_oracle enumerated the discriminant group")
+
+    monkeypatch.setattr(DiscGroup, "elements", whole_group)
+    assert coordinate_oracle(2, 10 ** 5, 1, 2)
 
 
 def test_period_image_is_not_stated_past_gamma_2():
