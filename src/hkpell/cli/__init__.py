@@ -14,16 +14,20 @@ returns the code and, like print, raises a failed stdout write.
 
 Each command or subcommand names the function that returns its result
 from its options, the dict the envelope prints as params; a table command
-names the builder of its csv rows too.  _run alone parses, builds params,
-rejects csv where no builder is named, and prints.
+names the builder of its csv rows too.  _run alone reads argv, builds
+params, rejects csv where no builder is named, and prints.
 
-One invocation builds the parser of its command alone and imports only the
+A well-formed argv (--format F, the command and subcommand, each option once
+as --name value with a plain integer or series value) is read straight from
+the command specs, without argparse.  The parser is built, and argparse
+imported, only for help, for a usage error and for every other spelling
+argparse accepts (--d=5, abbreviations, +5, repeated options); it holds the
+command and subcommand argv names alone.  An invocation imports only the
 module that holds its handler: hkpell.cli.<layer>, one per layer the
 handlers call, which loads that layer.  This core holds what every
 invocation needs.
 """
 
-import argparse
 import importlib
 import json
 import os
@@ -31,9 +35,10 @@ import sys
 
 from ..arith import DomainError
 
-# rrinv.HILB_K3 and rrinv.KUMMER, spelled out so that building the parser
-# loads no layer
+# rrinv.HILB_K3 and rrinv.KUMMER, spelled out so that reading argv loads no
+# layer
 _SERIES = ("HilbK3", "Kummer")
+_FORMATS = ("json", "csv", "text")
 
 
 def _frac(q) -> str:
@@ -141,12 +146,19 @@ _COMMANDS = {
 }
 
 
+def _option(arg: str) -> tuple[str, bool, int | None]:
+    """(name, required, default) of a spec argument: "count=5" -> ("count",
+    False, 5), "e?" -> ("e", False, None), "d" -> ("d", True, None)."""
+    name, has_default, default = arg.rstrip("?").partition("=")
+    return name, not (has_default or arg.endswith("?")), int(default) if has_default else None
+
+
 def _dest(arg: str) -> str:
     """The option name of a spec argument, as in params: "e-prime=8" -> "e_prime"."""
-    return arg.rstrip("?").partition("=")[0].replace("-", "_")
+    return _option(arg)[0].replace("-", "_")
 
 
-def _add_leaf(parser: argparse.ArgumentParser, command: str, leaf: tuple) -> None:
+def _add_leaf(parser: "argparse.ArgumentParser", command: str, leaf: tuple) -> None:
     """The arguments of a leaf's spec; dispatch finds the leaf in the parse."""
     parser.set_defaults(command=command, leaf=leaf)
     for arg in leaf[1].split():
@@ -155,10 +167,8 @@ def _add_leaf(parser: argparse.ArgumentParser, command: str, leaf: tuple) -> Non
         elif arg == "series":
             parser.add_argument("--series", choices=_SERIES, default=_SERIES[0])
         else:
-            name, has_default, default = arg.rstrip("?").partition("=")
-            parser.add_argument(f"--{name}", type=int,
-                                required=not (has_default or arg.endswith("?")),
-                                default=int(default) if has_default else None)
+            name, required, default = _option(arg)
+            parser.add_argument(f"--{name}", type=int, required=required, default=default)
 
 
 def _named(argv) -> tuple[str | None, str | None]:
@@ -174,17 +184,19 @@ def _named(argv) -> tuple[str | None, str | None]:
     return command, None
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
+def build_parser(argv=()) -> "argparse.ArgumentParser":
     """The parser for argv.  It holds only the command and subcommand that
     argv names, and every one where argv names none (as for --help, a bad
     command or no command); either way it prints the usage, help and errors
     of the full parser."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hkpell",
         description="Exact Pell-equation invariants of polarized hyperkahler "
                     "manifolds of K3^[m]-type: cone slopes and walls, "
                     "automorphism groups, Heegner divisors, period-map images.")
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    parser.add_argument("--format", choices=_FORMATS, default="json")
     command, subcommand = _named(argv)
     commands = parser.add_subparsers(dest="cmd", required=True)
     for name in [command] if command else _COMMANDS:
@@ -249,35 +261,90 @@ def launch() -> None:
     os._exit(code)
 
 
-def _run(argv) -> int:
+def _read(argv) -> tuple | None:
+    """(format, command, leaf, params) of a well-formed argv, read from the
+    command specs as the parser reads it: an optional --format F, the command
+    and its subcommand, then each of the leaf's options at most once as the
+    two words --name value, each value ASCII digits after an optional "-" or
+    a series name, and every required option given; reproduce takes its
+    table id alone, which starts with no "-".  None for any other argv, and
+    for csv where no csv rows builder is named: the parser reads those."""
+    fmt, i = (argv[1], 2) if len(argv) > 1 and argv[0] == "--format" else ("json", 0)
+    if fmt not in _FORMATS or i >= len(argv) or argv[i] not in _COMMANDS:
+        return None
+    command, leaf = argv[i], _COMMANDS[argv[i]][1]
+    if isinstance(leaf, dict):
+        i += 1
+        if i >= len(argv) or argv[i] not in leaf:
+            return None
+        command, leaf = f"{command} {argv[i]}", leaf[argv[i]]
+    if fmt == "csv" and len(leaf) == 2:
+        return None
+    words = argv[i + 1:]
+    if leaf[1] == "table_id":
+        if len(words) != 1 or words[0].startswith("-"):
+            return None
+        return fmt, command, leaf, {"table_id": words[0]}
+    options = dict(zip(words[::2], words[1::2]))
+    if len(words) != 2 * len(options):  # a word left over, or a repeated option
+        return None
+    params = {}
+    for arg in leaf[1].split():
+        name, required, default = _option(arg)
+        value = options.pop(f"--{name}", None)
+        if arg == "series":
+            value = _SERIES[0] if value is None else value
+            if value not in _SERIES:
+                return None
+        elif value is None:
+            if required:
+                return None
+            value = default
+        else:
+            digits = value[1:] if value.startswith("-") else value
+            if not (digits.isascii() and digits.isdigit()):
+                return None
+            value = int(value)
+        params[_dest(arg)] = value
+    return None if options else (fmt, command, leaf, params)
+
+
+def _parse(argv) -> tuple:
+    """What _read gives, for any argv, read by the parser, which exits 0
+    after help and 2 on a usage error."""
     parser = build_parser(argv)
     args = parser.parse_args(argv)
-    handler, spec, *csv_rows = args.leaf
-    if args.format == "csv":
-        if not csv_rows:
-            parser.error("csv output is only available for table commands")
+    if args.format == "csv" and len(args.leaf) == 2:
+        parser.error("csv output is only available for table commands")
+    params = {name: getattr(args, name) for name in map(_dest, args.leaf[1].split())}
+    return args.format, args.command, args.leaf, params
+
+
+def _run(argv) -> int:
+    fmt, command, leaf, params = _read(argv) or _parse(argv)
+    handler, _, *csv_rows = leaf
+    if fmt == "csv":
         handler = csv_rows[0]
-    params = {name: getattr(args, name) for name in map(_dest, spec.split())}
     try:
         result = (handler if callable(handler) else _load(handler))(params)
     except UsageError as exc:
-        parser.error(str(exc))
+        build_parser(argv).error(str(exc))
     except (DomainError, UnknownTable, ValueError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 1
     if isinstance(result, str):
         text = result
-    elif args.format == "csv":
+    elif fmt == "csv":
         text = _csv_text(result)
     else:
         # table:<id> for each reference table this command with params reproduces
-        provenance = sorted(f"table:{table_id}" for table_id, (_, command, table_params)
+        provenance = sorted(f"table:{table_id}" for table_id, (_, table_command, table_params)
                             in _TABLES.items()
-                            if (command, table_params) == (args.command, params))
-        envelope = {"command": args.command, "params": params, "result": result,
+                            if (table_command, table_params) == (command, params))
+        envelope = {"command": command, "params": params, "result": result,
                     "provenance": provenance}
-        text = json.dumps(envelope if args.format == "json" else result,
+        text = json.dumps(envelope if fmt == "json" else result,
                           sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     return 0

@@ -227,6 +227,13 @@ def coordinate_oracle(m: int, n: int, gamma: int, bound: int,
         raise ValueError("bound must be nonnegative")
     model = _model(m, n, gamma)
     products = _coprime_products(bound)
+    if squares is not None:
+        # the squares in each class mod 2c^2, for every c > 0 of the box: a
+        # point realizes those of its class whose quotient is a product
+        by_class = {c: {} for c in range(1, bound + 1)}
+        for c, classes in by_class.items():
+            for sq in squares:
+                classes.setdefault(sq % (2 * c * c), []).append(sq)
     out = set()
     for a in range(-bound, bound + 1):
         for b in range(-bound, bound + 1):
@@ -235,22 +242,19 @@ def coordinate_oracle(m: int, n: int, gamma: int, bound: int,
             for c in range(bound + 1):
                 if gcd(a, b, c) != 1:
                     continue
-                s = gcd(pr1, pr2, c)
-                star = model.star_of((pr1 // s, pr2 // s))
-                amb = model._ambient_div_coords(a, b, c)
                 if c == 0:
-                    realized = (base,)
+                    realized = (base,) if squares is None or base in squares else ()
                 elif squares is None:
                     realized = tuple(base + 2 * c * c * prod for prod in products)
                 else:
-                    realized = tuple(
-                        sq for sq in squares
-                        if (sq - base) % (2 * c * c) == 0
-                        and (sq - base) // (2 * c * c) in products
-                    )
-                for k2 in realized:
-                    if squares is None or k2 in squares:
-                        out.add((k2, s, star, amb))
+                    realized = tuple(sq for sq in by_class[c].get(base % (2 * c * c), ())
+                                     if (sq - base) // (2 * c * c) in products)
+                if not realized:
+                    continue
+                s = gcd(pr1, pr2, c)
+                star = model.star_of((pr1 // s, pr2 // s))
+                amb = model._ambient_div_coords(a, b, c)
+                out.update((k2, s, star, amb) for k2 in realized)
     return frozenset(out)
 
 

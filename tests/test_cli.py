@@ -600,11 +600,38 @@ def test_no_command_imports_dataclasses():
     paths = {path for path, p in _subparsers(build_parser())
              if not any(isinstance(a, argparse._SubParsersAction) for a in p._actions)}
     assert set(_EVERY_COMMAND) == paths
+    # nor argparse (which loads gettext and locale): a well-formed argv is
+    # read from the command specs, and the parser built only for help, a
+    # usage error or another spelling
     runs = "\n".join(f"run(*{[*path, *args.split()]!r})" for path, args in _EVERY_COMMAND.items())
     _in_fresh_interpreter(runs + """
-heavy = ("dataclasses", "inspect", "ast", "dis")
+heavy = ("dataclasses", "inspect", "ast", "dis", "argparse", "gettext", "locale")
 assert not loaded(*heavy), loaded(*heavy)
+run("pell", "fundamental", "--d=13")
+assert loaded("argparse") == {"argparse"}
 """)
+
+
+def test_help_and_usage_errors_launch_with_the_full_parsers_bytes(monkeypatch):
+    # a launch builds the parser only where it prints: for help, a usage
+    # error the parser finds, the csv rejection and a handler's UsageError
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    full = build_parser()
+    root_error = full.format_usage() + "hkpell: error: "
+    expected = {
+        "--help": _captured(full.parse_args, ["--help"]),
+        "pell min --d 13": _captured(full.parse_args, ["pell", "min", "--d", "13"]),
+        "--format csv pell min --d 13 --t 1":
+            (2, "", root_error + "csv output is only available for table commands\n"),
+        "cone s2 --e-from 1":
+            (2, "", root_error + "cone s2 needs --e or both --e-from and --e-to\n"),
+    }
+    for argv, (code, out, err) in expected.items():
+        proc = subprocess.run([sys.executable, "-m", "hkpell.cli", *argv.split()],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
+    assert expected["--help"][1].splitlines()[0] == "usage: hkpell [-h] [--format {json,csv,text}]"
 
 
 ENVELOPES = pathlib.Path(__file__).parent / "envelopes.json"
@@ -858,6 +885,110 @@ def _grammar_grid():
         for prefix in prefixes:
             for suffix in suffixes:
                 yield [*prefix, *path, *suffix]
+
+
+def _check_reader(argv):
+    """1 where the reader answers argv, after checking that the parser reads
+    it the same way; 0 where it leaves argv to the parser."""
+    from hkpell.cli import _read
+
+    read = _read(argv)
+    if read is None:
+        return 0
+    try:
+        args = vars(build_parser(argv).parse_args(argv))
+    except SystemExit as exc:
+        raise AssertionError(f"the reader answers {argv!r}, which the parser rejects") from exc
+    fmt, command, leaf = args.pop("format"), args.pop("command"), args.pop("leaf")
+    params = {k: v for k, v in args.items() if k != "cmd" and not k.endswith("_cmd")}
+    assert read == (fmt, command, leaf, params), argv
+    assert fmt != "csv" or len(leaf) == 3, argv  # a csv rows builder
+    return 1
+
+
+def _answered(argvs):
+    """Those of argvs that the reader answers, each checked by _check_reader,
+    which runs in main's place of _run: under main's limit on int-to-str
+    digits."""
+    import hkpell.cli as cli
+
+    run, cli._run = cli._run, _check_reader
+    try:
+        return [argv for argv in argvs if main(argv)]
+    finally:
+        cli._run = run
+
+
+def test_reader_reads_the_grammar_grid_as_the_parser():
+    answered = {tuple(argv) for argv in _answered(_grammar_grid())}
+    # each rare spelling as a value, as the first of a repeated option and as
+    # a table id: the reader answers plain ASCII integers alone, past 4300
+    # digits too
+    rare = _answered([argv for value in _RARE_VALUES for argv in (
+        ["pell", "min", "--d", value, "--t", "1"], ["pell", "min", "--d", value, "--d", "13",
+                                                    "--t", "1"], ["reproduce", value])])
+    assert [argv[3] for argv in rare if argv[0] == "pell"] == ["-0", "007", "9" * 4400,
+                                                               "-" + "9" * 4400]
+    # every well-formed argv of the grid: each command's arguments under
+    # every --format a command takes
+    for path, args in _EVERY_COMMAND.items():
+        table = len(dict(_LEAVES)[path].get_default("leaf")) == 3
+        for prefix in [(), ("--format", "text")] + [("--format", "csv")] * table:
+            assert (*prefix, *path, *args.split()) in answered, (prefix, path)
+
+
+# values the reader answers (-0, 007, past 4300 digits) and others it leaves
+# to the parser, which accepts some (+5, 1_0, non-ASCII digits), and words
+# that make an argv other than well-formed
+_RARE_VALUES = ("+5", " 5", "5 ", "1_0", "\u0663", "\uff15", "\u00b2", "-0", "007", "9" * 4400,
+                "-" + "9" * 4400, "x", "", "-", "--", "--5", "5.0", "K3", "HilbK3", "-aut-n3")
+_EXTRA_WORDS = ("extra", "--", "-h", "--help", "--bogus", "--format", "json", "-5", "aut-n3")
+_PREFIXES = ([], ["--format", "json"], ["--format", "text"], ["--format", "csv"],
+             ["--format=text"], ["--format", "text", "--format", "json"], ["--format", "xml"],
+             ["--form", "text"], ["-h"], ["--help"])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_reader_reads_other_spellings_as_the_parser(data):
+    # a well-formed invocation of one leaf, then up to three changes: an
+    # option left out, repeated, written --name=value or abbreviated, a rare
+    # value, an extra word anywhere, or another --format prefix
+    path, parser = data.draw(st.sampled_from(_LEAVES))
+    pairs = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:  # reproduce's table id
+            pairs.append([data.draw(st.sampled_from([p.stem for p in sorted(GOLDEN.iterdir())]))])
+        elif action.choices:
+            pairs.append([action.option_strings[0], data.draw(st.sampled_from(action.choices))])
+        else:
+            pairs.append([action.option_strings[0], str(data.draw(st.integers(-9, 99)))])
+    pairs = list(data.draw(st.permutations(pairs)))
+    prefix, extras = data.draw(st.sampled_from(_PREFIXES[:4])), []
+    for change in data.draw(st.lists(st.integers(0, 6), max_size=3)):
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        if change == 0:
+            pairs.pop(i)
+        elif change == 1:
+            pairs.append(list(pairs[i][:1]) + [str(data.draw(st.integers(-9, 99)))])
+        elif change == 2 and len(pairs[i]) == 2:
+            pairs[i] = ["=".join(pairs[i])]
+        elif change == 3 and pairs[i][0].startswith("--"):
+            pairs[i][0] = pairs[i][0][:data.draw(st.integers(3, len(pairs[i][0])))]
+        elif change == 4:
+            pairs[i][-1] = data.draw(st.sampled_from(_RARE_VALUES))
+        elif change == 5:
+            extras.append(data.draw(st.sampled_from(_EXTRA_WORDS)))
+        elif change == 6:
+            prefix = data.draw(st.sampled_from(_PREFIXES))
+        if not pairs:
+            break
+    argv = [*prefix, *path, *(word for pair in pairs for word in pair)]
+    for word in extras:
+        argv.insert(data.draw(st.integers(0, len(argv))), word)
+    _answered([argv])
 
 
 def test_pinned_usage_prints_what_the_metavar_parser_printed(monkeypatch):
