@@ -19,13 +19,12 @@ params, rejects csv where no builder is named, and prints.
 
 A well-formed argv (--format F, the command and subcommand, each option once
 as --name value with a plain integer or series value) is read straight from
-the command specs, without argparse.  The parser is built, and argparse
-imported, only for help, for a usage error and for every other spelling
-argparse accepts (--d=5, abbreviations, +5, repeated options); it holds the
-command and subcommand argv names alone.  An invocation imports only the
-module that holds its handler: hkpell.cli.<layer>, one per layer the
-handlers call, which loads that layer.  This core holds what every
-invocation needs.
+the command specs, without argparse.  The parser of every command is built,
+and argparse imported, only for help, for a usage error and for every other
+spelling argparse accepts (--d=5, abbreviations, +5, repeated options).  An
+invocation imports only the module that holds its handler:
+hkpell.cli.<layer>, one per layer the handlers call, which loads that
+layer.  This core holds what every invocation needs.
 """
 
 import importlib
@@ -171,24 +170,8 @@ def _add_leaf(parser: "argparse.ArgumentParser", command: str, leaf: tuple) -> N
             parser.add_argument(f"--{name}", type=int, required=required, default=default)
 
 
-def _named(argv) -> tuple[str | None, str | None]:
-    """The command argv names, if only --format options precede it, and the
-    subcommand that follows it; None for a name argv does not give."""
-    i = 0
-    while i < len(argv) and (argv[i] == "--format" or argv[i].startswith("--format=")):
-        i += 1 if "=" in argv[i] else 2
-    command = argv[i] if i < len(argv) and argv[i] in _COMMANDS else None
-    subcommands = _COMMANDS[command][1] if command else None
-    if isinstance(subcommands, dict) and i + 1 < len(argv) and argv[i + 1] in subcommands:
-        return command, argv[i + 1]
-    return command, None
-
-
-def build_parser(argv=()) -> "argparse.ArgumentParser":
-    """The parser for argv.  It holds only the command and subcommand that
-    argv names, and every one where argv names none (as for --help, a bad
-    command or no command); either way it prints the usage, help and errors
-    of the full parser."""
+def build_parser() -> "argparse.ArgumentParser":
+    """The parser of every command and subcommand."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -197,21 +180,18 @@ def build_parser(argv=()) -> "argparse.ArgumentParser":
                     "manifolds of K3^[m]-type: cone slopes and walls, "
                     "automorphism groups, Heegner divisors, period-map images.")
     parser.add_argument("--format", choices=_FORMATS, default="json")
-    command, subcommand = _named(argv)
     commands = parser.add_subparsers(dest="cmd", required=True)
-    for name in [command] if command else _COMMANDS:
-        help_text, leaves = _COMMANDS[name]
+    for name, (help_text, leaves) in _COMMANDS.items():
         p = commands.add_parser(name, help=help_text)
         if isinstance(leaves, dict):
             subcommands = p.add_subparsers(dest=f"{name}_cmd", required=True)
-            for sub_name in [subcommand] if subcommand else leaves:
-                _add_leaf(subcommands.add_parser(sub_name), f"{name} {sub_name}",
-                          leaves[sub_name])
+            for sub_name, leaf in leaves.items():
+                _add_leaf(subcommands.add_parser(sub_name), f"{name} {sub_name}", leaf)
         else:
             _add_leaf(p, name, leaves)
     # the usage that Python 3.10-3.12 print for the full parser at 80
-    # columns, pinned so that it lists every command whatever argv names and
-    # reads the same on 3.13, which wraps it elsewhere, and at any width.
+    # columns, pinned so that it reads the same on 3.13, which wraps it
+    # elsewhere, and at any width.
     # Set only now: add_subparsers derives each command's prog from it
     indent = "\n" + " " * len("usage: hkpell ")
     parser.usage = ("%(prog)s [-h] [--format {json,csv,text}]"
@@ -312,7 +292,7 @@ def _read(argv) -> tuple | None:
 def _parse(argv) -> tuple:
     """What _read gives, for any argv, read by the parser, which exits 0
     after help and 2 on a usage error."""
-    parser = build_parser(argv)
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.format == "csv" and len(args.leaf) == 2:
         parser.error("csv output is only available for table commands")
@@ -328,7 +308,7 @@ def _run(argv) -> int:
     try:
         result = (handler if callable(handler) else _load(handler))(params)
     except UsageError as exc:
-        build_parser(argv).error(str(exc))
+        build_parser().error(str(exc))
     except (DomainError, UnknownTable, ValueError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)

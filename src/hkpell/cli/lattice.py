@@ -15,9 +15,11 @@ def disc(params: dict) -> dict:
 
 
 def orbit(params: dict) -> dict:
-    spec = lattice.polarized_orthogonal(params["m"], params["n"], params["gamma"])
+    disc = lattice.disc_group(params["m"], params["n"], params["gamma"])
     key = lattice.OrbitKey(params["square"], params["div"])
-    return {"exists": lattice.exists_primitive_vector(spec, key)}
+    # h^perp holds U + U, so a class realizing the key is a primitive vector
+    # (lattice.exists_primitive_vector)
+    return {"exists": any(disc.realizing(key.square, key.star_order))}
 
 
 def dual(params: dict) -> dict:

@@ -3,7 +3,7 @@ with their Q/2Z-valued quadratic form held exactly as Fractions, the
 discriminant group of an orthogonal sum of even Gram blocks, the one query
 for the classes that the primitive vectors of a given square and
 divisibility map to (DiscGroup.realizing), and the one model of the
-polarized orthogonal's tail with its (m, n, gamma) domain.
+polarized orthogonal h^perp with its (m, n, gamma) domain (polarized_model).
 
 It knows nothing of block lattices, so period-map code that needs only
 discriminant groups loads this module and not lattice.
@@ -198,12 +198,30 @@ def tail_basis(m: int, n: int, gamma: int, k: int):
     return (gamma, gamma * t, k), ((0, -2 * p * k // gamma, -1), (1, -t, 0))
 
 
-def polarized_tail(m: int, n: int, gamma: int):
-    """(basis, blocks) of the tail of h^perp = U^2 + E8(-1)^2 + tail, h of square
-    2n and divisibility gamma in K3^[m] type: tail_basis of the least class k and
-    its Gram blocks (I1(-2n) + I1(-2p) on (u - n*v, -ell) for k = 0), whose
-    Smith-form generators write Heegner stars and lattice disc.  k and -k give
-    isometric tails; any other class is another component: UnsupportedParameters."""
+class PolarizedModel(Record):
+    """h^perp = U^2 + E8(-1)^2 + tail of a square-2n, divisibility-gamma
+    polarization h in K3^[m] type, held by its tail: the tail's basis on
+    (u, v, ell), its Gram blocks and their sum, its discriminant group, which
+    is h^perp's, and each generator's Smith data (d, u, v) of
+    disc_group_of_gram, on which Heegner stars and lattice disc are written."""
+
+    __slots__ = ("m", "n", "gamma", "basis", "blocks", "tail", "disc", "gens")
+
+    def star_of(self, y) -> tuple[int, ...]:
+        """The normalized star of the dual vector with tail pairings y: u.y mod d."""
+        el = tuple(sum(x * z for x, z in zip(u, y)) % d for d, u, _ in self.gens)
+        return self.disc.normalize(el)
+
+    def tail_pairings(self, a: int, b: int) -> tuple[int, int]:
+        t = self.tail
+        return t[0][0] * a + t[0][1] * b, t[1][0] * a + t[1][1] * b
+
+
+def polarized_model(m: int, n: int, gamma: int) -> PolarizedModel:
+    """The one model of h^perp, for h of square 2n and divisibility gamma in
+    K3^[m] type: tail_basis of the least class k, with one Gram block, or
+    I1(-2n) + I1(-2p) on (u - n*v, -ell) for k = 0.  k and -k give isometric
+    tails; any other class is another component: UnsupportedParameters."""
     if m < 2 or n < 1:
         raise ValueError("need m >= 2 and n >= 1")
     classes = check_polarization(m, n, gamma)
@@ -211,8 +229,9 @@ def polarized_tail(m: int, n: int, gamma: int):
         raise UnsupportedParameters(f"({m}, {n}, {gamma}) has {len(classes) // 2} moduli "
                                     "components; the tail is built for one")
     _, basis = tail_basis(m, n, gamma, classes[0])
-    gram = tuple(tuple(x[0] * y[1] + x[1] * y[0] - 2 * (m - 1) * x[2] * y[2] for y in basis)
-                 for x in basis)
     if classes[0] == 0:  # the block of n first, then that of p
-        return basis[::-1], (((gram[1][1],),), ((gram[0][0],),))
-    return basis, (gram,)
+        basis = basis[::-1]
+    tail = tuple(tuple(x[0] * y[1] + x[1] * y[0] - 2 * (m - 1) * x[2] * y[2] for y in basis)
+                 for x in basis)
+    blocks = (((tail[0][0],),), ((tail[1][1],),)) if classes[0] == 0 else (tail,)
+    return PolarizedModel(m, n, gamma, basis, blocks, tail, *disc_group_of_gram(*blocks))

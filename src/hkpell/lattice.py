@@ -1,18 +1,18 @@
 """Block-sum lattices, discriminant groups, and primitive-vector orbit keys.
 
 Lattices are formal orthogonal sums of standard blocks: the hyperbolic plane
-U, the negative E8 lattice, rank-1 blocks I1(t), and small explicit Gram
-blocks; their discriminant groups come from the discform engine.  Orbits of
+U, the negative E8 lattice and rank-1 blocks I1(t); their discriminant
+groups come from the discform engine, and so does that of the polarized
+orthogonal, read off discform.polarized_model (disc_group).  Orbits of
 primitive vectors in a lattice containing two orthogonal hyperbolic planes
 are classified by the square together with the order and quadratic value of
 the discriminant class.
 """
 
-from fractions import Fraction
 from math import gcd, prod
 
 from .arith import DomainError, Record, check_polarization, prime_factors
-from .discform import DiscGroup, block_sum, disc_group_of_gram, polarized_tail
+from .discform import DiscGroup, block_sum, disc_group_of_gram, polarized_model
 
 
 class LatticeError(DomainError):
@@ -81,10 +81,6 @@ def I1(t: int) -> Block:
     if t == 0 or t % 2:
         raise ValueError("I1(t) needs a nonzero even t")
     return Block(f"I1({t})", ((t,),))
-
-
-def gram_block(rows) -> Block:
-    return Block("gram", tuple(tuple(r) for r in rows))
 
 
 def _det(m) -> int:
@@ -170,22 +166,16 @@ def disc_group_of(spec: LatticeSpec) -> DiscGroup:
 
 
 class OrbitKey(Record):
-    """Square, order of the discriminant class, and its quadratic value.
+    """Square of a primitive vector and the order of its discriminant class,
+    which is its divisibility.  The class's quadratic value is
+    square/star_order^2 modulo 2, so the two fields are the whole key."""
 
-    star_q is derived from the other two when omitted.
-    """
+    __slots__ = ("square", "star_order")
 
-    __slots__ = ("square", "star_order", "star_q")
-
-    def __init__(self, square: int, star_order: int, star_q: Fraction | None = None):
+    def __init__(self, square: int, star_order: int):
         if star_order < 1:
             raise ValueError("star_order must be positive")
-        expected = Fraction(square, star_order ** 2) % 2
-        if star_q is None:
-            star_q = expected
-        elif star_q % 2 != expected:
-            raise ValueError("star_q must be square/star_order^2 modulo 2")
-        super().__init__(square, star_order, star_q)
+        super().__init__(square, star_order)
 
 
 def orbit_key(v: LatticeVector) -> OrbitKey:
@@ -235,18 +225,11 @@ def hilbert_scheme_lattice(m: int) -> LatticeSpec:
     return LatticeSpec((U, U, U, E8_MINUS, E8_MINUS, I1(-2 * (m - 1))))
 
 
-def polarized_orthogonal(m: int, n: int, gamma: int) -> LatticeSpec:
-    """Orthogonal of a square-2n, divisibility-gamma polarization in K3^[m] type:
-    U^2 + E8(-1)^2 + the blocks of discform.polarized_tail, which checks the
-    domain."""
-    tail = tuple(gram_block(gram) for gram in polarized_tail(m, n, gamma)[1])
-    return LatticeSpec((U, U, E8_MINUS, E8_MINUS) + tail)
-
-
 def disc_group(m: int, n: int, gamma: int) -> DiscGroup:
-    """Discriminant group of the polarized orthogonal, on the Smith-form
-    generators of the tail blocks: those the star of a Heegner key uses."""
-    return disc_group_of(polarized_orthogonal(m, n, gamma))
+    """Discriminant group of the polarized orthogonal, that of
+    discform.polarized_model, which checks the domain: on the Smith-form
+    generators of the tail blocks, those the star of a Heegner key uses."""
+    return polarized_model(m, n, gamma).disc
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from math import gcd, lcm
 from .arith import (DomainError, OrderedRecord, Record, UnsupportedParameters,
                     check_polarization, divisors, is_prime, is_square_mod, is_squarefree, v_p,
                     wall_types)
-from .discform import block_sum, disc_group_of_gram, polarized_tail
+from .discform import PolarizedModel, polarized_model
 
 
 class PeriodsError(DomainError):
@@ -46,47 +46,31 @@ class ExclusionReport(Record):
 
 
 # ---------------------------------------------------------------------------
-# the coordinate model of the polarized orthogonal
-
-
-class _Model(Record):
-    """The tail of discform.polarized_tail: its basis on (u, v, ell), its Gram
-    matrix, its discriminant group and the generators' Smith data (d, u, v) of
-    discform.disc_group_of_gram."""
-
-    __slots__ = ("m", "n", "gamma", "basis", "tail", "disc", "gens")
-
-    def star_of(self, y) -> tuple[int, ...]:
-        """The normalized star of the dual vector with tail pairings y: u.y mod d."""
-        el = tuple(sum(x * z for x, z in zip(u, y)) % d for d, u, _ in self.gens)
-        return self.disc.normalize(el)
-
-    def ambient_div(self, star, s: int) -> int:
-        """Divisibility in the full second-cohomology lattice of the canonical
-        representative of a primitive class with discriminant data (star, s):
-        s times star's dual vector is the sum of (s*c/d)*v over the generators."""
-        a = b = 0
-        for c, (d, _, v) in zip(star, self.gens):
-            if s * c % d:
-                raise PeriodsError(f"{s} times the dual of star {tuple(star)} is not integral")
-            a, b = a + s * c // d * v[0], b + s * c // d * v[1]
-        return self._ambient_div_coords(a, b, s)
-
-    def _ambient_div_coords(self, a: int, b: int, c: int) -> int:
-        """Divisibility of a*w1 + b*w2 + c*w, w primitive in another U summand: the
-        gcd of c and the pairings of a*w1 + b*w2 with u, v and ell."""
-        (u1, v1, l1), (u2, v2, l2) = self.basis
-        return gcd(a * v1 + b * v2, a * u1 + b * u2, 2 * (self.m - 1) * (a * l1 + b * l2), c)
-
-    def tail_pairings(self, a: int, b: int) -> tuple[int, int]:
-        t = self.tail
-        return t[0][0] * a + t[0][1] * b, t[1][0] * a + t[1][1] * b
+# the polarized orthogonal: discform's model, cached, and ambient divisibility
 
 
 @lru_cache(maxsize=256)  # over twice the 101 models of a period_ladder pass
-def _model(m: int, n: int, gamma: int) -> _Model:
-    basis, blocks = polarized_tail(m, n, gamma)
-    return _Model(m, n, gamma, basis, block_sum(*blocks), *disc_group_of_gram(*blocks))
+def _model(m: int, n: int, gamma: int) -> PolarizedModel:
+    return polarized_model(m, n, gamma)
+
+
+def _ambient_div(model: PolarizedModel, star, s: int) -> int:
+    """Divisibility in the full second-cohomology lattice of the canonical
+    representative of a primitive class with discriminant data (star, s):
+    s times star's dual vector is the sum of (s*c/d)*v over the generators."""
+    a = b = 0
+    for c, (d, _, v) in zip(star, model.gens):
+        if s * c % d:
+            raise PeriodsError(f"{s} times the dual of star {tuple(star)} is not integral")
+        a, b = a + s * c // d * v[0], b + s * c // d * v[1]
+    return _ambient_div_coords(model, a, b, s)
+
+
+def _ambient_div_coords(model: PolarizedModel, a: int, b: int, c: int) -> int:
+    """Divisibility of a*w1 + b*w2 + c*w, w primitive in another U summand: the
+    gcd of c and the pairings of a*w1 + b*w2 with u, v and ell."""
+    (u1, v1, l1), (u2, v2, l2) = model.basis
+    return gcd(a * v1 + b * v2, a * u1 + b * u2, 2 * (model.m - 1) * (a * l1 + b * l2), c)
 
 
 def _realizable_classes(m: int, n: int, gamma: int, kappa_sq: int):
@@ -97,7 +81,7 @@ def _realizable_classes(m: int, n: int, gamma: int, kappa_sq: int):
     divisibility is then the order of star.
     """
     model = _model(m, n, gamma)
-    return [(s, star, model.ambient_div(star, s)) for s, star in model.disc.realizing(kappa_sq)]
+    return [(s, star, _ambient_div(model, star, s)) for s, star in model.disc.realizing(kappa_sq)]
 
 
 def _key(m: int, n: int, gamma: int, kappa_sq: int, s: int, star) -> HeegnerKey:
@@ -253,7 +237,7 @@ def coordinate_oracle(m: int, n: int, gamma: int, bound: int,
                     continue
                 s = gcd(pr1, pr2, c)
                 star = model.star_of((pr1 // s, pr2 // s))
-                amb = model._ambient_div_coords(a, b, c)
+                amb = _ambient_div_coords(model, a, b, c)
                 out.update((k2, s, star, amb) for k2 in realized)
     return frozenset(out)
 

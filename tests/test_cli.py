@@ -807,6 +807,11 @@ def _subparsers(parser, path=()):
                 yield from _subparsers(sub, path + (name,))
 
 
+# the parser, built once for the tests that read many argvs with it and
+# left unchanged by them
+_PARSER = build_parser()
+
+
 def _captured(call, argv):
     """(return value or exit code, stdout, stderr) of call(argv)."""
     out, err = io.StringIO(), io.StringIO()
@@ -816,30 +821,6 @@ def _captured(call, argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
-
-
-def test_one_command_parser_prints_what_the_full_parser_prints():
-    full = build_parser()
-    paths = [()] + [path for path, _ in _subparsers(full)]
-    usage_errors = [
-        ["pell", "min", "--d", "13"],  # missing --t
-        ["nope"],
-        [],
-        ["--format", "xml", "pell", "min", "--d", "13", "--t", "1"],
-        ["pell"],
-        ["pell", "nope"],
-        ["pell", "min", "--d", "x", "--t", "1"],
-        ["chi", "--series", "K3", "--m", "2", "--q", "2"],
-        ["aut", "s2", "--e", "5", "--bogus"],
-    ]
-    for argv in [[*path, "--help"] for path in paths] + usage_errors:
-        assert (_captured(build_parser(argv).parse_args, argv)
-                == _captured(full.parse_args, argv)), argv
-    for path in paths:
-        # a handler's UsageError prints the top-level usage
-        assert build_parser(path).format_usage() == full.format_usage(), path
-    one = build_parser(["--format", "text", "pell", "min", "--d", "13", "--t", "1"])
-    assert [path for path, _ in _subparsers(one)] == [("pell",), ("pell", "min")]
 
 
 def _metavar_parser(command, subcommand, description, usage):
@@ -896,7 +877,7 @@ def _check_reader(argv):
     if read is None:
         return 0
     try:
-        args = vars(build_parser(argv).parse_args(argv))
+        args = vars(_PARSER.parse_args(argv))
     except SystemExit as exc:
         raise AssertionError(f"the reader answers {argv!r}, which the parser rejects") from exc
     fmt, command, leaf = args.pop("format"), args.pop("command"), args.pop("leaf")
@@ -996,18 +977,29 @@ def test_pinned_usage_prints_what_the_metavar_parser_printed(monkeypatch):
     # elsewhere, so there the reference gets the pinned usage and checks the
     # rest of each message
     monkeypatch.setenv("COLUMNS", "80")
-    from hkpell.cli import _named
+    from hkpell.cli import _COMMANDS
 
-    full = build_parser()
-    usage = full.usage if sys.version_info >= (3, 13) else None
+    def named(argv):
+        """The command argv names, if only --format options precede it, and
+        the subcommand that follows it; None for a name argv does not give."""
+        i = 0
+        while i < len(argv) and (argv[i] == "--format" or argv[i].startswith("--format=")):
+            i += 1 if "=" in argv[i] else 2
+        command = argv[i] if i < len(argv) and argv[i] in _COMMANDS else None
+        subcommands = _COMMANDS[command][1] if command else None
+        if isinstance(subcommands, dict) and i + 1 < len(argv) and argv[i + 1] in subcommands:
+            return command, argv[i + 1]
+        return command, None
+
+    usage = _PARSER.usage if sys.version_info >= (3, 13) else None
     # the reference reads argv only through the names it gives
     reference = functools.lru_cache(maxsize=None)(
-        lambda names: _metavar_parser(*names, full.description, usage))
+        lambda names: _metavar_parser(*names, _PARSER.description, usage))
     for argv in _grammar_grid():
-        new, old = build_parser(argv), reference(_named(argv))
+        old = reference(named(argv))
         # a handler's UsageError and the csv check print the root usage
-        assert new.format_usage() == old.format_usage(), argv
-        assert _captured(new.parse_args, argv) == _captured(old.parse_args, argv), argv
+        assert _PARSER.format_usage() == old.format_usage(), argv
+        assert _captured(_PARSER.parse_args, argv) == _captured(old.parse_args, argv), argv
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse 3.13 wraps the usage elsewhere")
@@ -1067,7 +1059,7 @@ def _invocation(leaf):
     return st.tuples(*parts).map(lambda ps: (path, [arg for p in ps for arg in p]))
 
 
-_LEAVES = [(path, p) for path, p in _subparsers(build_parser())
+_LEAVES = [(path, p) for path, p in _subparsers(_PARSER)
            if not any(isinstance(a, argparse._SubParsersAction) for a in p._actions)]
 
 

@@ -9,16 +9,15 @@ from hkpell import periods
 from hkpell.arith import (BadCongruence, UnsupportedParameters, check_polarization, divisors,
                           is_square_mod, polarization_classes, prime_factors, v_p)
 from hkpell.autgroups import very_general_bir
-from hkpell.discform import block_sum, polarized_tail, smith_normal_form, tail_basis
-from hkpell.lattice import (E8_MINUS, U, DiscGroup, _det,
+from hkpell.discform import block_sum, polarized_model, smith_normal_form, tail_basis
+from hkpell.lattice import (E8_MINUS, U, Block, DiscGroup, _det,
                             LatticeSpec, NoDoubleU, NotPrimitive, OrbitKey, ZeroVector, disc_group,
                             disc_group_of, divisibility,
                             exists_primitive_vector, extended_k3_lattice,
                             heegner_finiteness_bound, hilbert_scheme_lattice,
                             k3_lattice, k3_polarized_orthogonal,
                             moduli_component_count, monodromy_index,
-                            orbit_key, polarization_determined,
-                            polarized_orthogonal, strange_dual_params)
+                            orbit_key, polarization_determined, strange_dual_params)
 from hkpell.periods import coordinate_oracle
 
 
@@ -149,14 +148,24 @@ def test_divisibility_examples():
         divisibility(k3.vector([0] * 22))
 
 
+def _polarized_spec(m, n, gamma):
+    """h^perp as a block-sum lattice: U^2 + E8(-1)^2 + the model's tail blocks."""
+    tail = tuple(Block("tail", gram) for gram in polarized_model(m, n, gamma).blocks)
+    return LatticeSpec((U, U, E8_MINUS, E8_MINUS) + tail)
+
+
+def _histogram(dg):
+    """The multiset of (element order, q-bar) over the whole group."""
+    return sorted((dg.element_order(el), dg.qbar(el)) for el in dg.elements())
+
+
 def test_polarized_orthogonal_shapes():
-    spec = polarized_orthogonal(2, 1, 1)
-    assert abs(spec.det) == 4
-    spec = polarized_orthogonal(2, 3, 2)
-    assert abs(spec.det) == 3
-    assert spec.blocks[-1].gram == ((-2, -1), (-1, -2))
+    assert abs(_polarized_spec(2, 1, 1).det) == 4
+    spec = _polarized_spec(2, 3, 2)
+    assert abs(spec.det) == 3 and spec.rank == 22
+    assert spec.blocks[-1].gram == ((-2, -1), (-1, -2)) == polarized_model(2, 3, 2).tail
     with pytest.raises(BadCongruence):
-        polarized_orthogonal(2, 2, 2)
+        polarized_model(2, 2, 2)
 
 
 def test_disc_group_examples():
@@ -230,20 +239,38 @@ def test_invariant_factors_are_a_divisor_chain_of_the_same_group():
 
 
 def test_disc_group_matches_coordinates():
-    # same multiset of (element order, quadratic value) as a direct
-    # computation from the block Gram matrices
-    for m, n, gamma in [(2, 1, 1), (2, 5, 1), (3, 4, 1), (2, 3, 2), (3, 2, 2),
-                        (4, 1, 2), (5, 8, 2), (9, 4, 2), (2, 11, 2), (6, 4, 1)]:
-        if gamma == 2 and (n + m) % 4 != 1:
-            continue
-        curated = disc_group(m, n, gamma)
-        generic = disc_group_of(polarized_orthogonal(m, n, gamma))
+    # the Smith form of the whole Gram of U^2 + E8(-1)^2 + tail, one block of
+    # rank 22, gives the model's group: its columns v over the entries d are
+    # the generators v/d of the dual modulo the lattice.  Nothing is dropped
+    # or taken blockwise, q-bar comes straight from the Gram, and the order
+    # checks the tail against the determinant of h^perp
+    cells = 0
+    for m in range(2, 13):
+        for n in range(1, 13):
+            for gamma in divisors(math.gcd(2 * n, 2 * m - 2)):
+                if not 1 <= len(polarization_classes(m, n, gamma)) <= 2:
+                    continue
+                where = (m, n, gamma)
+                model = polarized_model(m, n, gamma)
+                g = block_sum(U.gram, U.gram, E8_MINUS.gram, E8_MINUS.gram, *model.blocks)
+                d, _, v = smith_normal_form(g)
+                gens = [(di, [row[i] for row in v]) for i, di in enumerate(d) if abs(di) != 1]
 
-        def histogram(dg):
-            return sorted((dg.element_order(el), dg.qbar(el)) for el in dg.elements())
+                def pair(x, y):
+                    return sum(x[i] * g[i][j] * y[j] for i in range(len(g)) for j in range(len(g)))
 
-        assert histogram(curated) == histogram(generic), (m, n, gamma)
-        assert curated == periods._model(m, n, gamma).disc, (m, n, gamma)
+                whole = DiscGroup(tuple(abs(di) for di, _ in gens),
+                                  tuple(Fraction(pair(x, x), di * di) % 2 for di, x in gens),
+                                  tuple(tuple(Fraction(pair(x, y), di * dj) % 1 for dj, y in gens)
+                                        for di, x in gens))
+                # |D| = |det h^perp| = 2n(2m - 2)/gamma^2
+                assert whole.order == 4 * n * (m - 1) // gamma ** 2, where
+                assert whole.invariant_factors == model.disc.invariant_factors, where
+                assert _histogram(whole) == _histogram(model.disc), where
+                # lattice disc prints the group that the Heegner stars are written on
+                assert disc_group(m, n, gamma) == periods._model(m, n, gamma).disc, where
+                cells += 1
+    assert cells == 176
 
 
 def test_one_model_of_the_polarized_orthogonal():
@@ -252,39 +279,45 @@ def test_one_model_of_the_polarized_orthogonal():
     for m in range(2, 31):
         for n in range(1, 31):
             for gamma in (1, 2) if (n + m) % 4 == 1 else (1,):
-                _, tail = polarized_tail(m, n, gamma)
-                spec = polarized_orthogonal(m, n, gamma)
+                model = polarized_model(m, n, gamma)
+                spec = _polarized_spec(m, n, gamma)
                 assert spec.blocks[:4] == (U, U, E8_MINUS, E8_MINUS)
-                assert tuple(b.gram for b in spec.blocks[4:]) == tail, (m, n, gamma)
-                model = periods._model(m, n, gamma)
-                assert model.tail == block_sum(*tail)
+                assert tuple(b.gram for b in spec.blocks[4:]) == model.blocks, (m, n, gamma)
+                assert model.tail == block_sum(*model.blocks)
+                assert periods._model(m, n, gamma) == model, (m, n, gamma)
                 assert disc_group(m, n, gamma) == model.disc, (m, n, gamma)
+                assert disc_group_of(spec) == model.disc, (m, n, gamma)
 
 
 def test_polarized_tail_domain():
-    assert polarized_tail(4, 2, 1) == (((1, -2, 0), (0, 0, -1)), (((-4,),), ((-6,),)))
-    assert polarized_tail(2, 3, 2) == (((0, -1, -1), (1, -1, 0)), (((-2, -1), (-1, -2)),))
+    def tail(m, n, gamma):
+        model = polarized_model(m, n, gamma)
+        assert model.tail == block_sum(*model.blocks)
+        return model.basis, model.blocks
+
+    assert tail(4, 2, 1) == (((1, -2, 0), (0, 0, -1)), (((-4,),), ((-6,),)))
+    assert tail(2, 3, 2) == (((0, -1, -1), (1, -1, 0)), (((-2, -1), (-1, -2)),))
     # gamma = 3, k = 1: h = 3u + 3v + ell, c = 2, t = 1
-    assert polarized_tail(4, 6, 3) == (((0, -2, -1), (1, -1, 0)), (((-6, -2), (-2, -2)),))
+    assert tail(4, 6, 3) == (((0, -2, -1), (1, -1, 0)), (((-6, -2), (-2, -2)),))
     for m, n in [(1, 1), (2, 0), (0, -3)]:
         with pytest.raises(ValueError, match="m >= 2"):
-            polarized_tail(m, n, 1)
+            polarized_model(m, n, 1)
     with pytest.raises(BadCongruence, match="n \\+ m = 1"):
-        polarized_tail(2, 1, 2)
+        polarized_model(2, 1, 2)
     for gamma in (0, 3, -1):
         with pytest.raises(ValueError):
-            polarized_tail(2, 3, gamma)
+            polarized_model(2, 3, gamma)
         with pytest.raises(ValueError):
             strange_dual_params(2, 3, gamma)
     # the classes k in {1, 2, 3, 4} are two components, of non-isometric tails
     assert polarization_classes(26, 25, 5) == (1, 2, 3, 4)
     with pytest.raises(UnsupportedParameters, match="2 moduli components"):
-        polarized_tail(26, 25, 5)
+        polarized_model(26, 25, 5)
     assert strange_dual_params(26, 25, 5) == (26, 25, 5)
 
 
 def _parent_tail(m, n, gamma):
-    """polarized_tail's blocks as they were written out for gamma = 1 and 2."""
+    """The model's tail blocks as they were written out for gamma = 1 and 2."""
     p = m - 1
     if gamma == 1:
         return ((-2 * n,),), ((-2 * p,),)
@@ -314,7 +347,7 @@ def test_tail_basis_spans_the_orthogonal_of_every_class():
                     assert det * gamma * gamma == 4 * p * n, where
                     cells += 1
                 if gamma <= 2 and polarization_classes(m, n, gamma):
-                    assert polarized_tail(m, n, gamma)[1] == _parent_tail(m, n, gamma)
+                    assert polarized_model(m, n, gamma).blocks == _parent_tail(m, n, gamma)
     assert cells > 2000
 
 
@@ -386,7 +419,7 @@ def test_smith_normal_form_matches_the_two_pass_form():
     mats = itertools.chain(
         (((x,),) for x in small),
         (((a, b), (c, d)) for a, b, c, d in itertools.product(small, repeat=4)),
-        (polarized_tail(m, n, 2)[1][0] for m in range(2, 200) for n in range(1, 200)
+        (_parent_tail(m, n, 2)[0] for m in range(2, 200) for n in range(1, 200)
          if (n + m) % 4 == 1))
     for mat in mats:
         assert smith_normal_form(mat) == _two_pass_smith_form(mat), mat
@@ -421,18 +454,11 @@ def test_smith_normal_form():
 
 def test_orbit_keys():
     k3 = k3_lattice()
-    key = orbit_key(k3.vector([1, 5] + [0] * 20))
-    assert (key.square, key.star_order, key.star_q) == (10, 1, Fraction(0))
-
+    assert orbit_key(k3.vector([1, 5] + [0] * 20)) == OrbitKey(10, 1)
     m4 = hilbert_scheme_lattice(4)
-    key = orbit_key(m4.vector([0] * 22 + [1]))
-    assert (key.square, key.star_order) == (-6, 6)
-    assert key.star_q == Fraction(-1, 6) % 2
-
+    assert orbit_key(m4.vector([0] * 22 + [1])) == OrbitKey(-6, 6)
     w = k3_polarized_orthogonal(6).vector([0] * 20 + [1])
-    key = orbit_key(w)
-    assert (key.square, key.star_order) == (-12, 12)
-    assert key.star_q == Fraction(-1, 12) % 2
+    assert orbit_key(w) == OrbitKey(-12, 12)
 
     with pytest.raises(NotPrimitive):
         orbit_key(k3.vector([2, 2] + [0] * 20))
@@ -451,18 +477,14 @@ def test_orbit_key_block_permutation():
 
 
 def test_exists_primitive_vector():
-    root_div1 = OrbitKey(-2, 1, Fraction(-2) % 2)
-    root_div2 = OrbitKey(-2, 2, Fraction(-1, 2) % 2)
-    unreduced = OrbitKey(-2, 2, Fraction(-1, 2))  # the same key, star_q kept as given
-    assert unreduced.star_q == Fraction(-1, 2)
+    root_div1, root_div2 = OrbitKey(-2, 1), OrbitKey(-2, 2)
     for e in range(1, 20):
         spec = k3_polarized_orthogonal(e)
         assert exists_primitive_vector(spec, root_div1)
         assert exists_primitive_vector(spec, root_div2) == (e % 4 == 1), e
-        assert exists_primitive_vector(spec, unreduced) == (e % 4 == 1), e
     uu = LatticeSpec((U, U))
     assert exists_primitive_vector(uu, root_div1)
-    assert not exists_primitive_vector(uu, OrbitKey(-2, 3, Fraction(-2, 9) % 2))
+    assert not exists_primitive_vector(uu, OrbitKey(-2, 3))
 
 
 def test_exists_primitive_vector_matches_the_coordinate_oracle():
@@ -472,7 +494,7 @@ def test_exists_primitive_vector_matches_the_coordinate_oracle():
     for m in (2, 3, 4):
         for n in range(1, 5):
             for gamma in (1, 2) if (n + m) % 4 == 1 else (1,):
-                spec = polarized_orthogonal(m, n, gamma)
+                spec = _polarized_spec(m, n, gamma)
                 keys = {(k2, s) for k2, s, _, _ in coordinate_oracle(m, n, gamma, 3)}
                 for k2, s in keys:
                     assert exists_primitive_vector(spec, OrbitKey(k2, s)), (m, n, gamma, k2, s)
@@ -486,7 +508,7 @@ def test_exists_primitive_vector_reads_the_torsion_as_the_index_does():
     for m in range(2, 5):
         for n in range(1, 5):
             for gamma in (1, 2) if (n + m) % 4 == 1 else (1,):
-                spec = polarized_orthogonal(m, n, gamma)
+                spec = _polarized_spec(m, n, gamma)
                 index = _parent_index(disc_group_of(spec))
                 for s in range(1, 2 * (m + n)):
                     for square in range(-4 * (m + n), 3, 2):
@@ -595,8 +617,7 @@ def _isometric_tails(source, target):
     the same blocks up to order (gamma = 1), or the base change
     (x, y) -> (-x, 2x + y) carries the source's tail block to the target's
     (gamma = 2)."""
-    b1 = [b.gram for b in polarized_orthogonal(*source).blocks]
-    b2 = [b.gram for b in polarized_orthogonal(*target).blocks]
+    b1, b2 = polarized_model(*source).blocks, polarized_model(*target).blocks
     if source[2] == 1:
         return sorted(b1) == sorted(b2)
     s, g = ((-1, 0), (2, 1)), b1[-1]
@@ -626,9 +647,6 @@ def test_strange_duality_past_gamma_2():
     # component the two polarized orthogonals have the same discriminant form;
     # as both are indefinite and hold U + U, they are isometric (Nikulin, Izv.
     # 1979, Cor. 1.13.3)
-    def histogram(dg):
-        return sorted((dg.element_order(el), dg.qbar(el)) for el in dg.elements())
-
     compared = 0
     for m in range(2, 31):
         for n in range(1, 31):
@@ -640,7 +658,7 @@ def test_strange_duality_past_gamma_2():
                 assert polarization_classes(*dual) == tuple(
                     sorted(pow(k, -1, gamma) for k in classes)), (m, n, gamma)
                 if len(classes) == 2:
-                    assert histogram(disc_group(m, n, gamma)) == histogram(disc_group(*dual))
+                    assert _histogram(disc_group(m, n, gamma)) == _histogram(disc_group(*dual))
                     compared += 1
     assert compared > 50
 

@@ -1,5 +1,9 @@
+import functools
+import importlib
+import importlib.util
 import inspect
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hkpell
 from hkpell.arith import is_square, square_divisors
 from hkpell.pell import (ExcludedDegenerateCase, PellEquation, PellError, PellSolution,
                          PerfectSquareInput, Solvability, Unsolvable,
@@ -53,6 +58,34 @@ def test_caches_are_bounded():
 
     for cache in (fundamental_solution, _class_reps, _model):
         assert cache.cache_info().maxsize is not None, cache
+
+
+def test_the_benchmarks_empty_cache_guard_counts_every_cache():
+    # the benchmark refuses a pass unless bench/tracing.py's cached_entries()
+    # reads 0 at its start, which proves the caches empty only if it counts
+    # every one of them: each lru_cache of the package, found by a scan of
+    # every module, filled once, must raise the count by one
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    fills = {"hkpell.pell.fundamental_solution": (13,), "hkpell.pell._class_reps": (13, -4),
+             "hkpell.periods._model": (2, 3, 2)}
+    found = {}
+    for info in pkgutil.walk_packages(hkpell.__path__, "hkpell."):
+        if info.name.endswith("__main__"):  # it would run a launch
+            continue
+        for obj in vars(importlib.import_module(info.name)).values():
+            if isinstance(obj, functools._lru_cache_wrapper):
+                found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    assert set(found) == set(fills)
+    for cache in found.values():
+        cache.cache_clear()
+    held = tracing.cached_entries()
+    for name, args in fills.items():
+        found[name](*args)
+        assert tracing.cached_entries() == held + 1, name
+        held += 1
 
 
 def test_fundamental_square_input():

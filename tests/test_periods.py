@@ -9,7 +9,8 @@ from hkpell import cones, periods
 from hkpell.arith import (BadCongruence, NonPrimePower, UnsupportedParameters, divisors,
                           is_squarefree, polarization_classes, v_p, wall_constraints)
 from hkpell.discform import DiscGroup
-from hkpell.periods import (HeegnerKey, _key, _model, _realizable_classes, coordinate_oracle,
+from hkpell.periods import (HeegnerKey, _ambient_div, _ambient_div_coords, _key, _model,
+                            _realizable_classes, coordinate_oracle,
                             excluded_heegner, excluded_heegner_m2_report,
                             heegner_components_m2, heegner_nonempty_m2,
                             hilbert_square_point, hilbert_square_points, nl_family)
@@ -67,7 +68,7 @@ def _valid_params(ms, ns):
 def test_realizable_classes_match_a_scan(m):
     for m, n, gamma in _valid_params((m,), range(1, 9)):
         model = _model(m, n, gamma)
-        scanned = [(s, star, q, model.ambient_div(star, s))
+        scanned = [(s, star, q, _ambient_div(model, star, s))
                    for star, (s, q) in _scanned_classes(model).items()]
         for kappa_sq in range(-200, 0, 2):
             want = sorted((s, star, amb) for s, star, q, amb in scanned
@@ -118,11 +119,11 @@ def test_star_of_pairings_and_ambient_div_match_the_fraction_lift():
             s = model.disc.element_order(el)
             assert all((s * c).denominator == 1 for c in x)
             a, b = (int(s * c) for c in x)
-            assert model.ambient_div(el, s) == model._ambient_div_coords(a, b, s), \
+            assert _ambient_div(model, el, s) == _ambient_div_coords(model, a, b, s), \
                 (m, n, gamma, el)
             if s > 1:  # the dual of a nonzero class is not integral
                 with pytest.raises(periods.PeriodsError, match="not integral"):
-                    model.ambient_div(el, 1)
+                    _ambient_div(model, el, 1)
 
 
 def test_components_m2():
@@ -327,7 +328,7 @@ def _oracle_agrees(m, n, gamma, bound):
     analytic = excluded_heegner(m, n, gamma)
     model = _model(m, n, gamma)
     for key in analytic:
-        amb = model.ambient_div(key.star, key.s)
+        amb = _ambient_div(model, key.star, key.s)
         assert (key.kappa_prim_sq, key.s, key.star, amb) in oracle, key
     for (k2, s, star, amb) in oracle:
         qualifies = False
@@ -351,7 +352,7 @@ def test_oracle_agreement_small():
 
 
 def _parent_ambient_div(m, gamma, a, b, c):
-    """_Model._ambient_div_coords as it was, one branch per divisibility."""
+    """_ambient_div_coords as it was, one branch per divisibility."""
     if gamma == 1:
         return gcd(a, 2 * (m - 1) * b, c)
     return gcd((m - 1) * a, b, c)
@@ -363,7 +364,7 @@ def test_ambient_divisibility_is_the_parent_branch_at_gamma_1_and_2():
         for a in range(-6, 7):
             for b in range(-6, 7):
                 for c in range(7):
-                    assert model._ambient_div_coords(a, b, c) == \
+                    assert _ambient_div_coords(model, a, b, c) == \
                         _parent_ambient_div(m, gamma, a, b, c), (m, n, gamma, a, b, c)
 
 

@@ -26,7 +26,7 @@ RECORDS = [
     (lattice.LatticeSpec, ((lattice.U, lattice.U),)),
     (lattice.LatticeVector, (lattice.LatticeSpec((lattice.U,)), (1, 1))),
     (discform.DiscGroup, ((2,), (Fraction(3, 2),), ((Fraction(3, 4),),))),
-    (lattice.OrbitKey, (-2, 2, Fraction(3, 2))),
+    (lattice.OrbitKey, (-2, 2)),
     (autgroups.GroupTag, ("unknown", "no witness")),
     (rrinv.RiemannRochInput, (rrinv.KUMMER, 2, 4)),
     (periods.HeegnerKey, (6, -12, 2, (0, 1))),
@@ -34,7 +34,8 @@ RECORDS = [
     (arith.WallType, (-10, 2, False)),
     (periods.ComponentReport, (1, (periods.HeegnerKey(6, -12, 2, (0, 1)),), True)),
     (periods.ExclusionReport, ((periods.HeegnerKey(6, -12, 2, (0, 1)),), ())),
-    (periods._Model, (4, 1, 2, ((0, -3, -1), (1, -1, 0)), ((-6, -3), (-3, -2)), None, ())),
+    (discform.PolarizedModel, (4, 1, 2, ((0, -3, -1), (1, -1, 0)), (((-6, -3), (-3, -2)),),
+                               ((-6, -3), (-3, -2)), None, ())),
 ]
 
 
@@ -113,7 +114,7 @@ def test_keyword_arguments_and_defaults():
     rep = cones.ConeReport(mov_slope=mov, nef_slope=mov, interior_walls=(), symmetric=True)
     assert (rep.walls_infinite, rep.symmetric) == (False, True)
     assert autgroups.GroupTag("z2") == autgroups.Z2 and autgroups.Z2.reason == ""
-    assert lattice.OrbitKey(-2, 2).star_q == Fraction(3, 2)  # derived: -2/4 mod 2
+    assert lattice.OrbitKey(star_order=2, square=-2) == lattice.OrbitKey(-2, 2)
     assert pell.PellEquation.classical(13, -4) == pell.PellEquation(e1=1, e2=13, t=-4)
 
 
@@ -122,8 +123,7 @@ def test_reprs():
     assert repr(autgroups.GroupTag("z2")) == "GroupTag(kind='z2', reason='')"
     assert repr(periods.HeegnerKey(6, -12, 2, (0, 1))) == \
         "HeegnerKey(d=6, kappa_prim_sq=-12, s=2, star=(0, 1))"
-    assert repr(lattice.OrbitKey(-2, 2)) == \
-        "OrbitKey(square=-2, star_order=2, star_q=Fraction(3, 2))"
+    assert repr(lattice.OrbitKey(-2, 2)) == "OrbitKey(square=-2, star_order=2)"
 
 
 @pytest.mark.parametrize("cls", [pell.PellSolution, periods.HeegnerKey])
@@ -153,8 +153,6 @@ def test_unordered_records_refuse_order():
     (lambda: pell.PellEquation(1, 13, 0), ValueError, "right-hand side t must be nonzero"),
     (lambda: cones.ExtremalSlope(False, Fraction(-1)), ValueError, "slopes are nonnegative"),
     (lambda: lattice.OrbitKey(-2, 0), ValueError, "star_order must be positive"),
-    (lambda: lattice.OrbitKey(-2, 2, Fraction(1, 2)), ValueError,
-     "star_q must be square/star_order^2 modulo 2"),
     (lambda: lattice.Block("odd", ((1,),)), ValueError, "lattice must be even"),
     (lambda: lattice.Block("ragged", ((0, 1), (1,))), ValueError, "Gram matrix must be square"),
     (lambda: lattice.Block("skew", ((0, 1), (2, 0))), ValueError,
