@@ -9,9 +9,10 @@ fraction of sqrt(d): the period is a palindrome, so the expansion stops at
 its midpoint, where P or Q repeats, and one product of the convergents there
 closes it (Lenstra, "Solving the Pell equation", Notices AMS 2002;
 Jacobson-Williams, Solving the Pell Equation, 2009, ch. 5; the two closing
-formulas are in fundamental_solution).  Class representatives are found with
-the PQa continued-fraction algorithm, which stays fast even when the
-fundamental unit is astronomical.
+formulas are in fundamental_solution).  The expansion carries the numerators
+of the convergents only; their denominators are read once, at the midpoint.
+Class representatives are found with the PQa continued-fraction algorithm,
+which stays fast even when the fundamental unit is astronomical.
 The minimum, the first n solutions and all solutions below a bound are read
 from one lazy stream, positive_solutions.
 """
@@ -123,7 +124,11 @@ def fundamental_solution(d: int) -> PellSolution:
 
     That is half the steps of one period, on convergents of half the bits
     (Lenstra, "Solving the Pell equation", Notices AMS 2002; Jacobson-Williams,
-    Solving the Pell Equation, 2009, ch. 5).
+    Solving the Pell Equation, 2009, ch. 5).  The expansion carries the
+    numerators p_k alone, one big-integer update per step, and q is read
+    once, at the midpoint, from p_k^2 - d*q_k^2 = (-1)^(k+1) * Q_{k+1}: one
+    isqrt gives q_{i-1}, and on the odd branch, where Q_{i+1} = Q_i, one more
+    gives q_i.
     """
     if d <= 0:
         raise ValueError("d must be positive")
@@ -132,21 +137,25 @@ def fundamental_solution(d: int) -> PellSolution:
         raise PerfectSquareInput(f"{d} is a perfect square; only (+-1, 0) solve the unit equation")
     m, den, a = 0, 1, r
     p_prev, p = 1, r
-    q_prev, q = 0, 1
+    sign = 1  # (-1)^i, so that p_{i-1}^2 - d*q_{i-1}^2 = sign*Q_i
     while True:
         m_next = den * a - m
         if m_next == m:
+            q_prev = isqrt((p_prev * p_prev - sign * den) // d)
             p, q = (p_prev * p_prev + d * q_prev * q_prev) // den, 2 * p_prev * q_prev // den
             break
         den_next = (d - m_next * m_next) // den
         if den_next == den:
+            # Q_{i+1} = Q_i, so p_i^2 - d*q_i^2 = -sign*Q_i
+            q_prev = isqrt((p_prev * p_prev - sign * den) // d)
+            q = isqrt((p * p + sign * den) // d)
             x, y = (p_prev * p + d * q_prev * q) // den, (p_prev * q + p * q_prev) // den
             p, q = x * x + d * y * y, 2 * x * y
             break
         m, den = m_next, den_next
         a = (r + m) // den
         p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
+        sign = -sign
     if p * p - d * q * q != 1:
         raise PellError(f"half a period of sqrt({d}) did not yield a unit of norm 1")
     return PellSolution(p, q)

@@ -2,6 +2,7 @@ import functools
 import importlib
 import importlib.util
 import inspect
+import math
 import os
 import pkgutil
 import random
@@ -86,6 +87,48 @@ def test_the_benchmarks_empty_cache_guard_counts_every_cache():
         found[name](*args)
         assert tracing.cached_entries() == held + 1, name
         held += 1
+
+
+def _two_convergent_unit(d):
+    """pell.fundamental_solution as it was: the half-period expansion carries
+    both convergents p_i and q_i.  Returns the unit and whether the period is
+    odd, i.e. which closing formula gave it."""
+    r = isqrt(d)
+    m, den, a = 0, 1, r
+    p_prev, p = 1, r
+    q_prev, q = 0, 1
+    while True:
+        m_next = den * a - m
+        if m_next == m:
+            unit = (p_prev * p_prev + d * q_prev * q_prev) // den, 2 * p_prev * q_prev // den
+            return PellSolution(*unit), False
+        den_next = (d - m_next * m_next) // den
+        if den_next == den:
+            x, y = (p_prev * p + d * q_prev * q) // den, (p_prev * q + p * q_prev) // den
+            return PellSolution(x * x + d * y * y, 2 * x * y), True
+        m, den = m_next, den_next
+        a = (r + m) // den
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+
+
+def test_units_match_the_two_convergent_expansion():
+    # the expansion carries the numerators alone and reads q at the midpoint;
+    # the uncached solver must give the reference's unit on both closing
+    # branches, for small d and for units of up to 24000 bits
+    rng = random.Random(30)
+    pool = set()
+    while len(pool) < 200:
+        d = int(math.exp(rng.uniform(math.log(10**6), math.log(10**9))))
+        if not is_square(d):
+            pool.add(d)
+    odd = set()
+    for d in [d for d in range(2, 20000) if not is_square(d)] + sorted(pool):
+        unit, is_odd = _two_convergent_unit(d)
+        assert fundamental_solution.__wrapped__(d) == unit, d
+        if d in pool:
+            odd.add(is_odd)
+    assert odd == {False, True}
 
 
 def test_fundamental_square_input():
