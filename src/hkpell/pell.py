@@ -406,19 +406,17 @@ def generalized_min(e1: int, e2: int, t: int) -> PellSolution | None:
     return next(positive_solutions(e1, e2, t), None)
 
 
-def generalized_solutions(e1: int, e2: int, t: int, count: int) -> list[PellSolution]:
-    """The first `count` positive solutions of e1*a^2 - e2*b^2 = t by increasing a."""
+def solutions_in_order(d: int, t: int, count: int) -> list[PellSolution]:
+    """The first `count` positive solutions of a^2 - d*b^2 = t, by increasing a.
+
+    At most `count`: fewer when the stream is finite (square d).
+    """
     if count < 1:
         raise ValueError("count must be positive")
-    out = list(islice(positive_solutions(e1, e2, t), count))
+    out = list(islice(positive_solutions(1, d, t), count))
     if not out:
-        raise Unsolvable(f"{e1}a^2-{e2}b^2={t} has no positive solutions")
+        raise Unsolvable(f"1a^2-{d}b^2={t} has no positive solutions")
     return out
-
-
-def solutions_in_order(d: int, t: int, count: int) -> list[PellSolution]:
-    """The first `count` positive solutions of a^2 - d*b^2 = t, by increasing a."""
-    return generalized_solutions(1, d, t, count)
 
 
 def solvability(eq: PellEquation) -> Solvability:

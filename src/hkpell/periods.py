@@ -12,7 +12,6 @@ An independent brute-force enumeration over bounded coordinates
 (coordinate_oracle) cross-checks the analytic route.
 """
 
-from functools import lru_cache
 from math import gcd, lcm
 
 from .arith import (DomainError, OrderedRecord, Record, UnsupportedParameters,
@@ -46,12 +45,8 @@ class ExclusionReport(Record):
 
 
 # ---------------------------------------------------------------------------
-# the polarized orthogonal: discform's model, cached, and ambient divisibility
-
-
-@lru_cache(maxsize=256)  # over twice the 101 models of a period_ladder pass
-def _model(m: int, n: int, gamma: int) -> PolarizedModel:
-    return polarized_model(m, n, gamma)
+# the polarized orthogonal: ambient divisibility and keys, read off the model
+# that each query builds once
 
 
 def _ambient_div(model: PolarizedModel, star, s: int) -> int:
@@ -73,19 +68,8 @@ def _ambient_div_coords(model: PolarizedModel, a: int, b: int, c: int) -> int:
     return gcd(a * v1 + b * v2, a * u1 + b * u2, 2 * (model.m - 1) * (a * l1 + b * l2), c)
 
 
-def _realizable_classes(m: int, n: int, gamma: int, kappa_sq: int):
-    """(s, normalized star, ambient divisibility) triples realizing kappa_sq.
-
-    A primitive class of square kappa_sq with discriminant class star exists
-    iff star's quadratic value matches kappa_sq / order(star)^2 modulo 2; the
-    divisibility is then the order of star.
-    """
-    model = _model(m, n, gamma)
-    return [(s, star, _ambient_div(model, star, s)) for s, star in model.disc.realizing(kappa_sq)]
-
-
-def _key(m: int, n: int, gamma: int, kappa_sq: int, s: int, star) -> HeegnerKey:
-    d_num = abs(kappa_sq) * _model(m, n, gamma).disc.order
+def _key(model: PolarizedModel, kappa_sq: int, s: int, star) -> HeegnerKey:
+    d_num = abs(kappa_sq) * model.disc.order
     if d_num % (s * s):
         raise PeriodsError(f"s^2 = {s * s} does not divide the discriminant {d_num}")
     return HeegnerKey(d_num // (s * s), kappa_sq, s, tuple(star))
@@ -105,9 +89,9 @@ def heegner_nonempty_m2(n: int, gamma: int, e: int) -> bool:
     return is_square_mod(e, n)
 
 
-def _classes_for_discriminant(n: int, gamma: int, e: int):
-    """All (s, star, kappa^2) of primitive classes cutting discriminant 2e."""
-    model = _model(2, n, gamma)
+def _classes_for_discriminant(model: PolarizedModel, e: int):
+    """All (s, star, kappa^2) of primitive classes of the model cutting
+    discriminant 2e."""
     disc = model.disc.order
     out = []
     for s in divisors(lcm(*model.disc.orders)):
@@ -122,8 +106,9 @@ def heegner_components_m2(n: int, gamma: int, e: int) -> ComponentReport:
     """Component count (when the classification applies) with component keys."""
     if n < 1 or e < 1:
         raise ValueError("need n >= 1 and e >= 1")
-    classes = _classes_for_discriminant(n, gamma, e)
-    keys = tuple(sorted(_key(2, n, gamma, k2, s, star) for s, star, k2 in classes))
+    model = polarized_model(2, n, gamma)
+    keys = tuple(sorted(_key(model, k2, s, star)
+                        for s, star, k2 in _classes_for_discriminant(model, e)))
     proven = is_prime(n) or (is_squarefree(n) and e % n == 0)
     if proven:
         return ComponentReport(len(keys), keys, True)
@@ -174,11 +159,16 @@ def excluded_heegner(m: int, n: int, gamma: int) -> tuple[HeegnerKey, ...]:
     divs_by_square: dict[int, list[int]] = {}
     for wt in wall_types(m):
         divs_by_square.setdefault(wt.kappa_prim_sq, []).append(wt.div)
+    model = polarized_model(m, n, gamma)
     keys = set()
     for prim_sq, divs in divs_by_square.items():
-        for s, star, amb in _realizable_classes(m, n, gamma, prim_sq):
+        # a primitive class of square prim_sq with discriminant class star
+        # exists iff star's quadratic value matches prim_sq / order(star)^2
+        # modulo 2; the divisibility s is then the order of star
+        for s, star in model.disc.realizing(prim_sq):
+            amb = _ambient_div(model, star, s)
             if any(amb % div == 0 for div in divs):
-                keys.add(_key(m, n, gamma, prim_sq, s, star))
+                keys.add(_key(model, prim_sq, s, star))
     return tuple(sorted(keys))
 
 
@@ -209,7 +199,7 @@ def coordinate_oracle(m: int, n: int, gamma: int, bound: int,
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    model = _model(m, n, gamma)
+    model = polarized_model(m, n, gamma)
     products = _coprime_products(bound)
     if squares is not None:
         # the squares in each class mod 2c^2, for every c > 0 of the box: a

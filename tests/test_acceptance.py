@@ -115,7 +115,7 @@ def test_criterion_5_oracle_equivalence():
                 b += 1
         oracle = periods.coordinate_oracle(m, n, gamma, 12, frozenset(squares))
         analytic = periods.excluded_heegner(m, n, gamma)
-        model = periods._model(m, n, gamma)
+        model = periods.polarized_model(m, n, gamma)
         for key in analytic:
             amb = periods._ambient_div(model, key.star, key.s)
             assert (key.kappa_prim_sq, key.s, key.star, amb) in oracle, key
@@ -127,7 +127,7 @@ def test_criterion_5_oracle_equivalence():
                 for wc in arith.wall_constraints(m)
             )
             if qualifies:
-                assert periods._key(m, n, gamma, k2, s, star) in analytic, \
+                assert periods._key(model, k2, s, star) in analytic, \
                     (m, n, gamma, k2, s, star)
     _report(5, "coordinate oracle (bound 12) confirms the exclusion keys", t0, 60)
 

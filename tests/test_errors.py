@@ -39,8 +39,8 @@ DOMAIN_ERRORS = [
                  "d must be nonnegative", id="heegner_finiteness_bound(2, 1, 1, -1)"),
     pytest.param(lambda: pell.fundamental_solution(0), ValueError, "d must be positive",
                  id="fundamental_solution(0)"),
-    pytest.param(lambda: list(pell.generalized_solutions(1, 2, 1, 0)), ValueError,
-                 "count must be positive", id="generalized_solutions(1, 2, 1, 0)"),
+    pytest.param(lambda: pell.solutions_in_order(2, 1, 0), ValueError,
+                 "count must be positive", id="solutions_in_order(2, 1, 0)"),
     pytest.param(lambda: pell.compose_to_unit(2, 3, 2, PellSolution(1, 1)), ValueError,
                  "eps must be +-1", id="compose_to_unit eps = 2"),
     pytest.param(lambda: pell.compose_to_unit(2, 3, -1, PellSolution(11, 9)), ValueError,

@@ -268,7 +268,7 @@ def test_disc_group_matches_coordinates():
                 assert whole.invariant_factors == model.disc.invariant_factors, where
                 assert _histogram(whole) == _histogram(model.disc), where
                 # lattice disc prints the group that the Heegner stars are written on
-                assert disc_group(m, n, gamma) == periods._model(m, n, gamma).disc, where
+                assert disc_group(m, n, gamma) == model.disc, where
                 cells += 1
     assert cells == 176
 
@@ -276,6 +276,7 @@ def test_disc_group_matches_coordinates():
 def test_one_model_of_the_polarized_orthogonal():
     # lattice and periods read the same tail, so they agree on the generators
     # that lattice disc prints and the stars of Heegner keys are written on
+    assert periods.polarized_model is polarized_model
     for m in range(2, 31):
         for n in range(1, 31):
             for gamma in (1, 2) if (n + m) % 4 == 1 else (1,):
@@ -284,7 +285,6 @@ def test_one_model_of_the_polarized_orthogonal():
                 assert spec.blocks[:4] == (U, U, E8_MINUS, E8_MINUS)
                 assert tuple(b.gram for b in spec.blocks[4:]) == model.blocks, (m, n, gamma)
                 assert model.tail == block_sum(*model.blocks)
-                assert periods._model(m, n, gamma) == model, (m, n, gamma)
                 assert disc_group(m, n, gamma) == model.disc, (m, n, gamma)
                 assert disc_group_of(spec) == model.disc, (m, n, gamma)
 

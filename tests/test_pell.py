@@ -23,7 +23,7 @@ from hkpell.arith import is_square, square_divisors
 from hkpell.pell import (ExcludedDegenerateCase, PellEquation, PellError, PellSolution,
                          PerfectSquareInput, Solvability, Unsolvable,
                          WrongEquation, compose_to_unit, fundamental_solution,
-                         generalized_min, generalized_solutions,
+                         generalized_min,
                          min_positive_solution, positive_solutions, same_class,
                          solution_classes, solutions_in_order, solvability)
 from hkpell.pell import _canonical_rep, _class_reps, _mul_unit, _negative_unit, _pqa_hits
@@ -55,9 +55,7 @@ def test_fundamental_golden():
 
 def test_caches_are_bounded():
     # a long-running caller must not grow them without limit
-    from hkpell.periods import _model
-
-    for cache in (fundamental_solution, _class_reps, _model):
+    for cache in (fundamental_solution, _class_reps):
         assert cache.cache_info().maxsize is not None, cache
 
 
@@ -70,8 +68,7 @@ def test_the_benchmarks_empty_cache_guard_counts_every_cache():
         "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    fills = {"hkpell.pell.fundamental_solution": (13,), "hkpell.pell._class_reps": (13, -4),
-             "hkpell.periods._model": (2, 3, 2)}
+    fills = {"hkpell.pell.fundamental_solution": (13,), "hkpell.pell._class_reps": (13, -4)}
     found = {}
     for info in pkgutil.walk_packages(hkpell.__path__, "hkpell."):
         if info.name.endswith("__main__"):  # it would run a launch
@@ -475,6 +472,8 @@ def test_stream_golden():
         PellSolution(5, 1), PellSolution(85, 19), PellSolution(1525, 341)]
     assert solutions_in_order(164, 5, 2) == [PellSolution(13, 1), PellSolution(397, 31)]
     assert solutions_in_order(2, 1, 2) == [PellSolution(3, 2), PellSolution(17, 12)]
+    # square d: the stream is finite, so fewer than count come back
+    assert solutions_in_order(4, 5, 2) == [PellSolution(3, 1)]
     with pytest.raises(Unsolvable):
         solutions_in_order(12, 5, 1)
 
@@ -545,7 +544,7 @@ def test_compose_matches_fundamental_random():
 def test_generalized_golden():
     assert generalized_min(3, 8, -5) == PellSolution(1, 1)
     assert generalized_min(3, 6, 1) is None
-    assert generalized_solutions(3, 8, -5, 3) == [
+    assert list(islice(positive_solutions(3, 8, -5), 3)) == [
         PellSolution(1, 1), PellSolution(3, 2), PellSolution(13, 8)]
 
 

@@ -8,9 +8,9 @@ import pytest
 from hkpell import cones, periods
 from hkpell.arith import (BadCongruence, NonPrimePower, UnsupportedParameters, divisors,
                           is_squarefree, polarization_classes, v_p, wall_constraints)
-from hkpell.discform import DiscGroup
-from hkpell.periods import (HeegnerKey, _ambient_div, _ambient_div_coords, _key, _model,
-                            _realizable_classes, coordinate_oracle,
+from hkpell.discform import DiscGroup, polarized_model
+from hkpell.periods import (HeegnerKey, _ambient_div, _ambient_div_coords,
+                            _classes_for_discriminant, _key, coordinate_oracle,
                             excluded_heegner, excluded_heegner_m2_report,
                             heegner_components_m2, heegner_nonempty_m2,
                             hilbert_square_point, hilbert_square_points, nl_family)
@@ -28,14 +28,14 @@ def test_nonempty_m2():
 
 def test_nonempty_matches_class_enumeration():
     # the residue criteria match direct realizability of a cutting class
-    from hkpell.periods import _classes_for_discriminant
     for n in range(1, 26):
         for gamma in (1, 2):
             if gamma == 2 and n % 4 != 3:
                 continue
+            model = polarized_model(2, n, gamma)
             for e in range(1, 49):
                 residue = heegner_nonempty_m2(n, gamma, e)
-                classes = _classes_for_discriminant(n, gamma, e)
+                classes = _classes_for_discriminant(model, e)
                 assert residue == bool(classes), (n, gamma, e)
 
 
@@ -59,6 +59,12 @@ def _scanned_classes(model):
     return out
 
 
+def _realizable(model, kappa_sq):
+    """(s, normalized star, ambient divisibility) of the primitive classes of
+    square kappa_sq, as excluded_heegner reads them off the model."""
+    return [(s, star, _ambient_div(model, star, s)) for s, star in model.disc.realizing(kappa_sq)]
+
+
 def _valid_params(ms, ns):
     return [(m, n, gamma) for m in ms for n in ns
             for gamma in ((1, 2) if (n + m) % 4 == 1 else (1,))]
@@ -67,21 +73,21 @@ def _valid_params(ms, ns):
 @pytest.mark.parametrize("m", range(2, 13))
 def test_realizable_classes_match_a_scan(m):
     for m, n, gamma in _valid_params((m,), range(1, 9)):
-        model = _model(m, n, gamma)
+        model = polarized_model(m, n, gamma)
         scanned = [(s, star, q, _ambient_div(model, star, s))
                    for star, (s, q) in _scanned_classes(model).items()]
         for kappa_sq in range(-200, 0, 2):
             want = sorted((s, star, amb) for s, star, q, amb in scanned
                           if Fraction(kappa_sq, s * s) % 2 == q)
-            assert sorted(_realizable_classes(m, n, gamma, kappa_sq)) == want, \
+            assert sorted(_realizable(model, kappa_sq)) == want, \
                 (m, n, gamma, kappa_sq)
 
 
 def test_classes_for_discriminant_match_a_scan():
-    from hkpell.periods import _classes_for_discriminant
     for _, n, gamma in _valid_params((2,), range(1, 9)):
         disc = (2 * n) * 2 // gamma ** 2
-        scanned = _scanned_classes(_model(2, n, gamma))
+        model = polarized_model(2, n, gamma)
+        scanned = _scanned_classes(model)
         for e in range(1, 101):
             want = []
             for star, (s, q) in scanned.items():
@@ -89,7 +95,7 @@ def test_classes_for_discriminant_match_a_scan():
                 kappa_sq = -(num // disc)
                 if num % disc == 0 and kappa_sq % 2 == 0 and Fraction(kappa_sq, s * s) % 2 == q:
                     want.append((s, star, kappa_sq))
-            assert sorted(_classes_for_discriminant(n, gamma, e)) == sorted(want), (n, gamma, e)
+            assert sorted(_classes_for_discriminant(model, e)) == sorted(want), (n, gamma, e)
 
 
 def test_gamma1_model_generators():
@@ -97,7 +103,7 @@ def test_gamma1_model_generators():
     # the duals of the rank-1 blocks of -2n and -2(m-1), in that order
     for m in range(2, 13):
         for n in range(1, 9):
-            model = _model(m, n, 1)
+            model = polarized_model(m, n, 1)
             p = m - 1
             assert model.disc.orders == (2 * n, 2 * p)
             assert model.disc.gen_q == (Fraction(-1, 2 * n) % 2, Fraction(-1, 2 * p) % 2)
@@ -108,7 +114,7 @@ def test_star_of_pairings_and_ambient_div_match_the_fraction_lift():
     # the integer Smith data give back what the Fraction lift of each class
     # gives: its pairings name its star, and s times it its ambient divisibility
     for m, n, gamma in _valid_params(range(2, 13), range(1, 9)):
-        model = _model(m, n, gamma)
+        model = polarized_model(m, n, gamma)
         t = model.tail
         for el in model.disc.elements():
             x = _dual_of_star(model, el)
@@ -147,12 +153,12 @@ def test_components_m2():
 @pytest.mark.parametrize("n,gamma,e", [(9, 1, 1), (9, 1, 10), (15, 1, 4), (15, 2, 1), (15, 2, 6)])
 def test_components_m2_unproven(n, gamma, e):
     # n neither prime nor squarefree with n | e: the keys come without a count
-    from hkpell.periods import _classes_for_discriminant
     rep = heegner_components_m2(n, gamma, e)
     assert rep.count is None and rep.certain is False
     assert rep.keys
     assert {(k.s, k.star, k.kappa_prim_sq) for k in rep.keys} == {
-        (s, tuple(star), k2) for s, star, k2 in _classes_for_discriminant(n, gamma, e)}
+        (s, tuple(star), k2)
+        for s, star, k2 in _classes_for_discriminant(polarized_model(2, n, gamma), e)}
     assert all(k.d == 2 * e for k in rep.keys)
 
 
@@ -248,12 +254,13 @@ def _keys_of_constraint(m, n, gamma, wc):
     ambient divisibility is divisible by 2(m-1), asked one b at a time: a
     class of total square kappa^2 is b times a primitive class of square
     kappa^2/b^2, for any b with b^2 | kappa^2 and kappa^2/b^2 even."""
+    model = polarized_model(m, n, gamma)
     keys = set()
     for b in _square_divisors(wc.kappa_sq):
         prim_sq = wc.kappa_sq // (b * b)
-        for s, star, amb in _realizable_classes(m, n, gamma, prim_sq):
+        for s, star, amb in _realizable(model, prim_sq):
             if (b * amb) % (2 * (m - 1)) == 0:
-                keys.add(_key(m, n, gamma, prim_sq, s, star))
+                keys.add(_key(model, prim_sq, s, star))
     return keys
 
 
@@ -281,17 +288,41 @@ def test_excluded_matches_the_per_pair_union(p):
 @pytest.mark.parametrize("m", (2, 3, 4, 8, 12, 24))
 def test_excluded_asks_each_primitive_square_once(m, monkeypatch):
     asked = []
+    realizing = DiscGroup.realizing
 
-    def counting(m_, n_, gamma_, kappa_sq):
-        asked.append(kappa_sq)
-        return _realizable_classes(m_, n_, gamma_, kappa_sq)
+    def counting(self, square, s=0):
+        asked.append(square)
+        return realizing(self, square, s)
 
-    monkeypatch.setattr(periods, "_realizable_classes", counting)
+    monkeypatch.setattr(DiscGroup, "realizing", counting)
     excluded_heegner(m, 1, 1)
     # one square per constraint: kappa^2/g^2 with g = gcd(2(m-1), k)
     squares = {wc.kappa_sq // gcd(2 * (m - 1), wc.k) ** 2 for wc in wall_constraints(m)}
     assert len(asked) == len(set(asked))
     assert set(asked) == squares
+
+
+@pytest.mark.parametrize("query,args", [
+    (excluded_heegner, (2, 1, 1)), (excluded_heegner, (4, 1, 2)), (excluded_heegner, (12, 5, 1)),
+    (excluded_heegner_m2_report, (1, 1)), (excluded_heegner_m2_report, (125, 1)),
+    (excluded_heegner_m2_report, (11, 2)),
+    (heegner_components_m2, (1, 1, 1)), (heegner_components_m2, (9, 1, 10)),
+    (heegner_components_m2, (15, 2, 6)),
+    (coordinate_oracle, (2, 3, 2, 4)), (coordinate_oracle, (4, 1, 2, 3, frozenset({-2, -6}))),
+    (coordinate_oracle, (7, 10, 4, 2)),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_each_period_query_builds_its_model_once(query, args, monkeypatch):
+    # every helper below a query reads the model the query hands it, so no
+    # cache is needed to keep one call from building D(h^perp) again
+    built = []
+
+    def counting(*cell):
+        built.append(cell)
+        return polarized_model(*cell)
+
+    monkeypatch.setattr(periods, "polarized_model", counting)
+    query(*args)
+    assert len(built) == 1, built
 
 
 def test_excluded_discriminants_exercises():
@@ -326,7 +357,7 @@ def _oracle_agrees(m, n, gamma, bound):
             b += 1
     oracle = coordinate_oracle(m, n, gamma, bound, frozenset(squares))
     analytic = excluded_heegner(m, n, gamma)
-    model = _model(m, n, gamma)
+    model = polarized_model(m, n, gamma)
     for key in analytic:
         amb = _ambient_div(model, key.star, key.s)
         assert (key.kappa_prim_sq, key.s, key.star, amb) in oracle, key
@@ -341,8 +372,7 @@ def _oracle_agrees(m, n, gamma, bound):
                         qualifies = True
                     b += 1
         if qualifies:
-            from hkpell.periods import _key
-            assert _key(m, n, gamma, k2, s, star) in analytic, (k2, s, star, amb)
+            assert _key(model, k2, s, star) in analytic, (k2, s, star, amb)
 
 
 def test_oracle_agreement_small():
@@ -360,7 +390,7 @@ def _parent_ambient_div(m, gamma, a, b, c):
 
 def test_ambient_divisibility_is_the_parent_branch_at_gamma_1_and_2():
     for m, n, gamma in _valid_params(range(2, 21), range(1, 21)):
-        model = _model(m, n, gamma)
+        model = polarized_model(m, n, gamma)
         for a in range(-6, 7):
             for b in range(-6, 7):
                 for c in range(7):
@@ -379,8 +409,8 @@ def test_oracle_matches_the_analytic_classes_past_gamma_2():
              if gamma > 2 and 0 < len(polarization_classes(m, n, gamma)) <= 2]
     assert len(cells) == 36
     for cell in cells:
-        analytic = {(k2, s, star, amb) for k2 in squares
-                    for s, star, amb in _realizable_classes(*cell, k2)}
+        model = polarized_model(*cell)
+        analytic = {(k2, s, star, amb) for k2 in squares for s, star, amb in _realizable(model, k2)}
         assert coordinate_oracle(*cell, 20, squares) == analytic, cell
 
 
