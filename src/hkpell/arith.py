@@ -138,18 +138,7 @@ def is_square(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
@@ -213,13 +202,25 @@ def square_divisors(n: int) -> tuple[int, ...]:
 def sqrt_mod(a: int, n: int) -> Iterator[int]:
     """Every z in [0, n) with z*z = a (mod n), ascending, for n >= 1.
 
-    The roots are found by scanning all n residues, so the time is O(n); a
-    faster algorithm must keep this contract.
+    The z in [0, isqrt(n)] are scanned first, so a small root comes out at
+    once.  Then, as a root mod n is a root mod each prime r of n, Euler's
+    criterion (Cohen, GTM 138, Sec. 1.5) rules out every root when some r
+    does not divide a and a^((r-1)/2) != 1 (mod r); this costs one
+    trial-division factoring of n, O(sqrt(n)) like the scan already done.
+    Otherwise the rest of the n residues are scanned, in O(n).  A faster
+    algorithm must keep this contract.
     """
     if n < 1:
         raise ValueError(f"sqrt_mod needs n >= 1, got n = {n}")
-    a %= n
-    return (z for z in range(n) if not (z * z - a) % n)
+    return _roots_mod(a % n, n)
+
+
+def _roots_mod(a: int, n: int) -> Iterator[int]:
+    head = isqrt(n) + 1
+    yield from (z for z in range(min(head, n)) if not (z * z - a) % n)
+    if any(a % r and pow(a, (r - 1) // 2, r) != 1 for r, _ in prime_factors(n)):
+        return
+    yield from (z for z in range(head, n) if not (z * z - a) % n)
 
 
 def is_square_mod(a: int, n: int) -> bool:

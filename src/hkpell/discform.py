@@ -124,8 +124,13 @@ class DiscGroup(Record):
 
         q-bar * order^2 is an integer, even for the discriminant form of an
         even lattice, so an odd square is realized by no class.  The order and
-        q-bar are the same on el and -el.
+        q-bar are the same on el and -el.  A class of order s realizes only
+        squares divisible by s: for x in L^dual with sx in L, (sx)^2 =
+        s * (x, sx) is in sZ, and square = (sx)^2 (mod 2s^2); so with s > 0
+        and s not dividing the square, no element is read.
         """
+        if s and square % s:
+            return
         # the s-torsion is closed under negation, so each pair +-el is met
         # at its normalized member
         for el in self.elements(s):

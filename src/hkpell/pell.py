@@ -415,7 +415,7 @@ def solutions_in_order(d: int, t: int, count: int) -> list[PellSolution]:
         raise ValueError("count must be positive")
     out = list(islice(positive_solutions(1, d, t), count))
     if not out:
-        raise Unsolvable(f"1a^2-{d}b^2={t} has no positive solutions")
+        raise Unsolvable(f"a^2-{d}b^2={t} has no positive solutions")
     return out
 
 

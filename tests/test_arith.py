@@ -3,11 +3,13 @@ root scan and the divisor helpers match independent references."""
 
 import math
 import random
+import time
 
 import pytest
+from sympy import isprime
 from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
-from hkpell.arith import (divisors, is_square_mod, polarization_classes, sqrt_mod,
+from hkpell.arith import (divisors, is_prime, is_square_mod, polarization_classes, sqrt_mod,
                           square_divisors, v_p)
 
 
@@ -54,6 +56,30 @@ def test_sqrt_mod_matches_sympy():
         n = round(10 ** rng.uniform(2.5, 6))
         a = rng.randrange(n) ** 2 - n * rng.randrange(4)
         assert list(sqrt_mod(a, n)) == _roots(a % n, n), (a, n)
+
+
+@pytest.mark.parametrize("a,n", [(2, 5 * 999999999989), (10, 3 * 999999999989)])
+def test_a_non_residue_mod_an_odd_prime_has_no_roots_at_once(a, n):
+    # 999999999989 is prime; 2 is no square mod 5, and 10 is a square mod 3
+    # but not mod 999999999989, so the second case reaches the large prime.
+    # A scan of the n residues would not end.
+    start = time.perf_counter()
+    assert list(sqrt_mod(a, n)) == [] and not is_square_mod(a, n)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_small_root_comes_out_before_n_is_factored():
+    # 2^61 - 1 is prime: factoring 4n by trial division would take about
+    # 7.6 * 10^8 divisions, while z = 1 is the second residue scanned
+    n = 4 * (2**61 - 1)
+    start = time.perf_counter()
+    assert is_square_mod(1, n) and next(sqrt_mod(n + 4, n)) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_is_prime_matches_sympy():
+    for n in range(-5, 5000):
+        assert is_prime(n) == isprime(n), n
 
 
 def _trial_divisors(n):

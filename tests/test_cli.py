@@ -142,6 +142,12 @@ def test_out_of_domain_exit_code(args, code):
 _LARGE_INPUT = [
     (["lattice", "orbit", "--m", "100000", "--n", "100000", "--gamma", "1",
       "--square", "-2", "--div", "2"], 1.0),
+    # a class of order s realizes only squares divisible by s, so neither
+    # reads the s-torsion (1.6 * 10^9 elements in the first)
+    (["lattice", "orbit", "--m", "20001", "--n", "20000", "--gamma", "1",
+      "--square", "-2", "--div", "40000"], 1.0),
+    (["lattice", "orbit", "--m", "100000", "--n", "100000", "--gamma", "1",
+      "--square", "-2", "--div", "200000"], 1.0),
     # gamma = 5^9 = m - 1, n = gamma(gamma - 1): the classes scan 5^9 residues
     (["lattice", "orbit", "--m", "1953126", "--n", "3814695312500", "--gamma", "1953125",
       "--square", "-2", "--div", "2"], 1.0),

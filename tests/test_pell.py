@@ -476,6 +476,9 @@ def test_stream_golden():
     assert solutions_in_order(4, 5, 2) == [PellSolution(3, 1)]
     with pytest.raises(Unsolvable):
         solutions_in_order(12, 5, 1)
+    # the message names the equation with no unit coefficient
+    with pytest.raises(Unsolvable, match=r"^a\^2-2b\^2=3 has no positive solutions$"):
+        solutions_in_order(2, 3, 2)
 
 
 @settings(max_examples=60, deadline=None)

@@ -24,6 +24,11 @@ def test_nonempty_m2():
     assert heegner_nonempty_m2(11, 2, 4)
     with pytest.raises(BadCongruence):
         heegner_nonempty_m2(2, 2, 1)
+    # n = 2^61 - 1 is prime: e = 1 has the root 1 mod 4n and mod n, found
+    # before any factoring of n
+    start = time.perf_counter()
+    assert heegner_nonempty_m2(2**61 - 1, 1, 1) and heegner_nonempty_m2(2**61 - 1, 2, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_nonempty_matches_class_enumeration():
@@ -236,6 +241,12 @@ def test_wall_constraints():
     assert {(0, -1), (2, 0), (2, -1)} <= ka
     with pytest.raises(NonPrimePower):
         wall_constraints(10)  # m - 1 = 9 is neither 1 nor prime
+    # m - 1 = 3 * (2^61 - 1) is rejected at its factor 3, not after about
+    # 7.6 * 10^8 trial divisions up to the large prime
+    start = time.perf_counter()
+    with pytest.raises(NonPrimePower):
+        wall_constraints(3 * (2**61 - 1) + 1)
+    assert time.perf_counter() - start < 1.0
     for m in (1, 0, -3):
         with pytest.raises(ValueError, match="m >= 2"):
             wall_constraints(m)
