@@ -202,30 +202,34 @@ def square_divisors(n: int) -> tuple[int, ...]:
 def sqrt_mod(a: int, n: int) -> Iterator[int]:
     """Every z in [0, n) with z*z = a (mod n), ascending, for n >= 1.
 
-    The z in [0, isqrt(n)] are scanned first, so a small root comes out at
-    once.  Then, as a root mod n is a root mod each prime r of n, Euler's
-    criterion (Cohen, GTM 138, Sec. 1.5) rules out every root when some r
-    does not divide a and a^((r-1)/2) != 1 (mod r); this costs one
-    trial-division factoring of n, O(sqrt(n)) like the scan already done.
-    Otherwise the rest of the n residues are scanned, in O(n).  A faster
-    algorithm must keep this contract.
+    The roots are found by scanning all n residues, so the time is O(n); a
+    faster algorithm must keep this contract.
     """
     if n < 1:
         raise ValueError(f"sqrt_mod needs n >= 1, got n = {n}")
-    return _roots_mod(a % n, n)
-
-
-def _roots_mod(a: int, n: int) -> Iterator[int]:
-    head = isqrt(n) + 1
-    yield from (z for z in range(min(head, n)) if not (z * z - a) % n)
-    if any(a % r and pow(a, (r - 1) // 2, r) != 1 for r, _ in prime_factors(n)):
-        return
-    yield from (z for z in range(head, n) if not (z * z - a) % n)
+    a %= n
+    return (z for z in range(n) if z * z % n == a)
 
 
 def is_square_mod(a: int, n: int) -> bool:
-    """Whether a is congruent to a square modulo n (n >= 1)."""
-    return next(sqrt_mod(a, n), None) is not None
+    """Whether a is congruent to a square modulo n (n >= 1).
+
+    The z in [0, isqrt(n)] are tried first, so a small root answers at once.
+    Then, as a root mod n is a root mod each prime r of n, Euler's criterion
+    (Cohen, GTM 138, Sec. 1.5) answers no when some r does not divide a and
+    a^((r-1)/2) != 1 (mod r); this costs one trial-division factoring of n,
+    O(sqrt(n)) like the residues already tried.  Otherwise the scan goes on
+    to the first root, in O(n).
+    """
+    if n < 1:
+        raise ValueError(f"is_square_mod needs n >= 1, got n = {n}")
+    a %= n
+    head = min(isqrt(n) + 1, n)
+    if any(z * z % n == a for z in range(head)):
+        return True
+    if any(a % r and pow(a, (r - 1) // 2, r) != 1 for r, _ in prime_factors(n)):
+        return False
+    return any(z * z % n == a for z in range(head, n))
 
 
 def binomial_poly(x: int, k: int) -> int:
