@@ -16,10 +16,6 @@ class AutError(DomainError):
     pass
 
 
-class InconsistentFlags(AutError):
-    """The nef cone cannot have irrational rays while the movable cone is rational."""
-
-
 class GroupTag(Record):
     __slots__ = ("kind", "reason")
 
@@ -125,20 +121,19 @@ def bir_sm(e: int, m: int) -> GroupTag:
 def fourfold_groups(n: int, e_prime: int) -> tuple[GroupTag, GroupTag]:
     """(Aut, Bir) for fourfolds with Picard form diag(2n, -2e'), H of divisibility 2.
 
-    Finiteness comes from the rationality of the nef and movable rays of
-    cones.fourfold_cones, through rank2_trichotomy; an infinite group is
-    Z x| Z/2 when n*a^2 - e'*b^2 = 1 is solvable, and Z otherwise.
+    Read off the rays of cones.fourfold_cones: a rational movable ray gives
+    (1, 1); otherwise Bir is Z x| Z/2 when n*a^2 - e'*b^2 = 1 is solvable and
+    Z when it is not, and Aut is trivial when the nef ray is rational and Bir
+    when it is not.  An irrational nef ray with a rational movable one cannot
+    occur: the report's nef ray is its first wall, or the movable ray itself.
     """
     from .cones import fourfold_cones  # only here: aut s2 loads no fractions
 
     rep = fourfold_cones(n, e_prime, prefix=1)
-    case = rank2_trichotomy(rep.nef_slope.is_rational, rep.mov_slope.is_rational)
-    if case == FINITE_BOTH:
+    if rep.mov_slope.is_rational:
         return TRIVIAL, TRIVIAL
-    infinite = INFINITE_DIHEDRAL if _solvable(n, e_prime, 1) else INFINITE_CYCLIC
-    if case == FINITE_AUT_INFINITE_BIR:
-        return TRIVIAL, infinite
-    return infinite, infinite
+    bir = INFINITE_DIHEDRAL if _solvable(n, e_prime, 1) else INFINITE_CYCLIC
+    return (TRIVIAL if rep.nef_slope.is_rational else bir), bir
 
 
 def very_general_bir(m: int, n: int, gamma: int) -> GroupTag:
@@ -149,19 +144,3 @@ def very_general_bir(m: int, n: int, gamma: int) -> GroupTag:
         return Z2
     return TRIVIAL
 
-
-FINITE_BOTH = "FiniteBoth"
-FINITE_AUT_INFINITE_BIR = "FiniteAutInfiniteBir"
-EQUAL_INFINITE = "EqualInfinite"
-
-
-def rank2_trichotomy(nef_rational: bool, mov_rational: bool) -> str:
-    """Classification of (Aut, Bir) finiteness from extremal-ray rationality."""
-    if nef_rational and mov_rational:
-        return FINITE_BOTH
-    if nef_rational and not mov_rational:
-        return FINITE_AUT_INFINITE_BIR
-    if not nef_rational and not mov_rational:
-        return EQUAL_INFINITE
-    raise InconsistentFlags(
-        "an irrational nef boundary forces the movable boundary to be irrational")

@@ -42,8 +42,8 @@ def nl_family(params: dict) -> dict:
 
 
 def hilb_square(params: dict) -> dict:
+    chosen = periods.hilbert_square_point(**params)  # first: it checks gamma
     points = periods.hilbert_square_points(params["n"], params["e"])
-    chosen = periods.hilbert_square_point(**params)
     return {
         "point": None if chosen is None else {"a": chosen[0], "b": chosen[1],
                                               "gamma": chosen[2]},

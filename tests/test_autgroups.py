@@ -4,13 +4,10 @@ import pytest
 
 from hkpell import pell
 from hkpell.arith import BadCongruence, is_square
-from hkpell.cones import mov_ray_sm
-from hkpell.autgroups import (EQUAL_INFINITE, FINITE_AUT_INFINITE_BIR,
-                              FINITE_BOTH, INFINITE_CYCLIC,
-                              INFINITE_DIHEDRAL, TRIVIAL, Z2, GroupTag,
-                              InconsistentFlags, aut_k3_rank1, bir_s2,
-                              bir_sm, fourfold_groups, rank2_trichotomy, unknown,
-                              very_general_bir)
+from hkpell.cones import fourfold_cones, mov_ray_sm
+from hkpell.autgroups import (INFINITE_CYCLIC, INFINITE_DIHEDRAL, TRIVIAL, Z2,
+                              GroupTag, aut_k3_rank1, bir_s2, bir_sm,
+                              fourfold_groups, unknown, very_general_bir)
 
 
 def test_aut_k3_rank1():
@@ -126,9 +123,18 @@ def _fourfold_groups_by_pell(n, ep):
 
 
 def test_fourfold_groups_match_the_pell_equations():
+    # finiteness is the rationality of the report's (nef, movable) rays, and
+    # an irrational nef ray never comes with a rational movable one
+    seen = set()
     for n in range(3, 100, 4):
         for ep in range(2, 151):
-            assert fourfold_groups(n, ep) == _fourfold_groups_by_pell(n, ep), (n, ep)
+            aut, bir = fourfold_groups(n, ep)
+            assert (aut, bir) == _fourfold_groups_by_pell(n, ep), (n, ep)
+            rep = fourfold_cones(n, ep, prefix=1)
+            rays = (rep.nef_slope.is_rational, rep.mov_slope.is_rational)
+            assert (aut.is_finite, bir.is_finite) == rays, (n, ep)
+            seen.add(rays)
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def _bir_sm_conditions_hold(e, m):
@@ -198,14 +204,6 @@ def test_very_general_bir():
     assert very_general_bir(11, 10, 10) == Z2  # -1 = 9 is a square mod 10
     with pytest.raises(BadCongruence):  # -1 is not a square mod 3: no polarization
         very_general_bir(4, 3, 3)
-
-
-def test_trichotomy():
-    assert rank2_trichotomy(True, True) == FINITE_BOTH
-    assert rank2_trichotomy(True, False) == FINITE_AUT_INFINITE_BIR
-    assert rank2_trichotomy(False, False) == EQUAL_INFINITE
-    with pytest.raises(InconsistentFlags):
-        rank2_trichotomy(False, True)
 
 
 def test_finite_groups_are_small():

@@ -164,6 +164,22 @@ def test_large_input_within_budget(args, budget, capsys):
     assert code == 0, err
 
 
+# invalid parameters refused before any stream is read, with their time
+# budget in seconds: the hilb-square stream of e = 10^15 + 37 does not end
+# within minutes
+_EARLY_REFUSAL = [
+    (["hilb-square", "--n", "1", "--e", "1000000000000037", "--gamma", "3"], 1.0),
+]
+
+
+@pytest.mark.parametrize("args,budget", _EARLY_REFUSAL)
+def test_early_refusal_within_budget(args, budget, capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(args, capsys)
+    assert time.perf_counter() - start < budget
+    assert code == 1 and "Traceback" not in err, err
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # as `hkpell ... | true`, but with the reader gone before the launch
     read_end, write_end = os.pipe()
@@ -645,10 +661,11 @@ ENVELOPES = pathlib.Path(__file__).parent / "envelopes.json"
 
 def _envelope_argvs():
     """Every command of _EVERY_COMMAND under each --format, and every argv of
-    test_out_of_domain_exit_code and test_large_input_within_budget."""
+    test_out_of_domain_exit_code, test_large_input_within_budget and
+    test_early_refusal_within_budget."""
     leaves = [[*path, *args.split()] for path, args in _EVERY_COMMAND.items()]
     return ([["--format", f, *argv] for argv in leaves for f in ("json", "text", "csv")]
-            + [argv for argv, _ in _OUT_OF_DOMAIN] + [argv for argv, _ in _LARGE_INPUT])
+            + [argv for argv, _ in _OUT_OF_DOMAIN + _LARGE_INPUT + _EARLY_REFUSAL])
 
 
 def _envelope(argv):
