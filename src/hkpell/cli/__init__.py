@@ -19,16 +19,17 @@ params, rejects csv where no builder is named, and prints.
 
 A well-formed argv (--format F, the command and subcommand, each option once
 as --name value with a plain integer or series value) is read straight from
-the command specs, without argparse.  The parser of every command is built,
-and argparse imported, only for help, for a usage error and for every other
-spelling argparse accepts (--d=5, abbreviations, +5, repeated options).  An
-invocation imports only the module that holds its handler:
-hkpell.cli.<layer>, one per layer the handlers call, which loads that
-layer.  This core holds what every invocation needs.
+the command specs.  A launch of one loads this core, arith (for the domain
+errors), the one handler module hkpell.cli.<layer> of its command and the
+layers that module calls, and nothing else of the package; its output is
+written by _dumps, so neither json nor argparse is imported.  The parser of
+every command lives in hkpell.cli._parser, loaded, and argparse imported,
+only for help, for a usage error and for every other spelling argparse
+accepts (--d=5, abbreviations, +5, repeated options).  This core holds what
+every invocation needs.
 """
 
 import importlib
-import json
 import os
 import sys
 
@@ -52,6 +53,77 @@ def _csv_text(rows: list[list[str]]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# JSON
+
+# json's ensure_ascii escapes of the control characters, '"' and '\'; from
+# DEL (U+007F) on every character is \uXXXX (a surrogate pair past U+FFFF)
+_ESCAPES = {**{chr(i): f"\\u{i:04x}" for i in range(0x20)}, '"': '\\"', "\\": "\\\\",
+            "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _string(s: str) -> str:
+    """s as json.dumps writes a str: ASCII only, astral characters as
+    surrogate pairs."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    out = []
+    for c in s:
+        if c in _ESCAPES:
+            out.append(_ESCAPES[c])
+        elif c < "\x7f":
+            out.append(c)
+        elif c <= "\uffff":
+            out.append(f"\\u{ord(c):04x}")
+        else:
+            n = ord(c) - 0x10000
+            out.append(f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _dumps(obj, indent: int | None = None) -> str:
+    """json.dumps(obj, sort_keys=True, indent=indent), byte for byte, for
+    what handlers return: dicts with str keys, lists, tuples, str, bool, int
+    and None.  Any other type, float included, raises TypeError."""
+    out: list[str] = []
+    _write(obj, out, None if indent is None else "\n", " " * (indent or 0))
+    return "".join(out)
+
+
+def _write(obj, out: list[str], newline: str | None, step: str) -> None:
+    """Append the JSON of obj to out.  newline is "\n" and the indent of
+    obj's line, or None for one line; step is one level of indent."""
+    if isinstance(obj, str):
+        out.append(_string(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (dict, list, tuple)):
+        opening, closing = "{}" if isinstance(obj, dict) else "[]"
+        if not obj:
+            out.append(opening + closing)
+            return
+        inner = None if newline is None else newline + step
+        separator = ", " if inner is None else "," + inner
+        out.append(opening + (inner or ""))
+        if isinstance(obj, dict):
+            for i, key in enumerate(sorted(obj)):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                out.append(f"{separator if i else ''}{_string(key)}: ")
+                _write(obj[key], out, inner, step)
+        else:
+            for i, item in enumerate(obj):
+                if i:
+                    out.append(separator)
+                _write(item, out, inner, step)
+        out.append((newline or "") + closing)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +161,7 @@ def reproduce_table(table_id: str) -> str:
     build, _, params = _TABLES[table_id]
     table = _load(build)(dict(params))
     if isinstance(table, dict):
-        return json.dumps({**params, **table}, sort_keys=True, indent=2) + "\n"
+        return _dumps({**params, **table}, 2) + "\n"
     return _csv_text(table)
 
 
@@ -104,7 +176,7 @@ def _load(name: str):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# commands and the argv reader
 
 # command: (help, leaf), or (help, {subcommand: leaf}).  A leaf is (handler,
 # spec), or (handler, spec, csv rows builder) for a table command; functions
@@ -157,48 +229,6 @@ def _dest(arg: str) -> str:
     return _option(arg)[0].replace("-", "_")
 
 
-def _add_leaf(parser: "argparse.ArgumentParser", command: str, leaf: tuple) -> None:
-    """The arguments of a leaf's spec; dispatch finds the leaf in the parse."""
-    parser.set_defaults(command=command, leaf=leaf)
-    for arg in leaf[1].split():
-        if arg == "table_id":
-            parser.add_argument(arg)
-        elif arg == "series":
-            parser.add_argument("--series", choices=_SERIES, default=_SERIES[0])
-        else:
-            name, required, default = _option(arg)
-            parser.add_argument(f"--{name}", type=int, required=required, default=default)
-
-
-def build_parser() -> "argparse.ArgumentParser":
-    """The parser of every command and subcommand."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="hkpell",
-        description="Exact Pell-equation invariants of polarized hyperkahler "
-                    "manifolds of K3^[m]-type: cone slopes and walls, "
-                    "automorphism groups, Heegner divisors, period-map images.")
-    parser.add_argument("--format", choices=_FORMATS, default="json")
-    commands = parser.add_subparsers(dest="cmd", required=True)
-    for name, (help_text, leaves) in _COMMANDS.items():
-        p = commands.add_parser(name, help=help_text)
-        if isinstance(leaves, dict):
-            subcommands = p.add_subparsers(dest=f"{name}_cmd", required=True)
-            for sub_name, leaf in leaves.items():
-                _add_leaf(subcommands.add_parser(sub_name), f"{name} {sub_name}", leaf)
-        else:
-            _add_leaf(p, name, leaves)
-    # the usage that Python 3.10-3.12 print for the full parser at 80
-    # columns, pinned so that it reads the same on 3.13, which wraps it
-    # elsewhere, and at any width.
-    # Set only now: add_subparsers derives each command's prog from it
-    indent = "\n" + " " * len("usage: hkpell ")
-    parser.usage = ("%(prog)s [-h] [--format {json,csv,text}]"
-                    + indent + "{" + ",".join(_COMMANDS) + "}" + indent + "...")
-    return parser
-
-
 def main(argv=None) -> int:
     # units run to thousands of digits (d = 10**9 + 7 has one of about 6400),
     # past the default limit on int-to-str conversion; the caller's limit
@@ -236,7 +266,7 @@ def launch() -> None:
         elif isinstance(exc, AttributeError):
             raise  # a fault of the program, not of stdout
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr, flush=True)
+        print(_dumps(payload), file=sys.stderr, flush=True)
         code = 1
     os._exit(code)
 
@@ -289,29 +319,25 @@ def _read(argv) -> tuple | None:
     return None if options else (fmt, command, leaf, params)
 
 
-def _parse(argv) -> tuple:
-    """What _read gives, for any argv, read by the parser, which exits 0
-    after help and 2 on a usage error."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.format == "csv" and len(args.leaf) == 2:
-        parser.error("csv output is only available for table commands")
-    params = {name: getattr(args, name) for name in map(_dest, args.leaf[1].split())}
-    return args.format, args.command, args.leaf, params
-
-
 def _run(argv) -> int:
-    fmt, command, leaf, params = _read(argv) or _parse(argv)
+    read = _read(argv)
+    if read is None:
+        from ._parser import _parse
+
+        read = _parse(argv)
+    fmt, command, leaf, params = read
     handler, _, *csv_rows = leaf
     if fmt == "csv":
         handler = csv_rows[0]
     try:
         result = (handler if callable(handler) else _load(handler))(params)
     except UsageError as exc:
+        from ._parser import build_parser
+
         build_parser().error(str(exc))
     except (DomainError, UnknownTable, ValueError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        print(_dumps(payload), file=sys.stderr)
         return 1
     if isinstance(result, str):
         text = result
@@ -324,7 +350,6 @@ def _run(argv) -> int:
                             if (table_command, table_params) == (command, params))
         envelope = {"command": command, "params": params, "result": result,
                     "provenance": provenance}
-        text = json.dumps(envelope if fmt == "json" else result,
-                          sort_keys=True, indent=2) + "\n"
+        text = _dumps(envelope if fmt == "json" else result, 2) + "\n"
     sys.stdout.write(text)
     return 0

@@ -14,7 +14,7 @@ An independent brute-force enumeration over bounded coordinates
 
 from math import gcd, lcm
 
-from .arith import (DomainError, OrderedRecord, Record, UnsupportedParameters,
+from .arith import (DomainError, OrderedRecord, Record, UnsupportedParameters, _wall_p,
                     check_polarization, divisors, is_prime, is_square_mod, is_squarefree, v_p,
                     wall_types)
 from .discform import PolarizedModel, polarized_model
@@ -156,10 +156,13 @@ def excluded_heegner(m: int, n: int, gamma: int) -> tuple[HeegnerKey, ...]:
     if gamma > 2:
         check_polarization(m, n, gamma)
         raise UnsupportedParameters(f"no cited period image at divisibility {gamma} > 2")
+    # m - 1 and the polarization are checked before wall_types(m), which
+    # takes O(p^2) steps for p = m - 1
+    _wall_p(m)
+    model = polarized_model(m, n, gamma)
     divs_by_square: dict[int, list[int]] = {}
     for wt in wall_types(m):
         divs_by_square.setdefault(wt.kappa_prim_sq, []).append(wt.div)
-    model = polarized_model(m, n, gamma)
     keys = set()
     for prim_sq, divs in divs_by_square.items():
         # a primitive class of square prim_sq with discriminant class star

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hkpell
-from hkpell.cli import _SERIES, build_parser, main, reproduce_table
+from hkpell.cli import _SERIES, main, reproduce_table
+from hkpell.cli._parser import build_parser
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = str(pathlib.Path(hkpell.__file__).parents[1])
@@ -96,6 +97,14 @@ def test_usage_error_exit():
     assert exc.value.code == 2
 
 
+# p = m - 1 = 1000003 is prime, and wall_types(m) would take O(p^2) steps:
+# refused by the polarization check before it (n + m != 1 (mod 4); n < 1)
+_EARLY_PERIOD_IMAGE = [
+    (["period-image", "--m", "1000004", "--n", "2", "--gamma", "2"], 1.0),
+    (["period-image", "--m", "1000004", "--n", "0", "--gamma", "1"], 1.0),
+]
+
+
 _OUT_OF_DOMAIN = [
     (["cone", "s2", "--e-from", "1"], 2),
     (["lattice", "orbit", "--m", "2", "--n", "1", "--gamma", "1",
@@ -125,6 +134,7 @@ _OUT_OF_DOMAIN = [
     (["heegner", "components", "--n", "0", "--gamma", "1", "--e", "1"], 1),
     (["lattice", "disc", "--m", "26", "--n", "25", "--gamma", "5"], 1),
     (["period-image", "--m", "4", "--n", "6", "--gamma", "3"], 1),
+    *[(argv, 1) for argv, _ in _EARLY_PERIOD_IMAGE],
 ]
 
 
@@ -169,6 +179,7 @@ def test_large_input_within_budget(args, budget, capsys):
 # within minutes
 _EARLY_REFUSAL = [
     (["hilb-square", "--n", "1", "--e", "1000000000000037", "--gamma", "3"], 1.0),
+    *_EARLY_PERIOD_IMAGE,
 ]
 
 
@@ -523,10 +534,24 @@ assert loaded("hkpell.cones", "hkpell.pell") == {"hkpell.cones", "hkpell.pell"}
         if path[0] == "cone":
             # wall types come from arith's wall constraints
             assert not {"hkpell.discform", "hkpell.periods", "hkpell.rrinv"} & set(modules), path
+        # the core writes the output, and the parser is left out
+        assert not {"json", "argparse", "hkpell.cli._parser"} & set(modules), (path, modules)
+    # another spelling and a usage error load the parser, and json still not
+    modules = _modules_loaded_as_main(["pell", "fundamental", "--d=13"])
+    assert {"argparse", "hkpell.cli._parser"} <= set(modules) and "json" not in modules, modules
+    _in_fresh_interpreter("""
+from contextlib import redirect_stderr
+try:
+    with redirect_stderr(io.StringIO()):
+        hkpell.cli.main(["pell", "min", "--d", "13"])
+except SystemExit as exc:
+    assert exc.code == 2, exc.code
+assert loaded("json", "argparse", "hkpell.cli._parser") == {"argparse", "hkpell.cli._parser"}
+""")
 
 
 _AS_MAIN = """
-import io, json, os, runpy, sys
+import io, os, runpy, sys
 from contextlib import redirect_stdout
 
 import hkpell.cli as core
@@ -560,7 +585,10 @@ assert shim["__file__"].endswith(os.path.join("cli", "__main__.py")), shim["__fi
 assert returned == [code], (returned, code)
 assert [m for m in list(sys.modules.values())
         if getattr(m, "__file__", None) == core.__file__] == [core]
-print(json.dumps(sorted(name for name in sys.modules if name.startswith("hkpell"))))
+reported = sorted(name for name in sys.modules
+                  if name.startswith("hkpell") or name in ("json", "argparse"))
+import json
+print(json.dumps(reported))
 """
 
 
@@ -580,7 +608,8 @@ def test_console_script_runs_the_launcher_the_shim_runs():
 
 
 def _modules_loaded_as_main(argv):
-    """The hkpell modules a fresh `python -m hkpell.cli <argv>` loads."""
+    """The hkpell modules, and json and argparse if loaded, that a fresh
+    `python -m hkpell.cli <argv>` loads."""
     proc = subprocess.run([sys.executable, "-c", _AS_MAIN, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
@@ -662,10 +691,11 @@ ENVELOPES = pathlib.Path(__file__).parent / "envelopes.json"
 def _envelope_argvs():
     """Every command of _EVERY_COMMAND under each --format, and every argv of
     test_out_of_domain_exit_code, test_large_input_within_budget and
-    test_early_refusal_within_budget."""
+    test_early_refusal_within_budget, each once."""
     leaves = [[*path, *args.split()] for path, args in _EVERY_COMMAND.items()]
-    return ([["--format", f, *argv] for argv in leaves for f in ("json", "text", "csv")]
-            + [argv for argv, _ in _OUT_OF_DOMAIN + _LARGE_INPUT + _EARLY_REFUSAL])
+    argvs = ([["--format", f, *argv] for argv in leaves for f in ("json", "text", "csv")]
+             + [argv for argv, _ in _OUT_OF_DOMAIN + _LARGE_INPUT + _EARLY_REFUSAL])
+    return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
 
 def _envelope(argv):
@@ -698,6 +728,81 @@ def test_provenance_follows_the_table_registry(capsys):
         argv[-1] = f"--{name.replace('_', '-')}={value - 1}"
         code, out, _ = run_cli(argv, capsys)
         assert code == 0 and json.loads(out)["provenance"] == [], argv
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer, against json
+
+
+@pytest.fixture
+def no_int_str_limit():
+    """No limit on int-to-str digits, as main lifts it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _json_text(text, indent):
+    """A line of JSON text, read and written again by the writer."""
+    from hkpell.cli import _dumps
+
+    return _dumps(json.loads(text), indent) + "\n"
+
+
+def test_writer_rewrites_every_recorded_output(no_int_str_limit):
+    # every JSON stdout of the recorded envelopes and of the JSON goldens,
+    # and every error line, at indent None
+    outputs, errors = 0, 0
+    for entry in json.loads(ENVELOPES.read_text()):
+        if entry["stdout"] and entry["stdout"][0] not in "[{":
+            assert "csv" in entry["argv"] or "reproduce" in entry["argv"], entry["argv"]
+        elif entry["stdout"]:
+            assert _json_text(entry["stdout"], 2) == entry["stdout"], entry["argv"]
+            outputs += 1
+        if entry["code"] == 1:
+            assert _json_text(entry["stderr"], None) == entry["stderr"], entry["argv"]
+            errors += 1
+    for path in GOLDEN.glob("*.json"):
+        assert _json_text(path.read_text(), 2) == path.read_text(), path.name
+        outputs += 1
+    assert outputs > 50 and errors > 20, (outputs, errors)
+
+
+_CORPUS = [
+    *map(chr, range(0x80)), "".join(map(chr, range(0x80))), '"', "\\", "\x7f", "\x80", "\xe9",
+    "\u2028", "\ud7ff", "\ud800", "\udfff", "\ue000", "\uffff", "\U00010000", "\U0001f600",
+    "\U0010ffff", "a\U0001d11e\"b\\c\u00e9\n", "", "plain text, printable ~ and space",
+    0, 1, -1, 10 ** 4300, -10 ** 5000 - 7, True, False, None, [True, 1, False, 0, None],
+    [], {}, (), [[]], [{}], [()], {"a": []}, {"a": {}}, [[[], {}], {"": [[]]}],
+    (1, (2, "x")), {"b": (1,), "a": [()], "": None},
+    {"z": 1, "a": {"\xe9": None, "\U0001f600": [1, "\x00"], "B": True}, "\x7f": False},
+]
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_writer_matches_json_on_the_corpus(indent, no_int_str_limit):
+    from hkpell.cli import _dumps
+
+    for obj in [*_CORPUS, _CORPUS, {str(i): obj for i, obj in enumerate(_CORPUS)}]:
+        assert _dumps(obj, indent) == json.dumps(obj, sort_keys=True, indent=indent), obj
+
+
+def test_writer_rejects_other_types():
+    from fractions import Fraction
+
+    from hkpell.cli import _dumps
+
+    # json writes a float, but no handler returns one
+    for obj in (Fraction(1, 2), 0.5, {1}, [1, {"a": 0.5}], {"a": (Fraction(3),)}):
+        for indent in (None, 2):
+            with pytest.raises(TypeError):
+                _dumps(obj, indent)
 
 
 def test_package_names_resolve():
@@ -780,7 +885,7 @@ def test_package_imports_only_the_stdlib():
                 top = name.split(".")[0]
                 assert top == "hkpell" or top in sys.stdlib_module_names, (path.name, name)
                 seen.add(top)
-    assert {"fractions", "math", "argparse", "json"} <= seen
+    assert {"fractions", "math", "argparse", "importlib"} <= seen
 
 
 def test_package_has_no_assert_statement():
@@ -851,7 +956,8 @@ def _metavar_parser(command, subcommand, description, usage):
     built before its root usage was pinned: a one-name subparsers action got
     the full {...} list as its metavar, so that its usage and errors read as
     the full parser's.  usage, if not None, replaces the root usage."""
-    from hkpell.cli import _COMMANDS, _add_leaf
+    from hkpell.cli import _COMMANDS
+    from hkpell.cli._parser import _add_leaf
 
     def add_subparsers(parser, dest, names, named):
         metavar = "{" + ",".join(names) + "}" if named else None
