@@ -353,6 +353,17 @@ def test_hilb_embedding_status():
     assert hilb_embedding_status(2, 3, 3) == (True, True)
 
 
+def test_hilb_embedding_status_is_k_very_ampleness():
+    # Catanese-Goettsche (Manuscripta Math. 1990): a*L_m - delta is
+    # base-point-free on S^[m] exactly when aL is (m-1)-very ample, and very
+    # ample exactly when aL is m-very ample
+    cells = [(a, e, m) for a in range(1, 7) for e in range(1, 31) for m in range(2, 13)]
+    assert len(cells) == 1980
+    for a, e, m in cells:
+        assert hilb_embedding_status(a, e, m) == (k_very_ample(a, e, m - 1),
+                                                  k_very_ample(a, e, m)), (a, e, m)
+
+
 def test_moduli_embedding_status():
     assert moduli_embedding_status(2, 3, 1) == (True, True, 14)
     assert moduli_embedding_status(2, 11, 2) == (True, True, 90)
