@@ -224,10 +224,9 @@ def fourfold_cones(n: int, e_prime: int, prefix: int = 8) -> ConeReport:
     there are infinitely many walls, or none; `prefix` of them (by
     increasing Pell solution) are reported with walls_infinite set.
     """
-    if n % 4 != 3:
-        raise BadCongruence("n must be congruent to -1 mod 4")
-    if n < 0:
+    if n < 1:
         raise ValueError(f"n must be positive, got n={n}")
+    check_polarization(2, n, 2)  # H of divisibility 2: n = 3 mod 4
     if e_prime < 2:
         raise ValueError("e' must be at least 2")
     if prefix < 0:
@@ -261,9 +260,9 @@ def hilb_embedding_status(a: int, e: int, m: int) -> tuple[bool, bool]:
     """(base-point-free, very ample) for a*L_m - delta on the m-th Hilbert power."""
     if a < 1 or e < 1 or m < 2:
         raise ValueError("need a >= 1, e >= 1, m >= 2")
-    if a == 1:
-        return 2 * (m - 1) <= e, 2 * m <= e
-    return m <= 2 * (a - 1) * e - 1, m <= 2 * (a - 1) * e - 2
+    # Catanese-Goettsche (Manuscripta Math. 1990): aL_m - delta is base-point-free
+    # when aL is (m-1)-very ample, and very ample when aL is m-very ample
+    return k_very_ample(a, e, m - 1), k_very_ample(a, e, m)
 
 
 def moduli_embedding_status(m: int, n: int, gamma: int) -> tuple[bool, bool, int]:

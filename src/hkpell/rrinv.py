@@ -32,10 +32,15 @@ class RiemannRochInput(Record):
         super().__init__(series, m, q)
 
 
+def _is_hilb(series: str, m: int) -> bool:
+    """Whether the Hilbert-scheme formulas hold: m = 1 is a K3 surface in either series."""
+    return series == HILB_K3 or m == 1
+
+
 def chi(data: RiemannRochInput) -> int:
     """Euler characteristic of a line bundle with Beauville-Fujiki square q."""
     half = data.q // 2
-    if data.series == HILB_K3:
+    if _is_hilb(data.series, data.m):
         return binomial_poly(half + data.m + 1, data.m)
     return (data.m + 1) * binomial_poly(half + data.m, data.m)
 
@@ -47,31 +52,21 @@ def h0_polarized(m: int, n: int) -> int:
     return chi(RiemannRochInput(HILB_K3, m, 2 * n))
 
 
-def fujiki_constant(series: str, m: int) -> "Fraction":
-    """The constant c with x^(2m) = c * q(x)^m on the series' 2m-folds."""
-    # imported here so that chi, which needs no Fraction, loads no fractions
-    from fractions import Fraction
+def fujiki_constant(series: str, m: int) -> int:
+    """The constant c with x^(2m) = c * q(x)^m on the series' 2m-folds.
 
-    if series not in _SERIES:
-        raise ValueError(f"unknown series {series!r}")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if m == 1:
-        return Fraction(1)  # surfaces: the form is the cup product itself
-    c = Fraction(factorial(2 * m), factorial(m) * 2 ** m)
-    if series == KUMMER:
-        c *= m + 1
-    return c
+    c is (2m)! times the q^m coefficient of chi: (2m)!/(m! 2^m) = (2m-1)!!,
+    times m + 1 for the Kummer series at m >= 2.
+    """
+    RiemannRochInput(series, m, 0)  # the series and m checks
+    c = factorial(2 * m) // (factorial(m) * 2 ** m)
+    return c if _is_hilb(series, m) else (m + 1) * c
 
 
 def top_self_intersection(series: str, m: int, q: int) -> int:
     """x^(2m) for a class of even square q."""
-    if q % 2:
-        raise OddSquare("the square q must be even")
-    value = fujiki_constant(series, m) * q ** m
-    if value.denominator != 1:
-        raise ArithmeticError(f"x^(2m) = {value} is not an integer for m={m}, q={q}")
-    return int(value)
+    RiemannRochInput(series, m, q)
+    return fujiki_constant(series, m) * q ** m
 
 
 def betti2(series: str) -> int:

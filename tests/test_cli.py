@@ -502,6 +502,7 @@ run("pell", "fundamental", "--d", "13")
 run("aut", "s2", "--e", "7")
 assert not loaded("fractions", *layers), loaded("fractions", *layers)
 run("chi", "--m", "2", "--q", "6")
+run("fujiki", "--series", "Kummer", "--m", "2")
 assert not loaded("fractions", *layers), loaded("fractions", *layers)
 assert hkpell.periods is sys.modules["hkpell.periods"]
 try:
@@ -687,14 +688,21 @@ def test_help_and_usage_errors_launch_with_the_full_parsers_bytes(monkeypatch):
 
 ENVELOPES = pathlib.Path(__file__).parent / "envelopes.json"
 
+# the m = 1 member of the Kummer series is a K3 surface: chi = q/2 + 2, c = 1
+_SURFACES = [
+    ["chi", "--series", "Kummer", "--m", "1", "--q", "2"],
+    ["fujiki", "--series", "Kummer", "--m", "1"],
+]
+
 
 def _envelope_argvs():
-    """Every command of _EVERY_COMMAND under each --format, and every argv of
+    """Every command of _EVERY_COMMAND under each --format, every argv of
     test_out_of_domain_exit_code, test_large_input_within_budget and
-    test_early_refusal_within_budget, each once."""
+    test_early_refusal_within_budget, and the _SURFACES, each once."""
     leaves = [[*path, *args.split()] for path, args in _EVERY_COMMAND.items()]
     argvs = ([["--format", f, *argv] for argv in leaves for f in ("json", "text", "csv")]
-             + [argv for argv, _ in _OUT_OF_DOMAIN + _LARGE_INPUT + _EARLY_REFUSAL])
+             + [argv for argv, _ in _OUT_OF_DOMAIN + _LARGE_INPUT + _EARLY_REFUSAL]
+             + _SURFACES)
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
 

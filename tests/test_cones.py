@@ -5,7 +5,8 @@ from math import comb, isqrt
 import pytest
 
 from hkpell import cones, pell
-from hkpell.arith import ConeError, is_square
+from hkpell.arith import ConeError, check_polarization, is_square
+from hkpell.autgroups import fourfold_groups
 from hkpell.cones import (BadCongruence, ConeReport, DivisorClass,
                           ExtremalSlope, UnsupportedM, fourfold_cones,
                           hilb_embedding_status, k_very_ample,
@@ -258,6 +259,30 @@ def test_fourfold_cones():
         fourfold_cones(2, 5)
     with pytest.raises(ValueError, match="n=-5"):  # -5 = 3 mod 4
         fourfold_cones(-5, 5)
+
+
+def test_fourfold_domain_is_the_polarization_rule():
+    # H is a square-2n class of divisibility 2 on a fourfold of K3^[2] type
+    for n in range(-9, 41):
+        if n < 1:
+            expected = None
+        else:
+            try:
+                check_polarization(2, n, 2)
+                expected = ()
+            except BadCongruence as exc:
+                expected = str(exc)
+        for ep in (2, 3, 5):
+            for call in (fourfold_cones, fourfold_groups):
+                try:
+                    call(n, ep)
+                    got = ()
+                except BadCongruence as exc:
+                    got = str(exc)
+                except ValueError as exc:
+                    assert str(exc) == f"n must be positive, got n={n}", (call, n, ep)
+                    got = None
+                assert got == expected, (call, n, ep)
 
 
 def test_fourfold_rational_mov_has_at_most_one_wall_pair():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -22,6 +22,8 @@ def test_chi_golden():
     assert chi_hilb(2, 22) == 91
     assert chi_hilb(3, 4) == 20
     assert chi_hilb(2, 2) == 6
+    for q in range(-6, 9, 2):  # m = 1 is a K3 surface in either series
+        assert chi_kummer(1, q) == chi_hilb(1, q) == q // 2 + 2
     with pytest.raises(OddSquare):
         chi(RiemannRochInput(HILB_K3, 2, 3))
 
@@ -44,9 +46,24 @@ def test_fujiki():
     assert fujiki_constant(KUMMER, 3) == 60
 
 
+def test_fujiki_relation():
+    # x^(2m) = c * q^m and chi(q) = sum of the even-degree Todd terms give
+    # c = (2m)! times the q^m coefficient of chi: (2m)!/(2^m m!) times the
+    # m-th forward difference of h -> chi(2h), and m = 1 is a K3 surface
+    # (chi = q/2 + 2, c = 1) in either series
+    for series in (HILB_K3, KUMMER):
+        for m in range(1, 13):
+            diff = sum((-1) ** (m - j) * comb(m, j) * chi(RiemannRochInput(series, m, 2 * j))
+                       for j in range(m + 1))
+            c = fujiki_constant(series, m)
+            assert type(c) is int, (series, m)
+            assert c == factorial(2 * m) // (2 ** m * factorial(m)) * diff, (series, m)
+            for q in range(-6, 9, 2):
+                assert top_self_intersection(series, m, q) == c * q ** m, (series, m, q)
+
+
 def test_top_self_intersection():
     assert top_self_intersection(HILB_K3, 2, 6) == 108
-    from math import factorial
     assert top_self_intersection(HILB_K3, 12, 2) == factorial(24) // factorial(12)
     assert top_self_intersection(KUMMER, 5, 0) == 0
 
