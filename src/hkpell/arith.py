@@ -13,7 +13,8 @@ class Record:
     each field is set once here; a subclass that checks, derives or defaults
     a field does so in its own __init__ and ends in super().__init__.
     Records are equal, hash alike and (OrderedRecord) order by their field
-    values, only within one class, and show as Name(field=value, ...).
+    values, only within one class, and show as Name(field=value, ...), an
+    int field past the interpreter's int-to-str digit limit as <N-bit int>.
     """
 
     # the field values in order, as built: equality, hash and order compare
@@ -41,7 +42,8 @@ class Record:
         return hash(self._values)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_int_text(v) if isinstance(v, int) else repr(v)}"
+                           for name, v in zip(self.__slots__, self._values))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -52,6 +54,15 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+def _int_text(n: int) -> str:
+    """n in decimal, or its bit length where decimal is past the interpreter's
+    int-to-str digit limit (units reach it: d = 10**9 + 7 has ~6400 digits)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit int>"
 
 
 @total_ordering

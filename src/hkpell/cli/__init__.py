@@ -22,11 +22,12 @@ as --name value with a plain integer or series value) is read straight from
 the command specs.  A launch of one loads this core, arith (for the domain
 errors), the one handler module hkpell.cli.<layer> of its command and the
 layers that module calls, and nothing else of the package; its output is
-written by _dumps, so neither json nor argparse is imported.  The parser of
-every command lives in hkpell.cli._parser, loaded, and argparse imported,
-only for help, for a usage error and for every other spelling argparse
-accepts (--d=5, abbreviations, +5, repeated options).  This core holds what
-every invocation needs.
+written by _dumps, which loads json only for a string that needs an escape,
+and argparse is not imported.  The parser of every command lives in
+hkpell.cli._parser, loaded, and argparse imported, only for help, for a
+usage error and for every other spelling argparse accepts (--d=5,
+abbreviations, +5, repeated options).  This core holds what every
+invocation needs.
 """
 
 import importlib
@@ -58,30 +59,17 @@ def _csv_text(rows: list[list[str]]) -> str:
 # ---------------------------------------------------------------------------
 # JSON
 
-# json's ensure_ascii escapes of the control characters, '"' and '\'; from
-# DEL (U+007F) on every character is \uXXXX (a surrogate pair past U+FFFF)
-_ESCAPES = {**{chr(i): f"\\u{i:04x}" for i in range(0x20)}, '"': '\\"', "\\": "\\\\",
-            "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _string(s: str) -> str:
-    """s as json.dumps writes a str: ASCII only, astral characters as
-    surrogate pairs."""
+    """s as json.dumps writes a str; json is loaded only for a string that
+    needs an escape."""
     if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
         return f'"{s}"'
-    out = []
-    for c in s:
-        if c in _ESCAPES:
-            out.append(_ESCAPES[c])
-        elif c < "\x7f":
-            out.append(c)
-        elif c <= "\uffff":
-            out.append(f"\\u{ord(c):04x}")
-        else:
-            n = ord(c) - 0x10000
-            out.append(f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}")
-    return '"' + "".join(out) + '"'
+    import json
+
+    return json.dumps(s)
 
 
 def _dumps(obj, indent: int | None = None) -> str:

@@ -47,24 +47,12 @@ class ExcludedDegenerateCase(PellError):
     """Raised by compose_to_unit on the two excluded parameter combinations."""
 
 
-def _int_text(n: int) -> str:
-    """n in decimal, or its bit length where decimal is past the interpreter's
-    int-to-str digit limit (units reach it: d = 10**9 + 7 has ~6400 digits)."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"<{n.bit_length()}-bit int>"
-
-
 class PellSolution(OrderedRecord):
     __slots__ = ("a", "b")
 
     def __iter__(self):
         yield self.a
         yield self.b
-
-    def __repr__(self) -> str:
-        return f"PellSolution(a={_int_text(self.a)}, b={_int_text(self.b)})"
 
 
 class PellEquation(Record):

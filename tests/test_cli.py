@@ -77,9 +77,19 @@ def test_reproduce_function_matches_golden():
 
 
 def test_unknown_table_is_domain_error(capsys):
+    from hkpell.cli import UnknownTable
+
     code, out, err = run_cli(["reproduce", "no-such-table"], capsys)
     assert code == 1
     assert "UnknownTable" in err
+    # an id with a '"' or a non-ASCII character puts them in the message,
+    # which json escapes
+    for table_id in ('a"b', "\xe9"):
+        with pytest.raises(UnknownTable) as exc:
+            reproduce_table(table_id)
+        code, out, err = run_cli(["reproduce", table_id], capsys)
+        error = {"type": "UnknownTable", "message": str(exc.value)}
+        assert (code, out, err) == (1, "", json.dumps({"error": error}, sort_keys=True) + "\n")
 
 
 def test_domain_error_exit(capsys):
@@ -540,6 +550,9 @@ assert loaded("hkpell.cones", "hkpell.pell") == {"hkpell.cones", "hkpell.pell"}
     # another spelling and a usage error load the parser, and json still not
     modules = _modules_loaded_as_main(["pell", "fundamental", "--d=13"])
     assert {"argparse", "hkpell.cli._parser"} <= set(modules) and "json" not in modules, modules
+    # a string that needs an escape loads json, to write its error line
+    modules = _modules_loaded_as_main(["reproduce", 'a"b'], code=1)
+    assert "json" in modules and "argparse" not in modules, modules
     _in_fresh_interpreter("""
 from contextlib import redirect_stderr
 try:
@@ -565,12 +578,12 @@ def main(argv=None):
     return returned[-1]
 
 returned, core_main, core.main, os._exit = [], core.main, main, _exit
-sys.argv = ["hkpell", *sys.argv[1:]]
+expected, sys.argv = int(sys.argv[1]), ["hkpell", *sys.argv[2:]]
 with redirect_stdout(io.StringIO()):
     try:
         runpy.run_module("hkpell.cli", run_name="__main__", alter_sys=True)  # as -m does
     except SystemExit as exc:
-        assert exc.code == 0, exc.code
+        assert exc.code == expected, exc.code
         code, tb = exc.code, exc.__traceback__
 frames = []
 while tb:
@@ -608,11 +621,12 @@ def test_console_script_runs_the_launcher_the_shim_runs():
     assert target and calls == [target[1]] and imports == [(None, 1, calls)], (scripts, calls)
 
 
-def _modules_loaded_as_main(argv):
+def _modules_loaded_as_main(argv, code=0):
     """The hkpell modules, and json and argparse if loaded, that a fresh
-    `python -m hkpell.cli <argv>` loads."""
-    proc = subprocess.run([sys.executable, "-c", _AS_MAIN, *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": SRC})
+    `python -m hkpell.cli <argv>` loads; the launch must exit with code."""
+    proc = subprocess.run([sys.executable, "-c", _AS_MAIN, str(code), *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 

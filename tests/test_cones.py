@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import islice, takewhile
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 import pytest
 
@@ -227,6 +227,37 @@ def test_walls_sm_matches_s2():
         nef = mov if five is None else ExtremalSlope.rational(F(2 * e * five.b, five.a))
         rep = walls_sm(e, 2)
         assert (rep.mov_slope, rep.nef_slope) == (mov, nef), e
+
+
+def test_walls_sm_match_a_box_of_classes():
+    # an oracle without the Pell solver: the wall classes X*L - Y*delta of
+    # Bayer-Macri (Invent. Math. 2014, sec. 13), of square kappa^2 and
+    # divisibility s, scanned over X <= 2000 for each unflagged type.  A
+    # class cuts the wall e*X/((m-1)*Y) when that slope lies below Mov, and
+    # X is the numerator of (m-1)*w/e for the wall w it cuts
+    from hkpell.arith import wall_types
+
+    box, inside, total = 2000, 0, 0
+    for m in (2, 3, 4):
+        p = m - 1
+        types = [t for t in wall_types(m) if not t.bounds_mov]
+        for e in range(1, 121):
+            rep = walls_sm(e, m)
+            mov = rep.mov_slope.value
+            found = set()
+            for t in types:
+                s = t.div
+                for x in range(1, box + 1):
+                    y2, r = divmod(2 * e * x * x - t.kappa_prim_sq, 2 * p)
+                    y = isqrt(y2)
+                    if r or y * y != y2 or gcd(x, y) != 1 or gcd(x, 2 * p * y) != s:
+                        continue
+                    if (slope := F(e * x, p * y)) < mov:
+                        found.add(slope)
+            walls = {w for w in rep.interior_walls if (p * w / e).numerator <= box}
+            assert found == walls, (m, e)
+            inside, total = inside + len(walls), total + len(rep.interior_walls)
+    assert (inside, total) == (154, 173)
 
 
 def test_walls_sm_inside_cone():

@@ -154,6 +154,19 @@ def test_repr_of_unit_past_str_digit_limit(default_int_str_limit):
         same_class(7, 2, PellSolution(10**5000, 1), PellSolution(3, 1))
 
 
+def test_repr_of_every_record_past_str_digit_limit(default_int_str_limit):
+    # Record's rule, not PellSolution's: the Mov ray of e = 999999937, m = 2
+    # is built from the unit of d = 999999937, of 88557 bits
+    from hkpell import arith, cones, periods
+
+    assert repr(cones.mov_ray_sm(999999937, 2)[0]) == \
+        "DivisorClass(c_l=<88557-bit int>, c_delta=<88572-bit int>)"
+    assert repr(arith.WallConstraint(10**5000, -1, 2)) == \
+        "WallConstraint(k=<16610-bit int>, a=-1, kappa_sq=2)"
+    assert repr(periods.HeegnerKey(10**5000, -12, 2, (0, 1))) == \
+        "HeegnerKey(d=<16610-bit int>, kappa_prim_sq=-12, s=2, star=(0, 1))"
+
+
 class _SkewedD(int):
     """d whose products are off by one, so the PQa norm check must fail."""
 
