@@ -13,8 +13,8 @@ class Record:
     each field is set once here; a subclass that checks, derives or defaults
     a field does so in its own __init__ and ends in super().__init__.
     Records are equal, hash alike and (OrderedRecord) order by their field
-    values, only within one class, and show as Name(field=value, ...), an
-    int field past the interpreter's int-to-str digit limit as <N-bit int>.
+    values, only within one class, and show as Name(field=value, ...), as
+    _value_text writes each value.
     """
 
     # the field values in order, as built: equality, hash and order compare
@@ -42,7 +42,7 @@ class Record:
         return hash(self._values)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={_int_text(v) if isinstance(v, int) else repr(v)}"
+        fields = ", ".join(f"{name}={_value_text(v)}"
                            for name, v in zip(self.__slots__, self._values))
         return f"{self.__class__.__qualname__}({fields})"
 
@@ -65,6 +65,26 @@ def _int_text(n: int) -> str:
         return f"<{n.bit_length()}-bit int>"
 
 
+def _value_text(v) -> str:
+    """repr(v), with _int_text writing each int in it: v itself, each part
+    of a rational, written Fraction(p, q), and each item of a tuple.  A
+    rational is a non-int value with a numerator and a denominator, so that
+    arith loads no fractions."""
+    if isinstance(v, int):
+        return _int_text(v)
+    if type(v) is tuple:
+        items = ", ".join(map(_value_text, v))
+        return f"({items},)" if len(v) == 1 else f"({items})"
+    if hasattr(v, "numerator") and hasattr(v, "denominator"):
+        return f"{type(v).__name__}({_int_text(v.numerator)}, {_int_text(v.denominator)})"
+    return repr(v)
+
+
+def ratio_text(q) -> str:
+    """A rational or an int as "p/q"."""
+    return f"{q.numerator}/{q.denominator}"
+
+
 @total_ordering
 class OrderedRecord(Record):
     """A Record ordered by its field values, within one class."""
@@ -79,7 +99,7 @@ class OrderedRecord(Record):
 
 class DomainError(Exception):
     """Base of every layer's typed domain error (PellError, LatticeError,
-    ConeError, AutError, PeriodsError); the CLI exits 1 on any of them."""
+    ConeError, PeriodsError); the CLI exits 1 on any of them."""
 
 
 # ConeError, BadCongruence and UnsupportedParameters live here, so that every

@@ -9,11 +9,7 @@ which side of a necessary-versus-sufficient gap the parameters landed on.
 from math import gcd
 
 from . import pell
-from .arith import DomainError, Record, check_polarization
-
-
-class AutError(DomainError):
-    pass
+from .arith import Record, check_polarization
 
 
 class GroupTag(Record):

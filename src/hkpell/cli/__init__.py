@@ -42,11 +42,6 @@ _SERIES = ("HilbK3", "Kummer")
 _FORMATS = ("json", "csv", "text")
 
 
-def _frac(q) -> str:
-    """A Fraction or an int as "p/q"."""
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _csv_text(rows: list[list[str]]) -> str:
     import csv
     import io

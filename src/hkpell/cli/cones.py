@@ -1,7 +1,8 @@
 """The cone command and the s2-cones and s2-walls tables."""
 
 from .. import cones, pell
-from . import UsageError, _frac
+from ..arith import ratio_text
+from . import UsageError
 
 
 def _sol(s) -> str:
@@ -13,7 +14,7 @@ def _cone(rep) -> dict:
     return {
         "mov": str(rep.mov_slope),
         "nef": str(rep.nef_slope),
-        "walls": [_frac(w) for w in rep.interior_walls],
+        "walls": [ratio_text(w) for w in rep.interior_walls],
         "nef_equals_mov": rep.nef_equals_mov,
     }
 
@@ -55,7 +56,7 @@ def s2_walls_rows(_params: dict) -> list[list[str]]:
         p1 = pell.min_positive_solution(pell.PellEquation.classical(e, 1))
         rep = cones.walls_s2(e)
         rows.append([str(e), _sol(p1), str(rep.mov_slope),
-                     ";".join(_frac(w) for w in rep.interior_walls)])
+                     ";".join(ratio_text(w) for w in rep.interior_walls)])
     return rows
 
 

@@ -1,14 +1,14 @@
 """The lattice command."""
 
 from .. import lattice
-from . import _frac
+from ..arith import ratio_text
 
 
 def disc(params: dict) -> dict:
     dg = lattice.disc_group(**params)
     return {
         "orders": list(dg.orders),
-        "q": [_frac(q) for q in dg.gen_q],
+        "q": [ratio_text(q) for q in dg.gen_q],
         "invariant_factors": list(dg.invariant_factors),
         "order": dg.order,
     }

@@ -1,7 +1,7 @@
 """The chi and fujiki commands."""
 
 from .. import rrinv
-from . import _frac
+from ..arith import ratio_text
 
 
 def chi(params: dict) -> dict:
@@ -9,4 +9,4 @@ def chi(params: dict) -> dict:
 
 
 def fujiki(params: dict) -> dict:
-    return {"constant": _frac(rrinv.fujiki_constant(**params))}
+    return {"constant": ratio_text(rrinv.fujiki_constant(**params))}

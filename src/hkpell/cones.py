@@ -16,7 +16,7 @@ from math import gcd, isqrt
 
 from . import pell
 from .arith import (BadCongruence, ConeError, Record, UnsupportedParameters, check_polarization,
-                    is_square, wall_types)
+                    is_square, ratio_text, wall_types)
 
 
 class UnsupportedM(ConeError):
@@ -61,9 +61,8 @@ class ExtremalSlope(Record):
         return self.squared() <= other.squared()
 
     def __str__(self):
-        if self.is_sqrt:
-            return f"sqrt({self.value.numerator}/{self.value.denominator})"
-        return f"{self.value.numerator}/{self.value.denominator}"
+        text = ratio_text(self.value)
+        return f"sqrt({text})" if self.is_sqrt else text
 
 
 class DivisorClass(Record):

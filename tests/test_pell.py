@@ -165,6 +165,15 @@ def test_repr_of_every_record_past_str_digit_limit(default_int_str_limit):
         "WallConstraint(k=<16610-bit int>, a=-1, kappa_sq=2)"
     assert repr(periods.HeegnerKey(10**5000, -12, 2, (0, 1))) == \
         "HeegnerKey(d=<16610-bit int>, kappa_prim_sq=-12, s=2, star=(0, 1))"
+    # each part of a rational, and each item of a tuple, follows the same rule
+    slope = cones.ExtremalSlope(False, Fraction(10**5000, 3))
+    assert repr(slope) == "ExtremalSlope(is_sqrt=False, value=Fraction(<16610-bit int>, 3))"
+    report = cones.ConeReport(slope, slope, (Fraction(10**5000, 3),), False, True)
+    assert repr(report) == (
+        f"ConeReport(mov_slope={slope!r}, nef_slope={slope!r}, "
+        "interior_walls=(Fraction(<16610-bit int>, 3),), walls_infinite=False, symmetric=True)")
+    assert repr(periods.HeegnerKey(6, -12, 2, (0, 10**5000))) == \
+        "HeegnerKey(d=6, kappa_prim_sq=-12, s=2, star=(0, <16610-bit int>))"
 
 
 class _SkewedD(int):
