@@ -81,8 +81,8 @@ def _value_text(v) -> str:
 
 
 def ratio_text(q) -> str:
-    """A rational or an int as "p/q"."""
-    return f"{q.numerator}/{q.denominator}"
+    """A rational or an int as "p/q", with _int_text writing each part."""
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
 @total_ordering
@@ -230,37 +230,66 @@ def square_divisors(n: int) -> tuple[int, ...]:
     return _power_divisors(n, 2)
 
 
+def _is_square_mod_prime_power(a: int, r: int, k: int) -> bool:
+    """Whether a is a square modulo r**k, for r prime and k >= 1.
+
+    With a = r^v * u, r not dividing u, and v < k, a root z has v_r(z^2) = v,
+    so v is even and z = r^(v/2) * w with w^2 = u (mod r^(k-v)).  That asks
+    Euler's criterion u^((r-1)/2) = 1 (mod r) for odd r (Hensel lifts the
+    root), and at r = 2, u = 1 modulo 8, or modulo 4 when k - v = 2 (Cohen,
+    GTM 138, Sec. 1.5).  A multiple of r^k is the square of 0.
+    """
+    q = r ** k
+    a %= q
+    if a == 0:
+        return True
+    v = 0
+    while a % r == 0:
+        a //= r
+        v += 1
+    if v % 2:
+        return False
+    if r == 2:
+        return k - v == 1 or a % (4 if k - v == 2 else 8) == 1
+    return pow(a, (r - 1) // 2, r) == 1
+
+
 def sqrt_mod(a: int, n: int) -> Iterator[int]:
     """Every z in [0, n) with z*z = a (mod n), ascending, for n >= 1.
 
-    The roots are found by scanning all n residues, so the time is O(n); a
-    faster algorithm must keep this contract.
+    At each prime r of gcd(a, n) the rule of _is_square_mod_prime_power, at
+    the power r^k of r in n, is checked first, and a failure yields no root
+    at once.  The rule passes where r^k divides a, so only the primes of
+    gcd(g, n/g), g = gcd(a, n), are read, at the cost of one trial-division
+    factoring.  Otherwise the roots are found by scanning all n residues, so
+    the time is O(n); a faster algorithm must keep this contract.
     """
     if n < 1:
         raise ValueError(f"sqrt_mod needs n >= 1, got n = {n}")
     a %= n
+    g = gcd(a, n)
+    if any(not _is_square_mod_prime_power(a, r, v_p(n, r))
+           for r, _ in prime_factors(gcd(g, n // g))):
+        return iter(())
     return (z for z in range(n) if z * z % n == a)
 
 
 def is_square_mod(a: int, n: int) -> bool:
-    """Whether a is congruent to a square modulo n (n >= 1).
+    """Whether a is congruent to a square modulo n (n >= 1), in O(sqrt(n)).
 
     The z in [0, isqrt(n)] are tried first, so a small root answers at once.
-    Then, as a root mod n is a root mod each prime r of n, Euler's criterion
-    (Cohen, GTM 138, Sec. 1.5) answers no when some r does not divide a and
-    a^((r-1)/2) != 1 (mod r); this costs one trial-division factoring of n,
-    O(sqrt(n)) like the residues already tried.  Otherwise the scan goes on
-    to the first root, in O(n).
+    Otherwise, as a root mod n is a root mod each prime power of n and the
+    roots mod the prime powers combine by the Chinese remainder theorem, the
+    rule of _is_square_mod_prime_power at every prime power of n decides;
+    this costs one trial-division factoring of n, O(sqrt(n)) like the
+    residues already tried.
     """
     if n < 1:
         raise ValueError(f"is_square_mod needs n >= 1, got n = {n}")
     a %= n
-    head = min(isqrt(n) + 1, n)
-    if any(z * z % n == a for z in range(head)):
+    if any(z * z % n == a for z in range(min(isqrt(n) + 1, n))):
         return True
-    if any(a % r and pow(a, (r - 1) // 2, r) != 1 for r, _ in prime_factors(n)):
-        return False
-    return any(z * z % n == a for z in range(head, n))
+    return all(_is_square_mod_prime_power(a, r, k) for r, k in prime_factors(n))
 
 
 def binomial_poly(x: int, k: int) -> int:

@@ -9,7 +9,7 @@ which side of a necessary-versus-sufficient gap the parameters landed on.
 from math import gcd
 
 from . import pell
-from .arith import Record, check_polarization
+from .arith import Record, check_polarization, is_square_mod
 
 
 class GroupTag(Record):
@@ -43,6 +43,15 @@ def unknown(reason: str) -> GroupTag:
 
 
 def _solvable(e1: int, e2: int, t: int) -> bool:
+    """Whether e1*a^2 - e2*b^2 = t has a positive solution, for e1, e2 >= 1.
+
+    A solution gives (e1*a)^2 = e1*t and (e2*b)^2 = -e2*t modulo e1*e2, so
+    where either is no square mod e1*e2 the answer is no before any unit is
+    built; is_square_mod decides each in O(sqrt(e1*e2)).
+    """
+    n = e1 * e2
+    if not (is_square_mod(e1 * t, n) and is_square_mod(-e2 * t, n)):
+        return False
     return pell.generalized_min(e1, e2, t) is not None
 
 

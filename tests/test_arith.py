@@ -77,6 +77,31 @@ def test_a_small_root_comes_out_before_n_is_factored():
     assert time.perf_counter() - start < 1.0
 
 
+def test_is_square_mod_matches_a_scan():
+    # the local rule at every prime power of n, against the set of squares
+    for n in range(1, 700):
+        squares = {z * z % n for z in range(n)}
+        for a in range(n):
+            assert is_square_mod(a, n) == (a in squares), (a, n)
+
+
+# 125000000039 = 7 (mod 8) and 111000000049 are prime, and 5, 3 and 6 are
+# squares modulo them; is_square_mod's head scan finds no root and a scan of
+# all n residues would not end, so only the local rule at 2 or 3 answers
+@pytest.mark.parametrize("decide", [
+    # 5 is no square mod 8
+    lambda: is_square_mod(5, 8 * 125000000039),
+    # 3 has odd valuation below that of 9 at the prime 3 of a
+    lambda: is_square_mod(3, 9 * 111000000049),
+    # so has 6, at the prime 3 that sqrt_mod's a and n share
+    lambda: next(sqrt_mod(6, 9 * 111000000049), False),
+])
+def test_the_local_rule_refutes_at_one_prime_of_a_large_n(decide):
+    start = time.perf_counter()
+    assert decide() is False
+    assert time.perf_counter() - start < 1.0
+
+
 def test_is_prime_matches_sympy():
     for n in range(-5, 5000):
         assert is_prime(n) == isprime(n), n

@@ -176,6 +176,14 @@ _LARGE_INPUT = [
     (["oracle", "--m", "2", "--n", "1000000", "--gamma", "1", "--bound", "1"], 1.0),
     # the Mersenne prime n = 2^61 - 1
     (["heegner", "nonempty", "--n", "2305843009213693951", "--gamma", "1", "--e", "1"], 1.0),
+    # the prime n = 10^11 + 3: neither e nor e - n has a root mod 4n below
+    # 2 * sqrt(n), so the local rule at 4 and at n answers (11 - n is a square
+    # mod 4n)
+    (["heegner", "nonempty", "--n", "100000000003", "--gamma", "1", "--e", "6"], 1.0),
+    (["heegner", "nonempty", "--n", "100000000003", "--gamma", "1", "--e", "11"], 1.0),
+    # the prime e = 10^12 + 39 = 3 (mod 4): -1 is no square mod e, so no unit
+    # of d = e is built
+    (["aut", "s2", "--e", "1000000000039"], 1.0),
 ]
 
 

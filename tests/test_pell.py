@@ -176,6 +176,15 @@ def test_repr_of_every_record_past_str_digit_limit(default_int_str_limit):
         "HeegnerKey(d=6, kappa_prim_sq=-12, s=2, star=(0, <16610-bit int>))"
 
 
+def test_str_of_slope_past_str_digit_limit(default_int_str_limit):
+    # ratio_text writes each part as a record's repr does
+    from hkpell import cones
+
+    assert str(cones.walls_s2(999999937).mov_slope) == "<88572-bit int>/<88557-bit int>"
+    assert str(cones.ExtremalSlope(True, Fraction(10**5000, 3))) == "sqrt(<16610-bit int>/3)"
+    assert str(cones.ExtremalSlope(False, Fraction(7, 3))) == "7/3"
+
+
 class _SkewedD(int):
     """d whose products are off by one, so the PQa norm check must fail."""
 
