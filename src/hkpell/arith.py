@@ -180,10 +180,8 @@ def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     f = 2
     while f * f <= n:
         if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
+            e = v_p(n, f)
+            n //= f ** e
             out.append((f, e))
         f += 1 if f == 2 else 2
     if n > 1:
@@ -243,12 +241,10 @@ def _is_square_mod_prime_power(a: int, r: int, k: int) -> bool:
     a %= q
     if a == 0:
         return True
-    v = 0
-    while a % r == 0:
-        a //= r
-        v += 1
+    v = v_p(a, r)
     if v % 2:
         return False
+    a //= r ** v
     if r == 2:
         return k - v == 1 or a % (4 if k - v == 2 else 8) == 1
     return pow(a, (r - 1) // 2, r) == 1
@@ -277,17 +273,18 @@ def sqrt_mod(a: int, n: int) -> Iterator[int]:
 def is_square_mod(a: int, n: int) -> bool:
     """Whether a is congruent to a square modulo n (n >= 1), in O(sqrt(n)).
 
-    The z in [0, isqrt(n)] are tried first, so a small root answers at once.
-    Otherwise, as a root mod n is a root mod each prime power of n and the
-    roots mod the prime powers combine by the Chinese remainder theorem, the
-    rule of _is_square_mod_prime_power at every prime power of n decides;
-    this costs one trial-division factoring of n, O(sqrt(n)) like the
-    residues already tried.
+    A perfect square a in [0, n) answers at once, before n is factored: a
+    z <= sqrt(n) has z^2 <= n, so z^2 = a (mod n) means z^2 = a, or a = 0
+    where z^2 = n, and the small roots are exactly sqrt(a).  Otherwise, as a
+    root mod n is a root mod each prime power of n and the roots mod the
+    prime powers combine by the Chinese remainder theorem, the rule of
+    _is_square_mod_prime_power at every prime power of n decides; this costs
+    one trial-division factoring of n, O(sqrt(n)).
     """
     if n < 1:
         raise ValueError(f"is_square_mod needs n >= 1, got n = {n}")
     a %= n
-    if any(z * z % n == a for z in range(min(isqrt(n) + 1, n))):
+    if is_square(a):
         return True
     return all(_is_square_mod_prime_power(a, r, k) for r, k in prime_factors(n))
 
@@ -341,16 +338,9 @@ def wall_constraints(m: int) -> tuple[WallConstraint, ...]:
     kappa^2 = 2p(4pa - k^2).
     """
     p = _wall_p(m)
-    out = []
-    for k in range(p + 1):
-        a = -1
-        while True:
-            kappa_sq = 2 * p * (4 * p * a - k * k)
-            if kappa_sq >= 0:
-                break
-            out.append(WallConstraint(k, a, kappa_sq))
-            a += 1
-    return tuple(out)
+    # kappa^2 < 0 exactly when a < k^2/4p, i.e. a < ceil(k^2/4p)
+    return tuple(WallConstraint(k, a, 2 * p * (4 * p * a - k * k))
+                 for k in range(p + 1) for a in range(-1, -(-k * k // (4 * p))))
 
 
 class WallType(Record):

@@ -45,10 +45,16 @@ def unknown(reason: str) -> GroupTag:
 def _solvable(e1: int, e2: int, t: int) -> bool:
     """Whether e1*a^2 - e2*b^2 = t has a positive solution, for e1, e2 >= 1.
 
-    A solution gives (e1*a)^2 = e1*t and (e2*b)^2 = -e2*t modulo e1*e2, so
-    where either is no square mod e1*e2 the answer is no before any unit is
-    built; is_square_mod decides each in O(sqrt(e1*e2)).
+    Two local tests refuse before any unit is built.  A solution reduces
+    mod 8, where the squares are 0, 1 and 4, so e1*x - e2*y = t (mod 8) for
+    some squares x, y mod 8: in O(1) this refuses a^2 - e*b^2 = -1 for
+    e = 3 (mod 4), whatever the size of e.  A solution also gives
+    (e1*a)^2 = e1*t and (e2*b)^2 = -e2*t modulo e1*e2, so where either is no
+    square mod e1*e2 the answer is no; is_square_mod decides each in
+    O(sqrt(e1*e2)).
     """
+    if all((e1 * x - e2 * y - t) % 8 for x in (0, 1, 4) for y in (0, 1, 4)):
+        return False
     n = e1 * e2
     if not (is_square_mod(e1 * t, n) and is_square_mod(-e2 * t, n)):
         return False

@@ -128,22 +128,21 @@ def fundamental_solution(d: int) -> PellSolution:
     sign = 1  # (-1)^i, so that p_{i-1}^2 - d*q_{i-1}^2 = sign*Q_i
     while True:
         m_next = den * a - m
-        if m_next == m:
-            q_prev = isqrt((p_prev * p_prev - sign * den) // d)
-            p, q = (p_prev * p_prev + d * q_prev * q_prev) // den, 2 * p_prev * q_prev // den
-            break
         den_next = (d - m_next * m_next) // den
-        if den_next == den:
-            # Q_{i+1} = Q_i, so p_i^2 - d*q_i^2 = -sign*Q_i
-            q_prev = isqrt((p_prev * p_prev - sign * den) // d)
-            q = isqrt((p * p + sign * den) // d)
-            x, y = (p_prev * p + d * q_prev * q) // den, (p_prev * q + p * q_prev) // den
-            p, q = x * x + d * y * y, 2 * x * y
+        if m_next == m or den_next == den:
             break
         m, den = m_next, den_next
         a = (r + m) // den
         p, p_prev = a * p + p_prev, p
         sign = -sign
+    q_prev = isqrt((p_prev * p_prev - sign * den) // d)
+    if m_next == m:
+        p, q = (p_prev * p_prev + d * q_prev * q_prev) // den, 2 * p_prev * q_prev // den
+    else:
+        # Q_{i+1} = Q_i, so p_i^2 - d*q_i^2 = -sign*Q_i
+        q = isqrt((p * p + sign * den) // d)
+        x, y = (p_prev * p + d * q_prev * q) // den, (p_prev * q + p * q_prev) // den
+        p, q = x * x + d * y * y, 2 * x * y
     if p * p - d * q * q != 1:
         raise PellError(f"half a period of sqrt({d}) did not yield a unit of norm 1")
     return PellSolution(p, q)
@@ -177,10 +176,6 @@ def _mul_unit(x: int, y: int, d: int, u: PellSolution) -> tuple[int, int]:
     return x * u.a + d * y * u.b, x * u.b + y * u.a
 
 
-def _div_unit(x: int, y: int, d: int, u: PellSolution) -> tuple[int, int]:
-    return x * u.a - d * y * u.b, y * u.a - x * u.b
-
-
 def _canonical_rep(d: int, t: int, x: int, y: int) -> tuple[int, int]:
     """Minimal positive member of the class of (x, y) in a^2 - d*b^2 = t.
 
@@ -189,6 +184,7 @@ def _canonical_rep(d: int, t: int, x: int, y: int) -> tuple[int, int]:
     the window (sqrt(|t|), sqrt(|t|) * unit].
     """
     u = fundamental_solution(d)
+    u_inv = PellSolution(u.a, -u.b)  # the conjugate, as u has norm 1
     if _sign_quad(x, y, d) < 0:
         x, y = -x, -y
 
@@ -198,12 +194,8 @@ def _canonical_rep(d: int, t: int, x: int, y: int) -> tuple[int, int]:
 
     while not above_window(x, y):
         x, y = _mul_unit(x, y, d, u)
-    while True:
-        xd, yd = _div_unit(x, y, d, u)
-        if above_window(xd, yd):
-            x, y = xd, yd
-        else:
-            break
+    while above_window(*(down := _mul_unit(x, y, d, u_inv))):
+        x, y = down
     if x <= 0 or y <= 0:
         raise PellError(f"class window of a^2-{d}b^2={t} left the positive quadrant")
     return x, y

@@ -69,11 +69,15 @@ def test_is_square_mod_rules_out_a_non_residue_mod_an_odd_prime_at_once(a, n):
 
 
 def test_a_small_root_comes_out_before_n_is_factored():
-    # 2^61 - 1 is prime: factoring 4n by trial division would take about
-    # 7.6 * 10^8 divisions, while z = 1 is the second residue scanned
-    n = 4 * (2**61 - 1)
+    # 2^61 - 1 is prime: factoring it by trial division would take about
+    # 7.6 * 10^8 divisions.  1 and 2^60 are perfect squares, so is_square_mod
+    # answers at once (a scan of the z <= sqrt(n) would reach the root 2^30
+    # of 2^60 only after some 10^9 residues), and 2 is the third residue
+    # sqrt_mod scans
+    n = 2**61 - 1
     start = time.perf_counter()
-    assert is_square_mod(1, n) and next(sqrt_mod(n + 4, n)) == 2
+    assert is_square_mod(1, 4 * n) and next(sqrt_mod(4 * n + 4, 4 * n)) == 2
+    assert is_square_mod(2**60, n)
     assert time.perf_counter() - start < 1.0
 
 
@@ -86,7 +90,7 @@ def test_is_square_mod_matches_a_scan():
 
 
 # 125000000039 = 7 (mod 8) and 111000000049 are prime, and 5, 3 and 6 are
-# squares modulo them; is_square_mod's head scan finds no root and a scan of
+# squares modulo them; none of 5, 3 and 6 is a perfect square, and a scan of
 # all n residues would not end, so only the local rule at 2 or 3 answers
 @pytest.mark.parametrize("decide", [
     # 5 is no square mod 8

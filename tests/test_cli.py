@@ -184,6 +184,18 @@ _LARGE_INPUT = [
     # the prime e = 10^12 + 39 = 3 (mod 4): -1 is no square mod e, so no unit
     # of d = e is built
     (["aut", "s2", "--e", "1000000000039"], 1.0),
+    # e = 10^16 + 1 = 353 * 449 * 641 * 1409 * 69857 factors at once, so the
+    # local rule answers for -1 mod e and 5 mod 4e with no scan of the 10^8
+    # residues z <= sqrt(e); (10^8, 1) solves a^2 - e*b^2 = -1
+    (["aut", "s2", "--e", "10000000000000001"], 1.0),
+    # e = 3 (mod 4), the first prime: -1 is no e1*x - e2*y over the squares
+    # x, y mod 8, so e is not factored
+    (["aut", "s2", "--e", "10000001000000027"], 1.0),
+    (["aut", "s2", "--e", "100000000000031"], 1.0),
+    # e = 2^60 is a perfect square, so is_square_mod answers before 4n is
+    # factored
+    (["heegner", "nonempty", "--n", "2305843009213693951", "--gamma", "2",
+      "--e", "1152921504606846976"], 1.0),
 ]
 
 
