@@ -169,24 +169,107 @@ def is_square(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+    return n >= 2 and prime_factors(n) == ((n, 1),)
 
 
-def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
-    """(p, multiplicity) pairs of n >= 1, ascending."""
-    if n < 1:
-        raise ValueError("prime_factors needs n >= 1")
+# Miller-Rabin to the first 13 prime bases is exact below PSI_13: no composite
+# below it is a strong probable prime to all of them (Sorenson-Webster,
+# Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Whether the odd n, prime to every base, passes Miller-Rabin to each
+    of _MR_BASES; a base it fails proves n composite."""
+    s = v_p(n - 1, 2)
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n, which has no prime below
+    1000, by Pollard-Brent rho (Brent, BIT 1980): x -> x^2 + c from
+    x = 2, the cycle found by doubling r and the gcd taken over blocks of 128
+    steps, backtracking one step at a time where a block overshoots; c = 1,
+    2, ... until a factor comes out, so the answer is deterministic."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _trial_division(n: int, f: int, stop: int) -> tuple[list[tuple[int, int]], int, int]:
+    """Trial division of n by f (2 or odd) and every odd number past it,
+    while f*f <= n and f < stop: the prime powers found, the cofactor and
+    the f reached.  A cofactor below that f squared is 1 or prime."""
     out = []
-    f = 2
-    while f * f <= n:
+    while f * f <= n and f < stop:
         if n % f == 0:
             e = v_p(n, f)
             n //= f ** e
             out.append((f, e))
         f += 1 if f == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+    return out, n, f
+
+
+def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """(p, multiplicity) pairs of n >= 1, ascending.
+
+    Trial division by f < 1000 comes first, so that an n below 10^6 is
+    factored by it alone.  A larger cofactor m has no prime below 1000: a
+    Miller-Rabin witness proves it composite at any size, and Pollard-Brent
+    rho splits it; a strong probable prime below PSI_13 is prime.  Only a
+    strong probable prime past PSI_13 is trial-divided on, so every answer
+    is exact, and below PSI_13 the expected cost is O(n^(1/4)).
+    """
+    if n < 1:
+        raise ValueError("prime_factors needs n >= 1")
+    out, n, f = _trial_division(n, 2, 1000)
+    found: dict[int, int] = {}
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if m >= f * f and not _strong_probable_prime(m):
+            p = _rho_factor(m)
+            rest += [p, m // p]
+        elif m < PSI_13:  # so is every m < f * f
+            found[m] = found.get(m, 0) + 1
+        else:
+            pairs, m, _ = _trial_division(m, f, m)
+            for p, e in pairs + [(m, 1)] * (m > 1):
+                found[p] = found.get(p, 0) + e
+    return tuple(out + sorted(found.items()))
 
 
 def v_p(n: int, p: int) -> int:
@@ -256,8 +339,8 @@ def sqrt_mod(a: int, n: int) -> Iterator[int]:
     At each prime r of gcd(a, n) the rule of _is_square_mod_prime_power, at
     the power r^k of r in n, is checked first, and a failure yields no root
     at once.  The rule passes where r^k divides a, so only the primes of
-    gcd(g, n/g), g = gcd(a, n), are read, at the cost of one trial-division
-    factoring.  Otherwise the roots are found by scanning all n residues, so
+    gcd(g, n/g), g = gcd(a, n), are read, at the cost of one factoring by
+    prime_factors.  Otherwise the roots are found by scanning all n residues, so
     the time is O(n); a faster algorithm must keep this contract.
     """
     if n < 1:
@@ -271,7 +354,8 @@ def sqrt_mod(a: int, n: int) -> Iterator[int]:
 
 
 def is_square_mod(a: int, n: int) -> bool:
-    """Whether a is congruent to a square modulo n (n >= 1), in O(sqrt(n)).
+    """Whether a is congruent to a square modulo n (n >= 1), in O(n^(1/4))
+    below PSI_13.
 
     A perfect square a in [0, n) answers at once, before n is factored: a
     z <= sqrt(n) has z^2 <= n, so z^2 = a (mod n) means z^2 = a, or a = 0
@@ -279,7 +363,8 @@ def is_square_mod(a: int, n: int) -> bool:
     root mod n is a root mod each prime power of n and the roots mod the
     prime powers combine by the Chinese remainder theorem, the rule of
     _is_square_mod_prime_power at every prime power of n decides; this costs
-    one trial-division factoring of n, O(sqrt(n)).
+    one factoring of n by prime_factors, which trial-divides only a strong
+    probable prime past PSI_13.
     """
     if n < 1:
         raise ValueError(f"is_square_mod needs n >= 1, got n = {n}")

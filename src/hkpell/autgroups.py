@@ -9,7 +9,7 @@ which side of a necessary-versus-sufficient gap the parameters landed on.
 from math import gcd
 
 from . import pell
-from .arith import Record, check_polarization, is_square_mod
+from .arith import Record, check_polarization
 
 
 class GroupTag(Record):
@@ -42,25 +42,6 @@ def unknown(reason: str) -> GroupTag:
     return GroupTag("unknown", reason)
 
 
-def _solvable(e1: int, e2: int, t: int) -> bool:
-    """Whether e1*a^2 - e2*b^2 = t has a positive solution, for e1, e2 >= 1.
-
-    Two local tests refuse before any unit is built.  A solution reduces
-    mod 8, where the squares are 0, 1 and 4, so e1*x - e2*y = t (mod 8) for
-    some squares x, y mod 8: in O(1) this refuses a^2 - e*b^2 = -1 for
-    e = 3 (mod 4), whatever the size of e.  A solution also gives
-    (e1*a)^2 = e1*t and (e2*b)^2 = -e2*t modulo e1*e2, so where either is no
-    square mod e1*e2 the answer is no; is_square_mod decides each in
-    O(sqrt(e1*e2)).
-    """
-    if all((e1 * x - e2 * y - t) % 8 for x in (0, 1, 4) for y in (0, 1, 4)):
-        return False
-    n = e1 * e2
-    if not (is_square_mod(e1 * t, n) and is_square_mod(-e2 * t, n)):
-        return False
-    return pell.generalized_min(e1, e2, t) is not None
-
-
 # ---------------------------------------------------------------------------
 # Picard rank 1
 
@@ -74,14 +55,16 @@ def aut_k3_rank1(two_e: int) -> GroupTag:
 
 def bir_s2(e: int) -> tuple[GroupTag, GroupTag]:
     """(Aut, Bir) of the Hilbert square of a degree-2e K3 generator, asking
-    a^2 - e*b^2 = -1 and a^2 - 4e*b^2 = 5 at most once each."""
+    a^2 - e*b^2 = -1 and a^2 - 4e*b^2 = 5 at most once each, of
+    pell.generalized_min: its local tests, mod 8 and mod e or 4e, refuse
+    before any unit is built, so a large e answers wherever they do."""
     if e < 1:
         raise ValueError("e must be positive")
     if e == 1:
         return Z2, Z2
-    if not _solvable(1, e, -1):
+    if pell.generalized_min(1, e, -1) is None:
         return TRIVIAL, TRIVIAL
-    if not _solvable(1, 4 * e, 5):
+    if pell.generalized_min(1, 4 * e, 5) is None:
         return Z2, Z2
     return TRIVIAL, Z2 if e == 5 or e % 5 else TRIVIAL
 
@@ -143,7 +126,7 @@ def fourfold_groups(n: int, e_prime: int) -> tuple[GroupTag, GroupTag]:
     rep = fourfold_cones(n, e_prime, prefix=1)
     if rep.mov_slope.is_rational:
         return TRIVIAL, TRIVIAL
-    bir = INFINITE_DIHEDRAL if _solvable(n, e_prime, 1) else INFINITE_CYCLIC
+    bir = INFINITE_DIHEDRAL if pell.generalized_min(n, e_prime, 1) is not None else INFINITE_CYCLIC
     return (TRIVIAL if rep.nef_slope.is_rational else bir), bir
 
 

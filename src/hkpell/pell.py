@@ -14,7 +14,8 @@ of the convergents only; their denominators are read once, at the midpoint.
 Class representatives are found with the PQa continued-fraction algorithm,
 which stays fast even when the fundamental unit is astronomical.
 The minimum, the first n solutions and all solutions below a bound are read
-from one lazy stream, positive_solutions.
+from one lazy stream, positive_solutions; the minimum first refuses by two
+local tests, mod 8 and mod e1*e2 (generalized_min).
 """
 
 import heapq
@@ -23,8 +24,8 @@ from functools import lru_cache
 from math import isqrt
 from itertools import islice
 
-from .arith import (DomainError, OrderedRecord, Record, divisors, is_square, sqrt_mod,
-                    square_divisors)
+from .arith import (PSI_13, DomainError, OrderedRecord, Record, divisors, is_square,
+                    is_square_mod, sqrt_mod, square_divisors)
 
 
 class PellError(DomainError):
@@ -378,11 +379,28 @@ def positive_solutions(e1: int, e2: int, t: int) -> Iterator[PellSolution]:
 
 def min_positive_solution(eq: PellEquation) -> PellSolution | None:
     """Minimal positive solution (a > 0, b > 0, minimal a), or None."""
-    return next(positive_solutions(eq.e1, eq.e2, eq.t), None)
+    return generalized_min(eq.e1, eq.e2, eq.t)
 
 
 def generalized_min(e1: int, e2: int, t: int) -> PellSolution | None:
-    """Minimal positive solution of e1*a^2 - e2*b^2 = t, or None."""
+    """Minimal positive solution of e1*a^2 - e2*b^2 = t, or None.
+
+    Two local tests refuse before any class search or unit.  A solution
+    reduces mod 8, where the squares are 0, 1 and 4, so e1*x - e2*y = t
+    (mod 8) for some squares x, y mod 8: in O(1) this refuses a^2 - e*b^2 =
+    -1 for e = 3 (mod 4), whatever the size of e.  A solution also gives
+    (e1*a)^2 = e1*t and (e2*b)^2 = -e2*t modulo e1*e2, so where either is no
+    square mod e1*e2 the answer is None.  is_square_mod decides each by
+    factoring e1*e2, in O((e1*e2)^(1/4)) below PSI_13; past it the factoring
+    may trial-divide a large prime, so the second test is left to the
+    search there.  Otherwise the minimum is the head of positive_solutions.
+    """
+    PellEquation(e1, e2, t)  # domain check
+    if all((e1 * x - e2 * y - t) % 8 for x in (0, 1, 4) for y in (0, 1, 4)):
+        return None
+    n = e1 * e2
+    if n < PSI_13 and not (is_square_mod(e1 * t, n) and is_square_mod(-e2 * t, n)):
+        return None
     return next(positive_solutions(e1, e2, t), None)
 
 

@@ -1,16 +1,17 @@
 """The arith helpers refuse the inputs their docstrings exclude, and the
-root scan and the divisor helpers match independent references."""
+root scan, the factoring and the divisor helpers match independent
+references."""
 
 import math
 import random
 import time
 
 import pytest
-from sympy import isprime
+from sympy import factorint, isprime
 from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
-from hkpell.arith import (divisors, is_prime, is_square_mod, polarization_classes, sqrt_mod,
-                          square_divisors, v_p)
+from hkpell.arith import (PSI_13, divisors, is_prime, is_square_mod, polarization_classes,
+                          prime_factors, sqrt_mod, square_divisors, v_p)
 
 
 @pytest.mark.parametrize("call,bound", [
@@ -108,6 +109,19 @@ def test_the_local_rule_refutes_at_one_prime_of_a_large_n(decide):
 
 def test_is_prime_matches_sympy():
     for n in range(-5, 5000):
+        assert is_prime(n) == isprime(n), n
+
+
+def test_prime_factors_match_sympy():
+    # trial division alone below 10^6; above it Miller-Rabin, exact below
+    # PSI_13, and Pollard-Brent rho for every composite cofactor.  The last n
+    # is a composite past PSI_13: a Miller-Rabin witness proves it composite,
+    # so rho splits it, where trial division would run to 2^31 - 1
+    rng = random.Random(2017)
+    past_psi_13 = (2**31 - 1) * (2**61 - 1)
+    assert past_psi_13 > PSI_13
+    for n in [*range(1, 20000), *(rng.randrange(1, 10**24) for _ in range(60)), past_psi_13]:
+        assert prime_factors(n) == tuple(sorted(factorint(n).items())), n
         assert is_prime(n) == isprime(n), n
 
 

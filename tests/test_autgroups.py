@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from hkpell import autgroups, pell
+from hkpell import pell
 from hkpell.arith import BadCongruence, is_square
 from hkpell.cones import fourfold_cones, mov_ray_sm
 from hkpell.autgroups import (INFINITE_CYCLIC, INFINITE_DIHEDRAL, TRIVIAL, Z2,
@@ -60,14 +60,14 @@ def test_bir_s2_asks_each_equation_once(monkeypatch):
 
 
 def test_local_refusal_matches_the_solver():
-    # _solvable refuses off the squares mod e1*e2 before any unit; each
-    # answer is the solver's own
+    # generalized_min refuses mod 8 and off the squares mod e1*e2 before any
+    # class search; each answer is the head of the unrefused stream
     for e1 in range(1, 25):
         for e2 in range(1, 25):
             for t in range(-25, 26):
                 if t:
-                    assert autgroups._solvable(e1, e2, t) == \
-                        (pell.generalized_min(e1, e2, t) is not None), (e1, e2, t)
+                    assert pell.generalized_min(e1, e2, t) == \
+                        next(pell.positive_solutions(e1, e2, t), None), (e1, e2, t)
 
 
 def test_bir_s2_coherence():

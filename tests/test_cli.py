@@ -196,6 +196,18 @@ _LARGE_INPUT = [
     # factored
     (["heegner", "nonempty", "--n", "2305843009213693951", "--gamma", "2",
       "--e", "1152921504606846976"], 1.0),
+    # the prime e = 10^16 + 6 * 10^8 + 13 = 5 (mod 8) passes the test mod 8:
+    # Miller-Rabin proves it prime, where trial division would run to
+    # sqrt(e) = 10^8; 5 is no square mod 4e, and a^2 - e*b^2 = -1 is solved
+    # from a unit of 159 bits
+    (["aut", "s2", "--e", "10000000600000013"], 1.0),
+    # d = (10^9 + 10)^2 + 1 is prime, with a unit of one step: the squares
+    # test mod d must not trial-divide it
+    (["pell", "min", "--d", "1000000020000000101", "--t", "17"], 1.0),
+    # d = (2 * 10^12 + 20)^2 + 1 is a prime past PSI_13, where Miller-Rabin
+    # proves nothing: the squares test mod d is skipped, and the search of
+    # the 17 residues answers
+    (["pell", "min", "--d", "4000000000080000000000401", "--t", "17"], 1.0),
 ]
 
 
