@@ -169,7 +169,18 @@ def is_square(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and prime_factors(n) == ((n, 1),)
+    """Whether n is prime.  A composite with a factor below 1000 is rejected
+    at its first such factor, and any other by a Miller-Rabin witness; only
+    a strong probable prime past PSI_13 is trial-divided on, to sqrt(n)."""
+    if n < 2:
+        return False
+    small = next((f for f in range(2, 1000) if n % f == 0), None)
+    if small is not None:
+        return n == small
+    if n < 10**6:
+        return True
+    return _strong_probable_prime(n) and (
+        n < PSI_13 or all(n % f for f in range(1001, isqrt(n) + 1, 2)))
 
 
 # Miller-Rabin to the first 13 prime bases is exact below PSI_13: no composite
@@ -197,17 +208,23 @@ def _strong_probable_prime(n: int) -> bool:
     return True
 
 
-def _rho_factor(n: int) -> int:
+def _rho_factor(n: int, steps: int | None) -> int | None:
     """A proper factor of the odd composite n, which has no prime below
     1000, by Pollard-Brent rho (Brent, BIT 1980): x -> x^2 + c from
     x = 2, the cycle found by doubling r and the gcd taken over blocks of 128
     steps, backtracking one step at a time where a block overshoots; c = 1,
-    2, ... until a factor comes out, so the answer is deterministic."""
+    2, ... until a factor comes out, so the answer is deterministic.  None
+    once the map would run more than `steps` times (at most 128 more for a
+    backtrack); steps None sets no bound."""
     c = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if steps is not None:
+                steps -= 2 * r  # r steps to advance x, at most r in blocks
+                if steps < 0:
+                    return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -243,6 +260,33 @@ def _trial_division(n: int, f: int, stop: int) -> tuple[list[tuple[int, int]], i
     return out, n, f
 
 
+def _factor_within(n: int, steps: int | None) -> tuple[tuple[int, int], ...] | None:
+    """prime_factors(n), or None where it would take more than `steps` rho
+    steps to split one composite cofactor (there are at most log_1000(n)
+    splits), or where a strong probable prime past PSI_13 would have to be
+    trial-divided; steps None bounds neither, so the answer always comes."""
+    if n < 1:
+        raise ValueError("prime_factors needs n >= 1")
+    out, n, f = _trial_division(n, 2, 1000)
+    found: dict[int, int] = {}
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if m >= f * f and not _strong_probable_prime(m):
+            if (p := _rho_factor(m, steps)) is None:
+                return None
+            rest += [p, m // p]
+        elif m < PSI_13:  # so is every m < f * f
+            found[m] = found.get(m, 0) + 1
+        elif steps is not None:
+            return None
+        else:
+            pairs, m, _ = _trial_division(m, f, m)
+            for p, e in pairs + [(m, 1)] * (m > 1):
+                found[p] = found.get(p, 0) + e
+    return tuple(out + sorted(found.items()))
+
+
 def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     """(p, multiplicity) pairs of n >= 1, ascending.
 
@@ -253,23 +297,7 @@ def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     strong probable prime past PSI_13 is trial-divided on, so every answer
     is exact, and below PSI_13 the expected cost is O(n^(1/4)).
     """
-    if n < 1:
-        raise ValueError("prime_factors needs n >= 1")
-    out, n, f = _trial_division(n, 2, 1000)
-    found: dict[int, int] = {}
-    rest = [n] if n > 1 else []
-    while rest:
-        m = rest.pop()
-        if m >= f * f and not _strong_probable_prime(m):
-            p = _rho_factor(m)
-            rest += [p, m // p]
-        elif m < PSI_13:  # so is every m < f * f
-            found[m] = found.get(m, 0) + 1
-        else:
-            pairs, m, _ = _trial_division(m, f, m)
-            for p, e in pairs + [(m, 1)] * (m > 1):
-                found[p] = found.get(p, 0) + e
-    return tuple(out + sorted(found.items()))
+    return _factor_within(n, None)
 
 
 def v_p(n: int, p: int) -> int:

@@ -24,8 +24,8 @@ from functools import lru_cache
 from math import isqrt
 from itertools import islice
 
-from .arith import (PSI_13, DomainError, OrderedRecord, Record, divisors, is_square,
-                    is_square_mod, sqrt_mod, square_divisors)
+from .arith import (DomainError, OrderedRecord, Record, _factor_within,
+                    _is_square_mod_prime_power, divisors, is_square, sqrt_mod, square_divisors)
 
 
 class PellError(DomainError):
@@ -390,16 +390,23 @@ def generalized_min(e1: int, e2: int, t: int) -> PellSolution | None:
     (mod 8) for some squares x, y mod 8: in O(1) this refuses a^2 - e*b^2 =
     -1 for e = 3 (mod 4), whatever the size of e.  A solution also gives
     (e1*a)^2 = e1*t and (e2*b)^2 = -e2*t modulo e1*e2, so where either is no
-    square mod e1*e2 the answer is None.  is_square_mod decides each by
-    factoring e1*e2, in O((e1*e2)^(1/4)) below PSI_13; past it the factoring
-    may trial-divide a large prime, so the second test is left to the
-    search there.  Otherwise the minimum is the head of positive_solutions.
+    square mod e1*e2 the answer is None: e1*e2 is factored once, and the
+    rule of arith._is_square_mod_prime_power decides both at each of its
+    prime powers.  So that this test never costs much more than the search
+    it saves, which builds a unit and, for |t| > 1, scans at least |t|
+    residues, each rho split
+    of the factoring gets at most 1000 + |t| steps, and a strong probable
+    prime past PSI_13 is not trial-divided: where the factoring would take
+    longer, the test is left to the search.  Otherwise the minimum is the
+    head of positive_solutions.
     """
     PellEquation(e1, e2, t)  # domain check
     if all((e1 * x - e2 * y - t) % 8 for x in (0, 1, 4) for y in (0, 1, 4)):
         return None
-    n = e1 * e2
-    if n < PSI_13 and not (is_square_mod(e1 * t, n) and is_square_mod(-e2 * t, n)):
+    primes = _factor_within(e1 * e2, 1000 + abs(t))
+    if primes is not None and not all(_is_square_mod_prime_power(e1 * t, r, k)
+                                      and _is_square_mod_prime_power(-e2 * t, r, k)
+                                      for r, k in primes):
         return None
     return next(positive_solutions(e1, e2, t), None)
 

@@ -10,8 +10,8 @@ import pytest
 from sympy import factorint, isprime
 from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
-from hkpell.arith import (PSI_13, divisors, is_prime, is_square_mod, polarization_classes,
-                          prime_factors, sqrt_mod, square_divisors, v_p)
+from hkpell.arith import (PSI_13, _factor_within, divisors, is_prime, is_square_mod,
+                          polarization_classes, prime_factors, sqrt_mod, square_divisors, v_p)
 
 
 @pytest.mark.parametrize("call,bound", [
@@ -123,6 +123,19 @@ def test_prime_factors_match_sympy():
     for n in [*range(1, 20000), *(rng.randrange(1, 10**24) for _ in range(60)), past_psi_13]:
         assert prime_factors(n) == tuple(sorted(factorint(n).items())), n
         assert is_prime(n) == isprime(n), n
+
+
+def test_bounded_factoring_is_exact_or_gives_up():
+    # pell.generalized_min's squares test bounds each rho split and gives up
+    # on a strong probable prime past PSI_13; whatever comes back is exact.
+    # d = 1000000000789 * 822307006733 needs about 10^6 steps to split
+    rng = random.Random(1980)
+    d = 822307007381800228312337
+    assert _factor_within(d, 1017) is None
+    assert _factor_within(4000000000080000000000401, 10**6) is None
+    for n in [d, *(rng.randrange(1, 10**24) for _ in range(30))]:
+        for steps in (0, 1000, 10**5):
+            assert _factor_within(n, steps) in (None, prime_factors(n)), (n, steps)
 
 
 def _trial_divisors(n):

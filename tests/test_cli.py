@@ -208,6 +208,10 @@ _LARGE_INPUT = [
     # proves nothing: the squares test mod d is skipped, and the search of
     # the 17 residues answers
     (["pell", "min", "--d", "4000000000080000000000401", "--t", "17"], 1.0),
+    # d = x^2 + 1, x = 906811450844, is 1000000000789 * 822307006733, with a
+    # unit of one step: the squares test mod d gives up on d within
+    # 1000 + |t| rho steps, where a full split takes about 0.25 s
+    (["pell", "min", "--d", "822307007381800228312337", "--t", "17"], 0.1),
 ]
 
 
@@ -224,6 +228,10 @@ def test_large_input_within_budget(args, budget, capsys):
 # within minutes
 _EARLY_REFUSAL = [
     (["hilb-square", "--n", "1", "--e", "1000000000000037", "--gamma", "3"], 1.0),
+    # m - 1 = 2 * 4000000000080000000000401, the second a prime past PSI_13:
+    # is_prime stops at the factor 2, before any Miller-Rabin or trial
+    # division of the large prime
+    (["period-image", "--m", "8000000000160000000000803", "--n", "1", "--gamma", "1"], 1.0),
     *_EARLY_PERIOD_IMAGE,
 ]
 
